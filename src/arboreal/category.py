@@ -30,7 +30,13 @@ from arboreal.amalgam import (
     trees_with_restrictions,
     triple_amalgamations,
 )
-from arboreal.measure import SYMBOLIC, ParamSpec, mu_embedding, mu_symbolic
+from arboreal.measure import (
+    SYMBOLIC,
+    ParamSpec,
+    mu_embedding,
+    mu_symbolic,
+    register_measure_cache,
+)
 from arboreal.ratfun import RatFun
 from arboreal.trees import Tree, TreeError
 
@@ -192,7 +198,11 @@ def embedding_morphisms(
     return beta, transpose(beta)
 
 
+# Structure-constant tables kept, oldest evicted first: enough for every
+# table of paper-check (about 400) and a round of cold compositions.
+TRIPLE_CACHE_CAP = 4096
 _TRIPLE_CACHE: Dict[Tuple[str, str, Optional[int]], Tuple] = {}
+register_measure_cache(_TRIPLE_CACHE.clear)
 
 
 def _composition_table(
@@ -209,6 +219,8 @@ def _composition_table(
         w = mu_embedding(y3.whole, z.whole, SYMBOLIC)
         acc[y3] = acc.get(y3, RatFun.zero()) + w
     table = tuple(sorted(acc.items(), key=lambda pair: pair[0].key))
+    if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
+        del _TRIPLE_CACHE[next(iter(_TRIPLE_CACHE))]
     _TRIPLE_CACHE[key] = table
     return table
 
@@ -621,6 +633,7 @@ def _solve_dependence(
 
 
 _ALGEBRAS: Dict[Tuple[str, Optional[int]], ArborealAlgebra] = {}
+register_measure_cache(_ALGEBRAS.clear)
 
 
 def algebra_for(tree: Tree, max_level: Optional[int] = None) -> ArborealAlgebra:

@@ -27,6 +27,7 @@ from arboreal.category import (
     compose,
     hom_basis,
 )
+from arboreal.measure import register_measure_cache
 from arboreal.ratfun import RatFun, ratfun_sqrt
 from arboreal.trees import parse_tree
 
@@ -209,6 +210,7 @@ def _proportionality(left: AlgebraElement, right: AlgebraElement) -> RatFun:
 
 
 _FIXTURE: List[EdgeAlgebra] = []
+register_measure_cache(_FIXTURE.clear)
 
 
 def edge_algebra() -> EdgeAlgebra:

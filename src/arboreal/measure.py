@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from arboreal.amalgam import amalgamations
 from arboreal.ratfun import ONE, Poly, RatFun, bracket
@@ -102,11 +102,19 @@ INFINITY_GENERATOR_VALUES: Dict[str, int] = {
 
 
 @lru_cache(maxsize=None)
-def _mu_symbolic_key(key: str) -> RatFun:
-    return _mu_formula(parse_tree(key))
+def _mu_symbolic_key(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
+    return _mu_formula(leaf_count, valences)
 
 
 _PERTURB_PER_LEAF: Optional[Fraction] = None
+
+# Clear functions of every cache whose values derive from the measure.
+_MEASURE_CACHES: List[Callable[[], None]] = [_mu_symbolic_key.cache_clear]
+
+
+def register_measure_cache(clear: Callable[[], None]) -> None:
+    """Have set_mu_perturbation empty a cache of measure-derived values."""
+    _MEASURE_CACHES.append(clear)
 
 
 def set_mu_perturbation(scale_per_leaf: Optional[Fraction]) -> None:
@@ -114,29 +122,33 @@ def set_mu_perturbation(scale_per_leaf: Optional[Fraction]) -> None:
 
     A non-trivial scale breaks additivity over amalgamations (identified
     leaves change the leaf count), which is exactly what a harness self-test
-    wants to observe.  Production code never sets this.
+    wants to observe.  Production code never sets this.  Every registered
+    measure-derived cache is emptied, so no value computed under one scale
+    is read under another.
     """
     global _PERTURB_PER_LEAF
     _PERTURB_PER_LEAF = scale_per_leaf
-    _mu_symbolic_key.cache_clear()
+    for clear in _MEASURE_CACHES:
+        clear()
 
 
-def _mu_formula(tree: Tree) -> RatFun:
-    if tree.is_empty():
+def _mu_formula(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
+    if not leaf_count:
         return ONE
     num = Poly((0, 1))  # t
-    for v in tree.nodes():
-        num = num * bracket(len(tree.adj[v]))
-    sign = -1 if tree.node_count % 2 else 1
-    value = RatFun(num.scale(sign), Poly((-1, 1)) ** tree.leaf_count)
+    for v in valences:
+        num = num * bracket(v)
+    sign = -1 if len(valences) % 2 else 1
+    value = RatFun(num.scale(sign), Poly((-1, 1)) ** leaf_count)
     if _PERTURB_PER_LEAF is not None:
-        value = value * RatFun.from_scalar(_PERTURB_PER_LEAF) ** tree.leaf_count
+        value = value * RatFun.from_scalar(_PERTURB_PER_LEAF) ** leaf_count
     return value
 
 
 def mu_symbolic(tree: Tree) -> RatFun:
     """The measure of a tree as an exact rational function of t."""
-    return _mu_symbolic_key(tree.canonical_key())
+    s = tree.stats()
+    return _mu_symbolic_key(s.leaf_count, s.valences)
 
 
 def _require_level(tree: Tree, n: int) -> None:

@@ -1,9 +1,13 @@
 """Exact arithmetic in one variable over arbitrary-precision rationals.
 
-Polynomials are dense coefficient tuples over ``fractions.Fraction``.  A
-rational function normalizes to a coprime numerator/denominator pair with
-integer coefficients, overall content 1, and a positive leading denominator
-coefficient, so equal values always serialize to identical strings.
+Polynomials are dense coefficient tuples holding a Python ``int`` for every
+integral coefficient and a ``fractions.Fraction`` only for a non-integral
+one.  A rational function normalizes to a coprime numerator/denominator pair
+with integer coefficients, overall content 1, and a positive leading
+denominator coefficient, so equal values always serialize to identical
+strings.  Normalization stays in the integers: each side splits into its
+rational content and primitive integer part, and the primitive parts are
+divided by their gcd, taken by a primitive remainder sequence over Z.
 
 The serialized form is ``num_poly + " / " + den_poly`` with polynomials
 written highest degree first, e.g. ``t^3-4*t^2+4*t / t^4-4*t^3+6*t^2-4*t+1``.
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -36,6 +41,64 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError("expected an int or Fraction, got %r" % (c,))
 
 
+def _scalar(c: Scalar) -> Scalar:
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError("expected an int or Fraction, got %r" % (c,))
+
+
+def _split(coeffs: Sequence[Scalar]) -> Tuple[int, int, Sequence[int]]:
+    """(g, d, p) with coeffs = (g/d) * p, g and d positive and p primitive
+    integer coefficients; coeffs must not all be zero."""
+    try:
+        d, ints, g = 1, coeffs, gcd(*coeffs)
+    except TypeError:  # a Fraction among the coefficients
+        d = lcm(*[c.denominator for c in coeffs])
+        ints = [c.numerator * (d // c.denominator) for c in coeffs]
+        g = gcd(*ints)
+    return g, d, (ints if g == 1 else [x // g for x in ints])
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """A nonzero integer multiple of the remainder of a by b (deg b >= 0).
+
+    Each step scales the running remainder by lc(b)/h and subtracts
+    (lead/h) * t^k * b with h = gcd(lead, lc(b)): the leading term cancels
+    and no fraction arises.
+    """
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        lead = r.pop()
+        if not lead:
+            continue
+        k = len(r) - db
+        h = gcd(lead, lb)
+        m, s = lead // h, lb // h
+        if s == 1:
+            r[k:] = [x - m * y for x, y in zip(r[k:], b)]
+        else:
+            r[:k] = [s * x for x in r[:k]]
+            r[k:] = [s * x - m * y for x, y in zip(r[k:], b)]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _quotient(c: Scalar, lead: Scalar) -> Scalar:
+    """c / lead, with // whenever two ints divide exactly."""
+    if type(c) is int and type(lead) is int:
+        q, r = divmod(c, lead)
+        if not r:
+            return q
+    return _scalar(Fraction(c) / lead)
+
+
 class Poly:
     """A polynomial in t, stored as a tuple of coefficients by degree.
 
@@ -46,8 +109,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -74,9 +137,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
     def __bool__(self) -> bool:
@@ -94,9 +157,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b) :])
         return Poly(out)
 
     def __neg__(self) -> "Poly":
@@ -109,15 +171,17 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(b)
+        out = [0] * (len(a) + n - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+                out[i : i + n] = [o + ca * cb for o, cb in zip(out[i : i + n], b)]
         return Poly(out)
 
     def scale(self, c: Scalar) -> "Poly":
-        c = _as_fraction(c)
+        c = _scalar(c)
         return Poly(tuple(x * c for x in self.coeffs))
 
     def __pow__(self, n: int) -> "Poly":
@@ -133,40 +197,55 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
+        """Quotient and remainder over Q; exact integer quotients stay int."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        b = other.coeffs
+        d, lead = len(b) - 1, b[-1]
         rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
+        q = [0] * max(0, len(rem) - d)
+        for k in range(len(q) - 1, -1, -1):
+            top = rem.pop()
+            if top:
+                f = q[k] = _quotient(top, lead)
+                rem[k:] = [x - f * y for x, y in zip(rem[k:], b)]
         return Poly(q), Poly(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.leading())
+        """Primitive greatest common divisor: integer coefficients with
+        content 1 and a positive leading coefficient (zero only for two
+        zeros), by the primitive remainder sequence over Z."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1 or len(b) == 1:
+            return Poly((1,))
+        if not a or not b:
+            if not (a or b):
+                return Poly()
+            g = _split(a or b)[2]
+        else:
+            a, b = _split(a)[2], _split(b)[2]
+            if len(a) < len(b):
+                a, b = b, a
+            while True:
+                r = _prem(a, b)
+                if not r:
+                    break
+                if len(r) == 1:
+                    return Poly((1,))
+                a, b = b, _split(r)[2]
+            g = b
+        return Poly(g if g[-1] > 0 else [-c for c in g])
 
     def evaluate(self, t: Scalar) -> Fraction:
+        # Horner's rule on t = p/q scaled by q^degree, so the integer
+        # coefficients meet one division at the end
         t = _as_fraction(t)
-        acc = Fraction(0)
+        p, q = t.numerator, t.denominator
+        acc, qpow = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, qpow // q) if self.coeffs else Fraction(0)
 
     # -- integer normalization --------------------------------------------
 
@@ -174,15 +253,8 @@ class Poly:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
         if not self.coeffs:
             return Fraction(0)
-        from math import gcd, lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        num = 0
-        for c in self.coeffs:
-            num = gcd(num, c.numerator * (den // c.denominator))
-        return Fraction(num, den)
+        g, d, _ = _split(self.coeffs)
+        return Fraction(g, d)
 
     def sqrt(self) -> Optional["Poly"]:
         """Exact square root with positive leading coefficient, or None."""
@@ -197,7 +269,7 @@ class Poly:
         if root_lead is None:
             return None
         half = self.degree // 2
-        out = [Fraction(0)] * (half + 1)
+        out = [0] * (half + 1)
         out[half] = root_lead
         acc = Poly(out)
         # top-down coefficient recovery: at step k the residual agrees with
@@ -315,17 +387,24 @@ class RatFun:
         if num.is_zero():
             num, den = Poly(), Poly((1,))
         else:
+            gn, dn, pn = _split(num.coeffs)
+            gd, dd, pd = _split(den.coeffs)
+            num, den = Poly(pn), Poly(pd)
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            # primitive parts times the reduced content ratio: makes both
-            # parts integer with joint content 1
-            ratio = num.content() / den.content()
-            num = num.scale(ratio.numerator / num.content())
-            den = den.scale(ratio.denominator / den.content())
-            if den.leading() < 0:
-                num, den = -num, -den
+            # primitive parts times the reduced content ratio (gn/dn)/(gd/dd):
+            # both parts integer with joint content 1
+            a, b = gn * dd, dn * gd
+            h = gcd(a, b)
+            a, b = a // h, b // h
+            if den.coeffs[-1] < 0:
+                a, b = -a, -b
+            if a != 1:
+                num = num.scale(a)
+            if b != 1:
+                den = den.scale(b)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -364,7 +443,7 @@ class RatFun:
         if self.num.degree <= 0 and self.den.degree <= 0:
             if self.num.is_zero():
                 return Fraction(0)
-            return self.num.coeffs[0] / self.den.coeffs[0]
+            return Fraction(self.num.coeffs[0], self.den.coeffs[0])
         return None
 
     def __eq__(self, other) -> bool:
@@ -543,8 +622,4 @@ def ratfun_sqrt(f: RatFun) -> Optional[RatFun]:
     return RatFun(num, den)
 
 
-# Shared constants: the ubiquitous t and t-1.
-T = RatFun.t()
-T_MINUS_1 = RatFun(Poly((-1, 1)))
 ONE = RatFun.one()
-ZERO = RatFun.zero()

@@ -33,7 +33,8 @@ from arboreal.category import (
     triple_trace,
     truncate_level,
 )
-from arboreal.measure import ParamSpec, mu_symbolic
+from arboreal.edge_algebra import edge_algebra
+from arboreal.measure import ParamSpec, mu_symbolic, set_mu_perturbation
 from arboreal.ratfun import ONE, RatFun
 from arboreal.trees import EMPTY_TREE, TreeError, parse_tree
 
@@ -250,3 +251,25 @@ def test_hom_element_arithmetic(edge):
 
 def test_algebra_cache():
     assert algebra_for(EDGE) is algebra_for(parse_tree("(2,1)"))
+
+
+def test_perturbation_leaves_no_cached_values_behind():
+    """Values cached under one measure perturbation are never read under
+    another: a clean run after a perturbed one matches a fresh process."""
+    tree = parse_tree("(p,q)")  # labels no other test composes with
+    f, g = (HomElement.basis(tree, tree, am) for am in hom_basis(tree, tree)[1:3])
+
+    def run(scale):
+        set_mu_perturbation(scale)
+        try:
+            fixture = edge_algebra()
+            return compose(f, g).terms, algebra_for(tree).product_row(1, 2), fixture
+        finally:
+            set_mu_perturbation(None)
+
+    perturbed = run(Fraction(2))
+    clean = run(None)
+    assert clean[:2] != perturbed[:2]
+    assert run(Fraction(2))[:2] == perturbed[:2]
+    assert run(None)[:2] == clean[:2]
+    assert clean[2] is not perturbed[2]

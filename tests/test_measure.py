@@ -220,3 +220,10 @@ def test_perturbation_breaks_the_equation():
     finally:
         set_mu_perturbation(None)
     assert verify_amalgamation_equation(parse_tree("(1,2)"), parse_tree("(3,4,5)")).is_zero()
+
+
+def test_measure_is_cached_by_signature():
+    """The measure depends only on the leaf count and the node valences."""
+    first = mu_symbolic(parse_tree("((a,b),(c,d),e)"))
+    assert mu_symbolic(parse_tree("((p,q),r,(s,u))")) is first
+    assert mu_symbolic(parse_tree("((a,b),c,d,e)")) != first

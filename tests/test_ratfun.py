@@ -6,12 +6,18 @@ Core claims:
     - evaluation is a ring homomorphism away from poles, with poles reported
     - the falling-product factor has the stated small values
     - serialization round-trips and matches the documented format
+    - coefficients are ints wherever integral; gcds are primitive
+    - normal forms agree with sympy.cancel on random expressions
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.ratfun import (
     PoleError,
@@ -159,3 +165,94 @@ def test_substitute():
     f = (T - 2) / (T - 1)
     g = T + 3
     assert f.substitute(g) == (T + 1) / (T + 2)
+
+
+def _all_int(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+def test_integral_coefficients_are_ints():
+    assert Poly((Fraction(4, 2),)).coeffs == (2,)
+    assert _all_int(Poly((Fraction(4, 2), Fraction(-3), True)))
+    assert Poly((Fraction(2),)) == Poly((2,))
+    assert hash(Poly((Fraction(2),))) == hash(Poly((2,)))
+    half = Poly((Fraction(1, 2), 1))
+    assert [type(c) for c in half.coeffs] == [Fraction, int]
+    assert _all_int(half.scale(2)) and _all_int(half * Poly((2,)))
+    rng = random.Random(5)
+    for _ in range(100):
+        f = rand_ratfun(rng)
+        assert _all_int(f.num) and _all_int(f.den)
+
+
+def test_gcd_is_primitive_with_positive_leading_coefficient():
+    p, q = Poly((-2, 1)), Poly((3, 1))
+    a = (p * p * q).scale(-6)
+    b = (p * Poly((5, 1))).scale(Fraction(4, 3))
+    assert a.gcd(b) == p and b.gcd(a) == p
+    c = Poly((1, -2))  # 1-2t
+    assert (c * q).gcd(c.scale(3) * Poly.t()) == Poly((-1, 2))
+    assert (c * q).gcd(c * q) == Poly((-1, 2)) * q
+    assert p.gcd(q) == Poly((1,))
+    assert Poly((5,)).gcd(a) == Poly((1,)) and a.gcd(Poly((Fraction(1, 3),))) == Poly((1,))
+    assert Poly().gcd(c.scale(-4)) == Poly((-1, 2))
+    assert Poly().gcd(Poly()) == Poly()
+    assert _all_int(a.gcd(b))
+
+
+def test_divmod_keeps_integer_quotients():
+    q, r = Poly((-6, 1, 1)).divmod(Poly((-2, 1)))  # (t+3)(t-2) / (t-2)
+    assert q == Poly((3, 1)) and r.is_zero() and _all_int(q)
+    q, r = Poly((-12, 2, 2)).divmod(Poly((6, 2)))
+    assert q == Poly((-2, 1)) and r.is_zero() and _all_int(q)
+    a, b = Poly((1, 0, 1)), Poly((1, 2))
+    q, r = a.divmod(b)
+    assert q == Poly((Fraction(-1, 4), Fraction(1, 2))) and r == Poly((Fraction(5, 4),))
+    assert q * b + r == a
+    q, r = Poly((1, 2)).divmod(Poly((0, 0, 1)))
+    assert q.is_zero() and r == Poly((1, 2))
+
+
+_t = sympy.Symbol("t")
+_coeff = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+)
+_coeffs = st.lists(_coeff, min_size=1, max_size=4)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _sympy_poly(coeffs):
+    return sum(sympy.Rational(c.numerator, c.denominator) * _t**i for i, c in enumerate(coeffs))
+
+
+def _sympy_normal_form(expr):
+    """num/den coefficient tuples of sympy.cancel(expr), put in the
+    documented normal form: integer, joint content 1, positive den lead."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    if num == 0:
+        return (), (1,)
+    pn = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(num, _t).all_coeffs())]
+    pd = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(den, _t).all_coeffs())]
+    content = Poly(pn + pd).content()
+    if pd[-1] < 0:
+        content = -content
+    return tuple(c / content for c in pn), tuple(c / content for c in pd)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_coeffs, _coeffs, _coeffs, _coeffs, _coeffs, st.sampled_from(sorted(_OPS)))
+def test_normal_form_agrees_with_sympy_cancel(common, n1, d1, n2, d2, op):
+    # a shared factor on both sides of the first operand makes gcds nontrivial
+    den1, den2 = Poly(common) * Poly(d1), Poly(d2)
+    if den1.is_zero() or den2.is_zero():
+        return
+    a = RatFun(Poly(common) * Poly(n1), den1)
+    b = RatFun(Poly(n2), den2)
+    sa = _sympy_poly(common) * _sympy_poly(n1) / (_sympy_poly(common) * _sympy_poly(d1))
+    sb = _sympy_poly(n2) / _sympy_poly(d2)
+    if op == "/" and b.is_zero():
+        return
+    f = _OPS[op](a, b)
+    assert (f.num.coeffs, f.den.coeffs) == _sympy_normal_form(_OPS[op](sa, sb))
+    assert _all_int(f.num) and _all_int(f.den)
