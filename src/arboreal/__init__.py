@@ -41,7 +41,6 @@ from arboreal.measure import (
 )
 from arboreal.ratfun import Poly, PoleError, RatFun, bracket, parse_ratfun
 from arboreal.theta import (
-    MarkType,
     ThetaElement,
     mark_type,
     minimize_marked,

@@ -71,6 +71,10 @@ def _block(tree: Tree, tag: str) -> frozenset:
     return frozenset(tag + l for l in tree.label_set)
 
 
+def _retag_block(block: frozenset, old: str, new: str) -> frozenset:
+    return frozenset(new + l[len(old):] for l in block)
+
+
 def hom_basis(source: Tree, target: Tree, max_level: Optional[int] = None) -> List[Amalgamation]:
     """The amalgamation basis of the morphism space from source to target."""
     return amalgamations(
@@ -206,19 +210,36 @@ register_measure_cache(_TRIPLE_CACHE.clear)
 
 
 def _composition_table(
-    u: Amalgamation, v: Amalgamation, max_level: Optional[int]
+    gu: Amalgamation, fv: Amalgamation, max_level: Optional[int]
 ) -> Tuple[Tuple[Amalgamation, RatFun], ...]:
-    """For basis terms u (blocks 1,2) and v (blocks 2,3), the measured sum
-    over all three-block extensions, grouped by the (1,3)-restriction."""
-    key = (u.key, v.key, max_level)
+    """For basis terms gu of g and fv of f, the measured sum over all
+    three-block extensions, grouped by the (source, target)-restriction.
+
+    The three blocks carry the tags "1:", "2:", "3:" while the extensions
+    are enumerated; the stored restrictions are tagged "s:"/"t:" again.
+    """
+    key = (gu.key, fv.key, max_level)
     hit = _TRIPLE_CACHE.get(key)
     if hit is not None:
         return hit
+    u = Amalgamation(
+        retag(gu.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
+        _retag_block(gu.left, SOURCE_TAG, "1:"),
+        _retag_block(gu.right, TARGET_TAG, "2:"),
+    )
+    v = Amalgamation(
+        retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
+        _retag_block(fv.left, SOURCE_TAG, "2:"),
+        _retag_block(fv.right, TARGET_TAG, "3:"),
+    )
     acc: Dict[Amalgamation, RatFun] = {}
     for z, y3 in triple_amalgamations(u, v, max_level=max_level):
         w = mu_embedding(y3.whole, z.whole, SYMBOLIC)
         acc[y3] = acc.get(y3, RatFun.zero()) + w
-    table = tuple(sorted(acc.items(), key=lambda pair: pair[0].key))
+    table = tuple(
+        (Amalgamation(retag(y3.whole, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right), w)
+        for y3, w in sorted(acc.items(), key=lambda pair: pair[0].key)
+    )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
         del _TRIPLE_CACHE[next(iter(_TRIPLE_CACHE))]
     _TRIPLE_CACHE[key] = table
@@ -237,29 +258,16 @@ def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement
     max_level = p.n if p.mode == "level" else None
     acc: Dict[Amalgamation, RatFun] = {}
     for gu, cg in g.terms:
-        u = Amalgamation(
-            retag(gu.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
-            _block(g.source, "1:"),
-            _block(g.target, "2:"),
-        )
         for fv, cf in f.terms:
-            v = Amalgamation(
-                retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
-                _block(f.source, "2:"),
-                _block(f.target, "3:"),
-            )
             scale = cg * cf
-            for y3, w in _composition_table(u, v, max_level):
-                out = Amalgamation(
-                    retag(y3.whole, {"1:": SOURCE_TAG, "3:": TARGET_TAG}),
-                    _block(g.source, SOURCE_TAG),
-                    _block(f.target, TARGET_TAG),
-                )
+            for out, w in _composition_table(gu, fv, max_level):
                 acc[out] = acc.get(out, RatFun.zero()) + w * scale
-    if p.mode in ("numeric", "level"):
-        t = p.t if p.mode == "numeric" else Fraction(p.n)
-        acc = {am: RatFun.from_scalar(c.evaluate(t)) for am, c in acc.items()}
-    return HomElement.make(g.source, f.target, acc)
+    h = HomElement.make(g.source, f.target, acc)
+    if p.mode == "numeric":
+        return evaluate_coefficients(h, p.t)
+    if p.mode == "level":
+        return evaluate_coefficients(h, p.n)
+    return h
 
 
 def categorical_trace(e: HomElement) -> RatFun:
@@ -310,9 +318,9 @@ def triple_trace_trees(
         "v": retag(v.whole, {SOURCE_TAG: "3:", TARGET_TAG: "1:"}),
         "w": retag(w.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
     }
-    b1 = frozenset("1:" + l[len(SOURCE_TAG):] for l in u.left)
-    b2 = frozenset("2:" + l[len(SOURCE_TAG):] for l in u.right)
-    b3 = frozenset("3:" + l[len(TARGET_TAG):] for l in w.right)
+    b1 = _retag_block(u.left, SOURCE_TAG, "1:")
+    b2 = _retag_block(u.right, TARGET_TAG, "2:")
+    b3 = _retag_block(w.right, TARGET_TAG, "3:")
     labels = b1 | b2 | b3
     uf = _UnionFind(labels)
     for whole in wholes.values():
@@ -432,11 +440,15 @@ class ArborealAlgebra:
                         out[k] = out[k] + w * scale
         return AlgebraElement(self, tuple(out))
 
-    def utr(self, e: "AlgebraElement") -> RatFun:
-        mu = mu_symbolic(self.tree)
+    def _mu(self, tree: Tree) -> RatFun:
+        """The measure of a tree, evaluated at t = n under a level bound n."""
+        mu = mu_symbolic(tree)
         if self.max_level is not None:
             mu = RatFun.from_scalar(mu.evaluate(self.max_level))
-        return e.vec[self.identity_index] * mu
+        return mu
+
+    def utr(self, e: "AlgebraElement") -> RatFun:
+        return e.vec[self.identity_index] * self._mu(self.tree)
 
     def transpose_vector(self, e: "AlgebraElement") -> "AlgebraElement":
         out = list(self.zero_vector())
@@ -458,11 +470,7 @@ class ArborealAlgebra:
         when basis[j] is its transpose, else zero."""
         g = [[RatFun.zero()] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
-            j = self.transpose_index(i)
-            mu = mu_symbolic(self.basis[i].whole)
-            if self.max_level is not None:
-                mu = RatFun.from_scalar(mu.evaluate(self.max_level))
-            g[i][j] = mu
+            g[i][self.transpose_index(i)] = self._mu(self.basis[i].whole)
         return g
 
     def gram_det(self) -> RatFun:
@@ -482,10 +490,7 @@ class ArborealAlgebra:
                 sign = -sign
         det = RatFun.from_scalar(sign)
         for am in self.basis:
-            mu = mu_symbolic(am.whole)
-            if self.max_level is not None:
-                mu = RatFun.from_scalar(mu.evaluate(self.max_level))
-            det = det * mu
+            det = det * self._mu(am.whole)
         return det
 
     def is_semisimple_at(self, t) -> Tuple[bool, Optional[str], Optional[str]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from arboreal.amalgam import Amalgamation, amalgamations, count_by_shape, self_amalgamations, triple_amalgamations
 from arboreal.category import (
@@ -50,6 +50,7 @@ from arboreal.ratfun import ONE, RatFun
 from arboreal.theta import (
     LINEAR_FORMS,
     QUADRATIC_FORM,
+    DuplicateRelation,
     evaluate_form_mu,
     minimize_marked,
     separated,
@@ -175,15 +176,35 @@ def check_generator_table() -> CheckResult:
     )
 
 
-def check_linear_forms() -> CheckResult:
+def relation_sweep(max_leaves: int) -> Tuple[List[DuplicateRelation], Dict[str, List[str]]]:
+    """Duplicate relations of the minimal marked trees, and where each
+    defining form fails to vanish.
+
+    The sources are the marked stars with fewer than ``max_leaves`` leaves
+    (at least the one-leaf star) and the Y and Z shapes once they fit.  Each
+    of the five linear forms and the quadratic one maps to the sides,
+    "ring" and "measure", on which it does not vanish.
+    """
+    sources = [marked_star(m) for m in range(1, max(2, max_leaves))]
+    if max_leaves >= 4:
+        sources.append(marked_y())
+    if max_leaves >= 5:
+        sources.append(marked_z())
+    relations = [verify_L_relation(mt) for mt in sources]
     values = theta_generator_values(SYMBOLIC, 6)
-    forms = list(LINEAR_FORMS) + [QUADRATIC_FORM]
-    bad = []
-    for form in forms:
+    form_failures: Dict[str, List[str]] = {}
+    for form in list(LINEAR_FORMS) + [QUADRATIC_FORM]:
+        sides = form_failures[form] = []
         if not theta_eval(form).is_zero():
-            bad.append(form + " (ring)")
+            sides.append("ring")
         if not evaluate_form_mu(form, values).is_zero():
-            bad.append(form + " (measure)")
+            sides.append("measure")
+    return relations, form_failures
+
+
+def check_linear_forms() -> CheckResult:
+    _, form_failures = relation_sweep(6)
+    bad = ["%s (%s)" % (form, side) for form, sides in form_failures.items() for side in sides]
     return _result(not bad, "all six forms vanish both ways", bad or "all vanish")
 
 
@@ -196,13 +217,13 @@ def check_substitution() -> CheckResult:
 
 
 def check_relation_census() -> CheckResult:
-    sources = [marked_star(m) for m in range(1, 6)] + [marked_y(), marked_z()]
-    bad = []
-    for mt in sources:
-        rel = verify_L_relation(mt)
-        if not rel.residual_mu.is_zero() or not rel.residual_theta.is_zero():
-            bad.append(rel.source)
-    rel3 = verify_L_relation(marked_star(3))
+    relations, _ = relation_sweep(6)
+    bad = [
+        rel.source
+        for rel in relations
+        if not rel.residual_mu.is_zero() or not rel.residual_theta.is_zero()
+    ]
+    rel3 = next(rel for rel in relations if rel.source == "x3")
     shape_ok = rel3.terms == {"x3": 1, "1": -1, "y": -3, "x4": -1}
     return _result(
         not bad and shape_ok,

@@ -26,14 +26,6 @@ from arboreal.measure import (
     set_mu_perturbation,
 )
 from arboreal.ratfun import PoleError, RatFun, parse_ratfun
-from arboreal.theta import (
-    LINEAR_FORMS,
-    QUADRATIC_FORM,
-    evaluate_form_mu,
-    theta_eval,
-    verify_L_relation,
-)
-from arboreal.measure import SYMBOLIC, marked_star, marked_y, marked_z, theta_generator_values
 from arboreal.trees import DEFAULT_LABEL_CAP, TreeError, enumerate_trees, parse_tree
 
 SCHEMA = "arboreal/1"
@@ -243,38 +235,17 @@ def _cmd_algebra(args) -> Tuple[int, Dict]:
 
 def _cmd_verify(args) -> Tuple[int, Dict]:
     suite = args.suite
+    relations = None
     if suite == "measure-axioms":
         cases, failures = checks_mod.equation_sweep(args.max_leaves)
     elif suite == "separated":
         cases, failures = checks_mod.separated_sweep(args.max_leaves)
     else:
-        cases = failures = 0
-        relations = []
-        sources = [marked_star(m) for m in range(1, max(2, args.max_leaves))]
-        if args.max_leaves >= 4:
-            sources.append(marked_y())
-        if args.max_leaves >= 5:
-            sources.append(marked_z())
-        for mt in sources:
-            rel = verify_L_relation(mt)
-            cases += 1
-            relations.append(rel.to_json())
-            if not (rel.residual_mu.is_zero() and rel.residual_theta.is_zero()):
-                failures += 1
-        values = theta_generator_values(SYMBOLIC, 6)
-        for form in list(LINEAR_FORMS) + [QUADRATIC_FORM]:
-            cases += 1
-            if not theta_eval(form).is_zero() or not evaluate_form_mu(form, values).is_zero():
-                failures += 1
-        payload = {
-            "schema": SCHEMA,
-            "suite": suite,
-            "max_leaves": args.max_leaves,
-            "cases": cases,
-            "failures": failures,
-            "relations": relations,
-        }
-        return (1 if failures else 0), payload
+        relations, form_failures = checks_mod.relation_sweep(args.max_leaves)
+        cases = len(relations) + len(form_failures)
+        failures = sum(
+            1 for rel in relations if not (rel.residual_mu.is_zero() and rel.residual_theta.is_zero())
+        ) + sum(1 for sides in form_failures.values() if sides)
     payload = {
         "schema": SCHEMA,
         "suite": suite,
@@ -282,6 +253,8 @@ def _cmd_verify(args) -> Tuple[int, Dict]:
         "cases": cases,
         "failures": failures,
     }
+    if relations is not None:
+        payload["relations"] = [rel.to_json() for rel in relations]
     return (1 if failures else 0), payload
 
 
@@ -349,6 +322,9 @@ def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
         return code, json.dumps(payload, indent=2) + "\n"
     except (TreeError, AmalgamError, LevelError, PoleError, ValueError, ZeroDivisionError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2, ""
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2, ""
     finally:
         if scale:

@@ -16,10 +16,11 @@ Parameter modes:
   genuine pole after cancellation reported as an error;
 * finite level n (an integer >= 3): evaluation at t = n restricted to trees
   of level <= n, where the measure stays nonzero;
-* infinity: the integer-valued limit, computed on embeddings as a product
-  of per-leaf-deletion generator limits (value(tree) of anything with two
-  or more leaves is 0, so the limit only makes sense generator by
-  generator).
+* infinity: the limit as t grows of the same symbolic value, which is 0
+  when the numerator has the lower degree and otherwise the ratio of the
+  leading coefficients (+1 or -1); so a tree with two or more leaves has
+  limit 0, while an embedding's limit is the product of the generator
+  limits along any chain of leaf deletions.
 """
 
 from __future__ import annotations
@@ -89,18 +90,6 @@ class MarkedTree:
         return self.tree.drop_leaf(self.mark)
 
 
-# Limits of the generator values as t grows: marked types I_1, I_2, I_3,
-# I_m (m >= 4), II, III.
-INFINITY_GENERATOR_VALUES: Dict[str, int] = {
-    "I1": 1,
-    "I2": 0,
-    "I3": -1,
-    "Im": 1,
-    "II": -1,
-    "III": -1,
-}
-
-
 @lru_cache(maxsize=None)
 def _mu_symbolic_key(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
     return _mu_formula(leaf_count, valences)
@@ -159,28 +148,26 @@ def _require_level(tree: Tree, n: int) -> None:
         )
 
 
-def mu_of_tree(tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
-    """The measure of a tree under the given parameter mode."""
+def _specialize(value: RatFun, p: ParamSpec) -> Value:
+    """A symbolic measure value under the given parameter mode."""
     if p.mode == "symbolic":
-        return mu_symbolic(tree)
+        return value
     if p.mode == "numeric":
-        return mu_symbolic(tree).evaluate(p.t)
+        return value.evaluate(p.t)
     if p.mode == "level":
-        _require_level(tree, p.n)
-        return mu_symbolic(tree).evaluate(p.n)
+        return value.evaluate(p.n)
     if p.mode == "infinity":
-        return mu_embedding_infinity(None, tree)
+        if value.num.degree < value.den.degree:
+            return Fraction(0)
+        return Fraction(value.num.leading(), value.den.leading())
     raise ValueError("unknown parameter mode %r" % (p.mode,))
 
 
-def _extra_leaves(sub: Optional[Tree], super_tree: Tree) -> list:
-    sub_labels = sub.label_set if sub is not None else frozenset()
-    extras = []
-    for v in super_tree.leaves():
-        ls = super_tree.labels_of(v)
-        if not any(l in sub_labels for l in ls):
-            extras.append(min(ls))
-    return sorted(extras)
+def mu_of_tree(tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
+    """The measure of a tree under the given parameter mode."""
+    if p.mode == "level":
+        _require_level(tree, p.n)
+    return _specialize(mu_symbolic(tree), p)
 
 
 def _check_embedding(sub: Tree, super_tree: Tree) -> None:
@@ -193,28 +180,10 @@ def _check_embedding(sub: Tree, super_tree: Tree) -> None:
 def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     """The measure of the embedding sub -> super under the parameter mode."""
     _check_embedding(sub, super_tree)
-    if p.mode == "infinity":
-        return mu_embedding_infinity(sub, super_tree)
     if p.mode == "level":
         _require_level(sub, p.n)
         _require_level(super_tree, p.n)
-    ratio = mu_symbolic(super_tree) / mu_symbolic(sub)
-    if p.mode == "symbolic":
-        return ratio
-    t = p.t if p.mode == "numeric" else Fraction(p.n)
-    return ratio.evaluate(t)
-
-
-def _type_code_at_leaf(tree: Tree, v: int) -> str:
-    leaves = tree.leaf_count
-    if leaves <= 3:
-        return "I%d" % leaves
-    node = tree.adj[v][0]
-    valence = len(tree.adj[node])
-    if valence >= 4:
-        return "I%d" % valence
-    leaf_neighbors = sum(1 for w in tree.adj[node] if tree.is_leaf(w))
-    return "II" if leaf_neighbors == 2 else "III"
+    return _specialize(mu_symbolic(super_tree) / mu_symbolic(sub), p)
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:
@@ -228,31 +197,15 @@ def marked_type_code(tree: Tree, mark: str) -> str:
     v = tree.leaf_of(mark)
     if tree.labels_of(v) != (mark,):
         raise TreeError("mark must sit alone on its leaf")
-    return _type_code_at_leaf(tree, v)
-
-
-def generator_value_infinity(tree: Tree, mark: str) -> int:
-    code = _type_code_at_leaf(tree, tree.leaf_of(mark))
-    if code.startswith("I") and code not in ("II", "III"):
-        m = int(code[1:])
-        return INFINITY_GENERATOR_VALUES["Im"] if m >= 4 else INFINITY_GENERATOR_VALUES[code]
-    return INFINITY_GENERATOR_VALUES[code]
-
-
-def mu_embedding_infinity(sub: Optional[Tree], super_tree: Tree) -> int:
-    """Product of generator limits along a leaf-deletion chain.
-
-    The result does not depend on the deletion order; the default order
-    removes the lexicographically smallest extra leaf first.
-    """
-    if sub is not None:
-        _check_embedding(sub, super_tree)
-    current = super_tree
-    value = 1
-    for label in _extra_leaves(sub, super_tree):
-        value *= generator_value_infinity(current, label)
-        current = current.drop_leaf(label)
-    return value
+    leaves = tree.leaf_count
+    if leaves <= 3:
+        return "I%d" % leaves
+    node = tree.adj[v][0]
+    valence = len(tree.adj[node])
+    if valence >= 4:
+        return "I%d" % valence
+    leaf_neighbors = sum(1 for w in tree.adj[node] if tree.is_leaf(w))
+    return "II" if leaf_neighbors == 2 else "III"
 
 
 def star_tree(m: int, prefix: str = "v") -> Tree:
@@ -316,17 +269,13 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     max_level = p.n if p.mode == "level" else None
     ams = amalgamations(t1, t2, max_level=max_level)
 
-    def val(tree: Tree) -> Value:
-        v = mu_of_tree(tree, p)
-        return Fraction(v) if isinstance(v, int) else v
-
-    base_value = val(base)
+    base_value = mu_of_tree(base, p)
     if base_value == 0:
         raise ZeroDivisionError("base tree has measure zero at this parameter")
-    lhs = val(t1) * val(t2) / base_value
+    lhs = mu_of_tree(t1, p) * mu_of_tree(t2, p) / base_value
     rhs = _zero_like(p)
     for a in ams:
-        rhs = rhs + val(a.whole)
+        rhs = rhs + mu_of_tree(a.whole, p)
     return lhs - rhs
 
 

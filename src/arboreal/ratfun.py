@@ -435,17 +435,6 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
-
-    def as_fraction(self) -> Optional[Fraction]:
-        """The constant value if degree zero, else None."""
-        if self.num.degree <= 0 and self.den.degree <= 0:
-            if self.num.is_zero():
-                return Fraction(0)
-            return Fraction(self.num.coeffs[0], self.den.coeffs[0])
-        return None
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFun.from_scalar(other)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from arboreal.amalgam import amalgamations
 from arboreal.measure import (
@@ -38,26 +38,21 @@ from arboreal.ratfun import RatFun
 from arboreal.trees import Tree, TreeError, build_tree
 
 
-@dataclass(frozen=True)
-class MarkType:
-    """Marked-tree type: kind "I" with a valence, or "II"/"III"."""
+def mark_type(mt: MarkedTree) -> str:
+    """The type code of a marked tree: "I<m>", "II" or "III".
 
-    kind: str
-    m: Optional[int] = None
-
-    def __str__(self) -> str:
-        return "I%d" % self.m if self.kind == "I" else self.kind
-
-    @staticmethod
-    def from_code(code: str) -> "MarkType":
-        if code in ("II", "III"):
-            return MarkType(code)
-        return MarkType("I", int(code[1:]))
+    Trees with at most three leaves are of type I_m.
+    """
+    return marked_type_code(mt.tree, mt.mark)
 
 
-def mark_type(mt: MarkedTree) -> MarkType:
-    """The type of a marked tree; trees with at most three leaves are I_m."""
-    return MarkType.from_code(marked_type_code(mt.tree, mt.mark))
+def generator_of_code(code: str) -> str:
+    """The generator class of a type code: I<m> -> "x<m>", II -> "y", III -> "z"."""
+    if code == "II":
+        return "y"
+    if code == "III":
+        return "z"
+    return "x" + code[1:]
 
 
 def separated(tree: Tree, a: str, b: str) -> bool:
@@ -109,11 +104,12 @@ def extraneous_leaves(mt: MarkedTree) -> List[str]:
     return sorted(out)
 
 
-def minimize_marked(mt: MarkedTree) -> Tuple[MarkedTree, MarkType]:
+def minimize_marked(mt: MarkedTree) -> Tuple[MarkedTree, str]:
     """Delete extraneous leaves (smallest label first) until none remain.
 
-    The result is one of the minimal shapes and retains the input's type;
-    both facts are asserted.
+    Returns the minimal marked tree and its type code.  The result is one
+    of the minimal shapes and retains the input's type; both facts are
+    asserted.
     """
     initial = mark_type(mt)
     current = mt
@@ -128,25 +124,22 @@ def minimize_marked(mt: MarkedTree) -> Tuple[MarkedTree, MarkType]:
             "minimization changed the type: %s -> %s" % (initial, final)
         )
     expected = _minimal_shape_for(final)
-    if current.tree.shape_key() != expected.tree.shape_key() or marked_type_code(
-        current.tree, current.mark
-    ) != marked_type_code(expected.tree, expected.mark):
+    if current.tree.shape_key() != expected.tree.shape_key() or mark_type(expected) != final:
         raise AssertionError("minimal marked tree has an unexpected shape")
     return current, final
 
 
-def _minimal_shape_for(tp: MarkType) -> MarkedTree:
-    if tp.kind == "I":
-        return marked_star(tp.m)
-    return marked_y() if tp.kind == "II" else marked_z()
+def _minimal_shape_for(code: str) -> MarkedTree:
+    if code == "II":
+        return marked_y()
+    if code == "III":
+        return marked_z()
+    return marked_star(int(code[1:]))
 
 
 def generator_name(mt: MarkedTree) -> str:
     """The generator class of a marked tree: "x<m>", "y", or "z"."""
-    tp = mark_type(mt)
-    if tp.kind == "I":
-        return "x%d" % tp.m
-    return "y" if tp.kind == "II" else "z"
+    return generator_of_code(mark_type(mt))
 
 
 # -- the ring Z[u,v]/(uv) ----------------------------------------------------
@@ -315,12 +308,15 @@ def theta_to_mu(e: ThetaElement) -> RatFun:
 
 _TOKEN_RE = re.compile(r"\s*(x\d+|y|z|\d+|[()+\-*])")
 
+R = TypeVar("R")
 
-def theta_eval(expr: str) -> ThetaElement:
-    """Evaluate an integer expression over the generators in Z[u,v]/(uv).
+
+def evaluate_form(expr: str, atom: Callable[[str], R]) -> R:
+    """Evaluate an integer expression over the generators in any ring.
 
     Grammar: + - * and parentheses over integers and generator names
-    (x1, x2, ..., y, z); no implicit multiplication.
+    (x1, x2, ..., y, z); no implicit multiplication.  ``atom`` maps an
+    integer or generator token to its ring value.
     """
     tokens: List[str] = []
     pos = 0
@@ -341,33 +337,31 @@ def theta_eval(expr: str) -> ThetaElement:
         idx[0] += 1
         return tokens[idx[0] - 1]
 
-    def atom() -> ThetaElement:
+    def primary() -> R:
         tok = peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
+        eat()
         if tok == "(":
-            eat()
             e = expression()
             if peek() != ")":
                 raise ValueError("missing closing parenthesis")
             eat()
             return e
         if tok == "-":
-            eat()
-            return -atom()
-        eat()
-        if tok.isdigit():
-            return ThetaElement.const(int(tok))
-        return theta_image(tok)
+            return -primary()
+        if tok in (")", "+", "*"):
+            raise ValueError("unexpected %r in %r" % (tok, expr))
+        return atom(tok)
 
-    def product() -> ThetaElement:
-        e = atom()
+    def product() -> R:
+        e = primary()
         while peek() == "*":
             eat()
-            e = e * atom()
+            e = e * primary()
         return e
 
-    def expression() -> ThetaElement:
+    def expression() -> R:
         e = product()
         while peek() in ("+", "-"):
             if eat() == "+":
@@ -380,6 +374,13 @@ def theta_eval(expr: str) -> ThetaElement:
     if idx[0] != len(tokens):
         raise ValueError("trailing tokens in %r" % (expr,))
     return out
+
+
+def theta_eval(expr: str) -> ThetaElement:
+    """Evaluate a generator expression in Z[u,v]/(uv)."""
+    return evaluate_form(
+        expr, lambda tok: ThetaElement.const(int(tok)) if tok.isdigit() else theta_image(tok)
+    )
 
 
 # The defining linear forms among the generators, and the one quadratic.
@@ -402,52 +403,9 @@ def linear_form_for_m(m: int) -> str:
 
 def evaluate_form_mu(expr: str, values: Dict[str, RatFun]) -> RatFun:
     """Evaluate a generator expression with measure values substituted."""
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN_RE.match(expr, pos)
-        if not m:
-            raise ValueError("bad token at %r" % (expr[pos:],))
-        tokens.append(m.group(1))
-        pos = m.end()
-    idx = [0]
-
-    def peek() -> Optional[str]:
-        return tokens[idx[0]] if idx[0] < len(tokens) else None
-
-    def eat() -> str:
-        idx[0] += 1
-        return tokens[idx[0] - 1]
-
-    def atom() -> RatFun:
-        tok = peek()
-        if tok == "(":
-            eat()
-            e = expression()
-            eat()
-            return e
-        if tok == "-":
-            eat()
-            return -atom()
-        eat()
-        if tok.isdigit():
-            return RatFun.from_scalar(int(tok))
-        return values[tok]
-
-    def product() -> RatFun:
-        e = atom()
-        while peek() == "*":
-            eat()
-            e = e * atom()
-        return e
-
-    def expression() -> RatFun:
-        e = product()
-        while peek() in ("+", "-"):
-            e = e + product() if eat() == "+" else e - product()
-        return e
-
-    return expression()
+    return evaluate_form(
+        expr, lambda tok: RatFun.from_scalar(int(tok)) if tok.isdigit() else values[tok]
+    )
 
 
 # -- relations from duplicate diagrams ---------------------------------------
@@ -499,8 +457,8 @@ def verify_L_relation(mt: MarkedTree) -> DuplicateRelation:
             # the identified amalgamation: an isomorphism, class 1
             terms["1"] = terms.get("1", 0) - 1
             continue
-        _, tp = minimize_marked(MarkedTree(am.whole, mt.mark))
-        cls = "x%d" % tp.m if tp.kind == "I" else ("y" if tp.kind == "II" else "z")
+        _, code = minimize_marked(MarkedTree(am.whole, mt.mark))
+        cls = generator_of_code(code)
         terms[cls] = terms.get(cls, 0) - 1
     terms = {k: v for k, v in terms.items() if v}
     m_max = max(

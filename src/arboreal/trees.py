@@ -62,10 +62,6 @@ class Tree:
 
     # -- basic queries ------------------------------------------------------
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.adj)
-
     def is_empty(self) -> bool:
         return not self.adj
 

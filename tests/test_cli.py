@@ -149,3 +149,7 @@ def test_usage_errors():
     assert run(["amalgamate", "--t1", "(1,2)"])[0] == 2
     assert run(["no-such-command"])[0] == 2
     assert run(["enumerate", "--labels", "a,b", "--bogus-flag"])[0] == 2
+    deep = "(l0,l1)"
+    for i in range(2, 1501):
+        deep = "(%s,l%d)" % (deep, i)
+    assert run(["measure", "--tree", deep]) == (2, "")

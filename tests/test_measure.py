@@ -29,7 +29,6 @@ from arboreal.measure import (
     marked_y,
     marked_z,
     mu_embedding,
-    mu_embedding_infinity,
     mu_of_tree,
     mu_symbolic,
     set_mu_perturbation,
@@ -146,23 +145,27 @@ def test_multiplicativity_over_leaf_deletion():
                 assert mu_symbolic(t) == mu_symbolic(t.drop_leaf(label)) * generator_value(code)
 
 
+# Limits of the generator values as t grows, by marked type; I_m for
+# m >= 4 has limit 1.
+INFINITY_BY_CODE = {"I1": 1, "I2": 0, "I3": -1, "II": -1, "III": -1}
+
+
 def test_infinity_chain_independent_of_order():
+    inf = ParamSpec.infinity()
     for n in range(1, 6):
         for t in enumerate_trees("abcde"[:n]):
-            labels = sorted(t.label_set)
-            values = set()
-            for order in permutations(labels):
+            # product of generator limits along each deletion chain, by the
+            # labels still present
+            chains = {}
+            for order in permutations(sorted(t.label_set)):
                 current, value = t, 1
-                for l in order:
-                    from arboreal.measure import generator_value_infinity
-
-                    value *= generator_value_infinity(current, l)
+                for i, l in enumerate(order):
+                    value *= INFINITY_BY_CODE.get(marked_type_code(current, l), 1)
                     current = current.drop_leaf(l)
-                values.add(value)
-            assert len(values) == 1
-            assert values.pop() == mu_embedding_infinity(None, t)
-
-
+                    chains.setdefault(frozenset(order[i + 1:]), set()).add(value)
+            assert chains[frozenset()] == {mu_of_tree(t, inf)}
+            for kept, values in chains.items():
+                assert values == {mu_embedding(t.restrict(kept), t, inf)}
 def test_infinity_embedding_value():
     sub = parse_tree("(a,b,c)")
     sup = parse_tree("((a,x),b,(c,y))")

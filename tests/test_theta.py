@@ -163,6 +163,10 @@ def test_ring_structure():
         theta_eval("y +* z")
     with pytest.raises(ValueError):
         theta_eval("(y")
+    values = theta_generator_values(SYMBOLIC, 6)
+    for malformed in ("y)", "(y", "y +* z"):
+        with pytest.raises(ValueError):
+            evaluate_form_mu(malformed, values)
 
 
 def test_defining_forms_vanish():
