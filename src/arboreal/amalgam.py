@@ -8,11 +8,17 @@ those leaves are identified throughout.
 
 Enumeration works over one identification pattern at a time: choose a
 partial injective matching between the two private label sets, quotient the
-labels into leaf classes, and enumerate all trees on those classes by
-incremental leaf insertion, pruning any partial tree whose restriction
-already disagrees with a required side.  Pruning is sound because
-restriction commutes with taking sub-label-sets, so a mismatch can never be
-repaired by later insertions.
+labels into leaf classes, and insert the classes one leaf at a time.  Each
+class goes only to the sites where every partial tree still restricts to each
+required side: the new leaf must land at the same place of the tree on the
+side's labels inserted so far (a node or an edge, named by the clade below
+it) as the class's labels hold in that side's tree.  One clade-labeling pass
+per tree and side finds those sites, so only kept trees are built; this is
+the supertree problem of BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J.
+Comput. 10(3), 1981) and of Ng and Wormald (Discrete Appl. Math. 69, 1996),
+listing every tree that displays the given subtrees.  Pruning partial trees
+is sound because restriction commutes with taking sub-label-sets, so a
+mismatch can never be repaired by later insertions.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from arboreal.trees import EMPTY_TREE, Tree
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, _check_labels
 
 MAX_CLASSES = 15
 FRONTIER_CAP = 200_000
@@ -102,7 +108,16 @@ def trees_with_restrictions(
     """All trees whose leaves are exactly the given label classes and whose
     restriction to each constrained label set equals the given tree.
 
-    Classes are inserted one leaf at a time with incremental pruning.
+    Classes are inserted one leaf at a time, in order of their least label,
+    and only at admissible sites.  When a class adds the labels ``L`` to a
+    constraint whose already inserted labels are ``V_old``, every partial
+    tree ``t`` satisfies ``t|V_old == E|V_old`` for ``E`` the constraint's
+    tree.  The extended tree restricts to ``E|(V_old | L)`` exactly when
+    ``L`` sits alone on one leaf of that restriction and the new leaf lands at
+    the same place of ``t|V_old`` as that leaf does in ``E|V_old``, so the
+    sites are selected by their places (see :func:`_clades`) and only kept
+    trees are built.  No tree is built twice: deleting the new leaf gives
+    back ``t`` and its site.  Results are sorted by canonical key.
     """
     if len(classes) > MAX_CLASSES:
         raise AmalgamError("quotient label set has %d classes (cap %d)" % (len(classes), MAX_CLASSES))
@@ -112,34 +127,99 @@ def trees_with_restrictions(
             if not expected.is_empty():
                 return []
         return [out]
-    order = sorted(classes, key=lambda c: min(c))
-    inserted: set = set()
-    current: Dict[str, Tree] = {"()": EMPTY_TREE}
+    order = sorted((tuple(sorted(c)) for c in classes), key=min)
+    labels = [l for cls in order for l in cls]
+    _check_labels(labels)
+    for (subset, expected) in constraints:
+        unknown = subset.intersection(labels) - expected.label_set
+        if unknown:
+            raise TreeError("unknown labels %s" % sorted(unknown))
+    inserted: FrozenSet[str] = frozenset()
+    current: List[Tree] = [EMPTY_TREE]
     for cls in order:
-        inserted |= set(cls)
+        new = frozenset(cls)
         checks = []
         for (subset, expected) in constraints:
-            if subset & set(cls):
-                visible = frozenset(subset & inserted)
-                checks.append((visible, expected.restrict(visible)))
-        nxt: Dict[str, Tree] = {}
-        for t in current.values():
-            for cand in t.insertions(cls):
-                if max_level is not None and cand.level > max_level:
-                    continue
-                ok = True
-                for visible, expected in checks:
-                    if cand.restrict(visible) != expected:
-                        ok = False
-                        break
-                if ok:
-                    nxt.setdefault(cand.canonical_key(), cand)
+            seen = subset & new
+            if not seen:
+                continue
+            old = subset & inserted
+            leaf = expected.leaf_of(min(seen))
+            if {l for l in expected.labels[leaf] if l in old or l in seen} != seen:
+                return []
+            if len({expected.leaf_of(l) for l in old}) >= 2:
+                # only a t|V_old with two leaves or more constrains the site
+                bit = {l: 1 << i for i, l in enumerate(sorted(old))}
+                _, _, above = _clades(expected, bit, expected.leaf_of(min(old)))
+                checks.append((bit, min(old), above[leaf]))
+        inserted |= new
+        nxt: List[Tree] = []
+        for t in current:
+            sites = t.sites()
+            for bit, root, want in checks:
+                parent, up, above = _clades(t, bit, t.leaf_of(root))
+                sites = [
+                    (u, v) for (u, v) in sites
+                    if (up[u] if v < 0 else above[v if parent[v] == u else u]) == want
+                ]
+            if max_level is not None and len(t.adj) >= 2:
+                adj, level = t.adj, t.level
+                sites = [
+                    (u, v) for (u, v) in sites
+                    if max(level, 3 if v >= 0 else len(adj[u]) + 1) <= max_level
+                ]
+            nxt.extend(t._graft(s, cls) for s in sites)
         if len(nxt) > FRONTIER_CAP:
             raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
         current = nxt
         if not current:
             return []
-    return [current[k] for k in sorted(current)]
+    return sorted(current, key=lambda t: t.canonical_key())
+
+
+def _clades(
+    tree: Tree, bit: Dict[str, int], root: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """One pass over ``tree`` rooted at the leaf ``root``, placing its sites
+    in ``tree|V_old``.
+
+    ``bit`` gives each label of ``V_old`` its own bit; other labels are
+    ignored.  A place is encoded ``2*C + 1`` for "the node with clade C" and
+    ``2*C`` for "the edge above clade C", a clade being the bits of the
+    ``V_old`` labels below a vertex.  Returns per vertex its parent, ``up``
+    (the place of a new leaf attached to it) and ``above`` (the place of a
+    new leaf on the edge above it).  A site below which no ``V_old`` label
+    sits maps through its nearest ancestor with a non-empty clade.
+    """
+    adj, labels = tree.adj, tree.labels
+    n = len(adj)
+    parent = [-1] * n
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    mask = [0] * n
+    kids = [0] * n  # children with a non-empty clade
+    for v in reversed(order[1:]):
+        m = mask[v]
+        for l in labels[v]:
+            m |= bit.get(l, 0)
+        if m:
+            mask[v] = m
+            mask[parent[v]] |= m
+            kids[parent[v]] += 1
+    up = [0] * n
+    above = [0] * n
+    for v in order[1:]:
+        m = mask[v]
+        if m:
+            up[v] = 2 * m + (kids[v] >= 2)
+            above[v] = 2 * m
+        else:
+            up[v] = above[v] = up[parent[v]]
+    return parent, up, above
 
 
 def _partial_matchings(

@@ -403,9 +403,15 @@ def linear_form_for_m(m: int) -> str:
 
 def evaluate_form_mu(expr: str, values: Dict[str, RatFun]) -> RatFun:
     """Evaluate a generator expression with measure values substituted."""
-    return evaluate_form(
-        expr, lambda tok: RatFun.from_scalar(int(tok)) if tok.isdigit() else values[tok]
-    )
+
+    def atom(tok: str) -> RatFun:
+        if tok.isdigit():
+            return RatFun.from_scalar(int(tok))
+        if tok not in values:
+            raise ValueError("unknown generator %r" % (tok,))
+        return values[tok]
+
+    return evaluate_form(expr, atom)
 
 
 # -- relations from duplicate diagrams ---------------------------------------

@@ -161,9 +161,12 @@ class Tree:
         to nothing gives the empty tree.
         """
         keep = frozenset(keep)
-        unknown = keep - self.label_set
+        present = self.label_set
+        unknown = keep - present
         if unknown:
             raise TreeError("unknown labels %s" % sorted(unknown))
+        if len(keep) == len(present):
+            return self
         kept_leaves = [v for v, ls in enumerate(self.labels) if any(l in keep for l in ls)]
         if not kept_leaves:
             return EMPTY_TREE
@@ -181,13 +184,9 @@ class Tree:
                     deg[w] -= 1
                     if deg[w] <= 1 and w not in kept:
                         frontier.append(w)
-        edges = [(u, v) for u in alive for v in self.adj[u] if v in alive and u < v]
-        labels = {
-            v: tuple(l for l in self.labels[v] if l in keep)
-            for v in alive
-            if v in kept
-        }
-        return build_tree(alive, edges, labels)
+        adj = {v: [w for w in self.adj[v] if w in alive] for v in alive}
+        labels = {v: tuple(l for l in self.labels[v] if l in keep) for v in kept}
+        return _reduced(adj, labels)
 
     def drop_leaf(self, label: str) -> "Tree":
         """Delete the leaf carrying ``label`` (with all its labels)."""
@@ -260,33 +259,58 @@ class Tree:
     def insertions(self, new_labels: Sequence[str]) -> Iterator["Tree"]:
         """All reduced trees obtained by adding one new leaf.
 
-        The new leaf can attach to any internal vertex or subdivide any edge;
-        the degenerate small cases are handled explicitly.  Every tree with
-        this leaf arises exactly once up to isomorphism from its deletion,
-        which is what makes incremental enumeration complete.
+        The new leaf can attach to any internal vertex or subdivide any edge
+        (see :meth:`sites`).  Every tree with this leaf arises exactly once up
+        to isomorphism from its deletion, which is what makes incremental
+        enumeration complete.
         """
-        n = len(self.adj)
-        new_labels = tuple(new_labels)
+        new_labels = tuple(sorted(new_labels))
+        if not new_labels:
+            raise TreeError("unlabeled leaf vertex")
+        _check_labels(new_labels, self.label_set)
+        for site in self.sites():
+            yield self._graft(site, new_labels)
+
+    def sites(self) -> List[Tuple[int, int]]:
+        """The places where one new leaf can go, in a fixed order.
+
+        ``(v, -1)`` attaches to the internal vertex v, ``(u, v)`` with u < v
+        subdivides that edge; a tree with fewer than two vertices has the one
+        site ``(-1, -1)``.
+        """
+        adj = self.adj
+        n = len(adj)
+        if n < 2:
+            return [(-1, -1)]
+        return [(v, -1) for v in range(n) if len(adj[v]) >= 2] + [
+            (u, v) for u in range(n) for v in adj[u] if u < v
+        ]
+
+    def _graft(self, site: Tuple[int, int], new_labels: Tuple[str, ...]) -> "Tree":
+        """The tree with a new leaf carrying ``new_labels`` (sorted, unused
+        labels) at ``site``, one of :meth:`sites`.
+
+        Trusted: nothing is validated.  The new vertices are numbered after
+        the old ones, so the result equals what :func:`build_tree` makes of
+        the same graph data.
+        """
+        adj = self.adj
+        n = len(adj)
         if n == 0:
-            yield build_tree([0], [], {0: new_labels})
-            return
+            return Tree(((),), (new_labels,))
         if n == 1:
-            yield build_tree([0, 1], [(0, 1)], {0: self.labels[0], 1: new_labels})
-            return
-        base_labels = {v: ls for v, ls in enumerate(self.labels) if ls}
-        edges = [(u, v) for u in range(n) for v in self.adj[u] if u < v]
-        for v in range(n):
-            if len(self.adj[v]) >= 2:
-                labels = dict(base_labels)
-                labels[n] = new_labels
-                yield build_tree(range(n + 1), edges + [(v, n)], labels)
-        for (u, v) in edges:
-            rest = [e for e in edges if e != (u, v)]
-            labels = dict(base_labels)
-            labels[n + 1] = new_labels
-            yield build_tree(
-                range(n + 2), rest + [(u, n), (v, n), (n, n + 1)], labels
-            )
+            return Tree(((1,), (0,)), (self.labels[0], new_labels))
+        u, v = site
+        out = list(adj)
+        if v < 0:
+            out[u] = adj[u] + (n,)
+            out.append((u,))
+            return Tree(tuple(out), self.labels + (new_labels,))
+        out[u] = tuple(w for w in adj[u] if w != v) + (n,)
+        out[v] = tuple(w for w in adj[v] if w != u) + (n,)
+        out.append((u, v, n + 1))
+        out.append((n,))
+        return Tree(tuple(out), self.labels + ((), new_labels))
 
     # -- statistics ------------------------------------------------------------
 
@@ -398,50 +422,57 @@ def build_tree(
         if len(seen) != n:
             raise TreeError("graph is not connected")
     lab: Dict[int, Tuple[str, ...]] = {}
-    all_labels: set = set()
     for v, ls in labels.items():
         ls = tuple(ls)
         if v not in adj:
             raise TreeError("label on unknown vertex %r" % (v,))
-        if not ls:
-            continue
-        for l in ls:
-            if not isinstance(l, str) or not LABEL_RE.match(l):
-                raise TreeError("malformed label %r" % (l,))
-            if l in all_labels:
-                raise TreeError("duplicate label %r" % (l,))
-            all_labels.add(l)
-        lab[v] = tuple(sorted(ls))
-    # suppress valence-2 vertices (always unlabeled in valid input)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if len(adj[v]) == 2 and v not in lab:
-                a, b = adj[v]
-                adj[a].discard(v)
-                adj[b].discard(v)
-                if b in adj[a] or a == b:
-                    raise TreeError("suppression created a parallel edge")
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[v]
-                changed = True
+        if ls:
+            lab[v] = ls
+    _check_labels(l for ls in lab.values() for l in ls)
+    lab = {v: tuple(sorted(ls)) for v, ls in lab.items()}
     for v in adj:
-        d = len(adj[v])
-        if d <= 1:
+        if len(adj[v]) <= 1:
             if v not in lab:
                 raise TreeError("unlabeled leaf vertex")
-        else:
-            if v in lab:
-                raise TreeError("labels on internal vertex")
-            if d == 2:
-                raise TreeError("labeled vertex of valence two")
-    order = sorted(adj)
+        elif v in lab:
+            raise TreeError("labels on internal vertex")
+    return _reduced(adj, lab)
+
+
+def _check_labels(labels: Iterable[str], taken: Iterable[str] = ()) -> None:
+    """Raise :class:`TreeError` for a malformed label or one used twice
+    (among ``labels`` or with ``taken``)."""
+    seen = set(taken)
+    for l in labels:
+        if not isinstance(l, str) or not LABEL_RE.match(l):
+            raise TreeError("malformed label %r" % (l,))
+        if l in seen:
+            raise TreeError("duplicate label %r" % (l,))
+        seen.add(l)
+
+
+def _reduced(adj: Dict[int, Sequence[int]], labels: Dict[int, Tuple[str, ...]]) -> Tree:
+    """The trusted constructor: suppress unlabeled valence-two vertices and
+    renumber the rest in increasing order.
+
+    ``adj`` must describe a tree whose leaves are exactly the keys of
+    ``labels``, and every label tuple must be sorted; nothing is checked.
+    Suppressing a valence-two vertex leaves every other valence unchanged,
+    so one pass finds them all.
+    """
+    order = sorted(v for v in adj if len(adj[v]) != 2 or v in labels)
     index = {v: i for i, v in enumerate(order)}
-    packed_adj = tuple(tuple(sorted(index[w] for w in adj[v])) for v in order)
-    packed_labels = tuple(lab.get(v, ()) for v in order)
-    return Tree(packed_adj, packed_labels)
+    packed = []
+    for v in order:
+        nbrs = []
+        for w in adj[v]:
+            prev = v
+            while w not in index:
+                a, b = adj[w]
+                prev, w = w, (b if a == prev else a)
+            nbrs.append(index[w])
+        packed.append(tuple(sorted(nbrs)))
+    return Tree(tuple(packed), tuple(labels.get(v, ()) for v in order))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -11,13 +11,17 @@ Core claims:
       caps (level when nodes exist, leaf count otherwise)
     - every base diagram on at most five labels has at least one amalgamation
     - triple extensions restrict correctly on all three block pairs
+    - guided site selection keeps exactly what filtering every insertion
+      candidate keeps, and builds no tree it does not keep
 """
 
+import random
 from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
+from arboreal import amalgam
 from arboreal.amalgam import (
     AmalgamError,
     Amalgamation,
@@ -54,6 +58,36 @@ def oracle_amalgamations(t1: Tree, t2: Tree):
                     if whole.restrict(i1) == t1 and whole.restrict(i2) == t2:
                         found[whole.canonical_key()] = whole
     return found
+
+
+def filtered_insertions(classes, constraints, frontiers=None):
+    """Insert the classes in order, building every candidate of
+    ``Tree.insertions`` and keeping those whose restrictions match.
+
+    The unguided reference for ``trees_with_restrictions`` without a level
+    bound; appends the size of each kept frontier to ``frontiers`` when given.
+    """
+    if not classes:
+        return trees_with_restrictions(classes, constraints)
+    inserted = set()
+    current = {"()": EMPTY_TREE}
+    for cls in sorted(classes, key=min):
+        inserted |= set(cls)
+        checks = [
+            (visible, expected.restrict(visible))
+            for subset, expected in constraints
+            if subset & set(cls)
+            for visible in [frozenset(subset & inserted)]
+        ]
+        nxt = {}
+        for t in current.values():
+            for cand in t.insertions(cls):
+                if all(cand.restrict(visible) == want for visible, want in checks):
+                    nxt.setdefault(cand.canonical_key(), cand)
+        if frontiers is not None:
+            frontiers.append(len(nxt))
+        current = nxt
+    return [current[k] for k in sorted(current)]
 
 
 EDGE = parse_tree("(1,2)")
@@ -213,3 +247,67 @@ def test_triple_block_mismatch():
 def test_constrained_search_empty_cases():
     assert trees_with_restrictions((), ((frozenset(), EMPTY_TREE),)) == [EMPTY_TREE]
     assert trees_with_restrictions((), ((frozenset("a"), parse_tree("a")),)) == []
+
+
+def test_guided_insertion_matches_filtered_candidates(monkeypatch):
+    """Site selection keeps exactly the candidates the restriction filter
+    keeps, in the same order, on every call the enumerators make.  A level
+    bound keeps the unbounded results within it, since inserting a leaf
+    never lowers a valence."""
+    guided = amalgam.trees_with_restrictions
+    unbounded = {}
+    calls = []
+
+    def checked(classes, constraints, max_level=None):
+        got = guided(classes, constraints, max_level)
+        key = (tuple(classes), tuple((s, t.canonical_key()) for s, t in constraints))
+        if key not in unbounded:
+            unbounded[key] = filtered_insertions(classes, constraints)
+        want = [t for t in unbounded[key] if max_level is None or t.level <= max_level]
+        assert [t.canonical_key() for t in got] == [t.canonical_key() for t in want]
+        assert all(ls == tuple(sorted(ls)) for t in got for ls in t.labels)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(amalgam, "trees_with_restrictions", checked)
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for tree in enumerate_trees("abcdef"[:n]):
+            sides = [rng.choice("LRB") for _ in range(n)]
+            labels = sorted(tree.label_set)
+            left = [l for l, s in zip(labels, sides) if s in "LB"]
+            right = [l for l, s in zip(labels, sides) if s in "RB"]
+            t1, t2 = tree.restrict(left), tree.restrict(right)
+            for max_level in (None, 3, 4):
+                amalgamations(t1, t2, max_level)
+    objects = [parse_tree(s) for s in ("p", "(p,q)", "(p,q,r)")]
+    for chain in [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]:
+        b1, b2, b3 = (fresh_copy(objects[i], "%d:" % (c + 1)) for c, i in enumerate(chain))
+        xs, ys = amalgamations(b1, b2), amalgamations(b2, b3)
+        for x, y in rng.sample([(x, y) for x in xs for y in ys], min(4, len(xs) * len(ys))):
+            for max_level in (None, 3, 4):
+                triple_amalgamations(x, y, max_level)
+    assert (len(calls), sum(calls)) == (7701, 42330)
+
+
+def test_guided_insertion_builds_only_kept_trees(monkeypatch):
+    """Deterministic work: every tree the guided search builds is kept."""
+    built = []
+    graft = Tree._graft
+
+    def counted(self, site, labels):
+        built.append(labels)
+        return graft(self, site, labels)
+
+    t1, t2 = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
+    monkeypatch.setattr(Tree, "_graft", counted)
+    assert len(amalgamations(t1, t2)) == 2642
+    assert len(built) == 4933
+    monkeypatch.setattr(Tree, "_graft", graft)
+    frontiers = []
+    constraints = ((t1.label_set, t1), (t2.label_set, t2))
+    for matching in amalgam._partial_matchings(sorted(t1.label_set), sorted(t2.label_set)):
+        matched = {l for pair in matching for l in pair}
+        classes = list(matching) + [(l,) for l in sorted((t1.label_set | t2.label_set) - matched)]
+        filtered_insertions(classes, constraints, frontiers=frontiers)
+    assert sum(frontiers) == 4933

@@ -167,6 +167,8 @@ def test_ring_structure():
     for malformed in ("y)", "(y", "y +* z"):
         with pytest.raises(ValueError):
             evaluate_form_mu(malformed, values)
+    with pytest.raises(ValueError, match="unknown generator 'x9'"):
+        evaluate_form_mu("x9+1", values)
 
 
 def test_defining_forms_vanish():

@@ -13,6 +13,8 @@ Core claims:
       respects a level bound
     - automorphism orders match brute force over leaf permutations, and their
       prime factors stay below the level
+    - restriction and single-site insertion build exactly the packed form
+      build_tree gives the same graph data; relabeling still validates labels
 """
 
 import random
@@ -149,6 +151,20 @@ def test_build_rejects_broken_graphs():
         build_tree([0], [], {})  # unlabeled leaf
 
 
+def test_relabel_validates_labels():
+    star = parse_tree("(a,b,c)")
+    with pytest.raises(TreeError, match="duplicate label 'b'"):
+        star.relabel({"a": "b"})
+    with pytest.raises(TreeError, match="malformed label 'bad label'"):
+        star.relabel({"a": "bad label"})
+    with pytest.raises(TreeError, match="duplicate label 'b'"):
+        star.merge_labels({"a": ["b"]})
+    with pytest.raises(TreeError, match="malformed label 'bad label'"):
+        star.merge_labels({"a": ["bad label"]})
+    # two names of one leaf may collapse onto one
+    assert parse_tree("(a/x,b,c)").relabel({"x": "a"}) == star
+
+
 # -- canonical and shape keys ----------------------------------------------------
 
 
@@ -229,6 +245,55 @@ def test_restrict_on_multilabel_leaves():
     # a fully dropped leaf disappears and its node is suppressed
     t = parse_tree("((a,x/y),b,(c,d))")
     assert t.restrict("abcd") == parse_tree("(a,b,(c,d))")
+
+
+def graph_insertions(tree: Tree, new_labels):
+    """Every single-site insertion as explicit graph data through build_tree:
+    a new leaf on each internal vertex, then a new vertex and leaf on each edge."""
+    n = len(tree.adj)
+    if n == 0:
+        return [build_tree([0], [], {0: new_labels})]
+    if n == 1:
+        return [build_tree([0, 1], [(0, 1)], {0: tree.labels[0], 1: new_labels})]
+    labels = {v: ls for v, ls in enumerate(tree.labels) if ls}
+    edges = [(u, v) for u in range(n) for v in tree.adj[u] if u < v]
+    out = [
+        build_tree(range(n + 1), edges + [(v, n)], {**labels, n: new_labels})
+        for v in range(n)
+        if len(tree.adj[v]) >= 2
+    ]
+    for (u, v) in edges:
+        rest = [e for e in edges if e != (u, v)]
+        out.append(build_tree(
+            range(n + 2), rest + [(u, n), (v, n), (n, n + 1)], {**labels, n + 1: new_labels}
+        ))
+    return out
+
+
+def test_trusted_construction_matches_build_tree():
+    """Restriction and single-site insertion skip validation; their packed
+    vertex order, neighbour tuples and label tuples must still be exactly
+    those build_tree makes of the same graph data."""
+    trees = [EMPTY_TREE] + [t for n in range(1, 7) for t in enumerate_trees(LETTERS[:n])]
+    for t in trees:
+        got = [(c.adj, c.labels) for c in t.insertions(("z", "y"))]
+        want = [(c.adj, c.labels) for c in graph_insertions(t, ("z", "y"))]
+        assert got == want, t
+        labels = sorted(t.label_set)
+        for k in range(len(labels) + 1):
+            for keep in combinations(labels, k):
+                r, o = t.restrict(keep), oracle_restrict(t, keep)
+                assert (r.adj, r.labels) == (o.adj, o.labels), (t, keep)
+    # a multi-label leaf keeps the sorted tuple of its remaining labels
+    r = parse_tree("((a/x/z,b),c,d)").restrict("abdz")
+    assert ("a", "z") in r.labels
+
+
+def test_insertion_validates_new_labels():
+    star = parse_tree("(a,b,c)")
+    for bad in (("a",), ("d", "d"), ("bad label",), ()):
+        with pytest.raises(TreeError):
+            next(star.insertions(bad))
 
 
 # -- the quaternary relation ----------------------------------------------------------
