@@ -33,7 +33,6 @@ from arboreal.amalgam import (
 from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
-    mu_embedding,
     mu_symbolic,
     register_measure_cache,
 )
@@ -212,11 +211,14 @@ register_measure_cache(_TRIPLE_CACHE.clear)
 def _composition_table(
     gu: Amalgamation, fv: Amalgamation, max_level: Optional[int]
 ) -> Tuple[Tuple[Amalgamation, RatFun], ...]:
-    """For basis terms gu of g and fv of f, the measured sum over all
-    three-block extensions, grouped by the (source, target)-restriction.
+    """For basis terms gu of g and fv of f, the coefficient of each
+    (source, target)-restriction y3 in fv after gu: the summed measures of
+    the three-block extensions z restricting to y3, divided once by the
+    measure of y3 (each term is the measure of the inclusion y3 -> z).
 
     The three blocks carry the tags "1:", "2:", "3:" while the extensions
-    are enumerated; the stored restrictions are tagged "s:"/"t:" again.
+    are enumerated; the stored restrictions are tagged "s:"/"t:" again, in
+    key order.
     """
     key = (gu.key, fv.key, max_level)
     hit = _TRIPLE_CACHE.get(key)
@@ -234,11 +236,11 @@ def _composition_table(
     )
     acc: Dict[Amalgamation, RatFun] = {}
     for z, y3 in triple_amalgamations(u, v, max_level=max_level):
-        w = mu_embedding(y3.whole, z.whole, SYMBOLIC)
-        acc[y3] = acc.get(y3, RatFun.zero()) + w
+        acc[y3] = acc.get(y3, RatFun.zero()) + mu_symbolic(z.whole)
     table = tuple(
-        (Amalgamation(retag(y3.whole, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right), w)
-        for y3, w in sorted(acc.items(), key=lambda pair: pair[0].key)
+        (Amalgamation(retag(y3.whole, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
+         total / mu_symbolic(y3.whole))
+        for y3, total in sorted(acc.items(), key=lambda pair: pair[0].key)
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
         del _TRIPLE_CACHE[next(iter(_TRIPLE_CACHE))]
@@ -369,9 +371,6 @@ class ArborealAlgebra:
     def __init__(self, tree: Tree, max_level: Optional[int] = None):
         self.tree = tree
         self.max_level = max_level
-        self.param = (
-            SYMBOLIC if max_level is None else ParamSpec.finite_level(max_level)
-        )
         self.basis: List[Amalgamation] = hom_basis(tree, tree, max_level)
         self.index: Dict[str, int] = {am.key: i for i, am in enumerate(self.basis)}
         self.dim = len(self.basis)
@@ -384,14 +383,11 @@ class ArborealAlgebra:
     def zero_vector(self) -> Tuple[RatFun, ...]:
         return tuple(RatFun.zero() for _ in range(self.dim))
 
-    def element(self, coeffs: Dict[object, Coeff]) -> "AlgebraElement":
+    def element(self, coeffs: Dict[int, Coeff]) -> "AlgebraElement":
+        """The element with the given coefficients by basis index."""
         vec = list(self.zero_vector())
-        for key, c in coeffs.items():
-            if isinstance(key, Amalgamation):
-                key = key.key
-            if isinstance(key, str):
-                key = self.index[key]
-            vec[key] = vec[key] + _coeff(c)
+        for i, c in coeffs.items():
+            vec[i] = vec[i] + _coeff(c)
         return AlgebraElement(self, tuple(vec))
 
     def basis_element(self, i: int) -> "AlgebraElement":
@@ -416,13 +412,15 @@ class ArborealAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def product_row(self, i: int, j: int) -> Tuple[RatFun, ...]:
-        """Structure constants of basis[i] * basis[j] (i acting after j)."""
+        """Structure constants of basis[i] * basis[j] (i acting after j),
+        read off the composition table by basis index."""
         hit = self._products.get((i, j))
         if hit is not None:
             return hit
-        f = HomElement.basis(self.tree, self.tree, self.basis[i])
-        g = HomElement.basis(self.tree, self.tree, self.basis[j])
-        vec = self.from_hom(compose(f, g, self.param)).vec
+        vec = list(self.zero_vector())
+        for out, w in _composition_table(self.basis[j], self.basis[i], self.max_level):
+            vec[self.index[out.key]] = self._at_level(w)
+        vec = tuple(vec)
         self._products[(i, j)] = vec
         return vec
 
@@ -440,12 +438,14 @@ class ArborealAlgebra:
                         out[k] = out[k] + w * scale
         return AlgebraElement(self, tuple(out))
 
+    def _at_level(self, value: RatFun) -> RatFun:
+        """A symbolic value, evaluated at t = n under a level bound n."""
+        if self.max_level is None:
+            return value
+        return RatFun.from_scalar(value.evaluate(self.max_level))
+
     def _mu(self, tree: Tree) -> RatFun:
-        """The measure of a tree, evaluated at t = n under a level bound n."""
-        mu = mu_symbolic(tree)
-        if self.max_level is not None:
-            mu = RatFun.from_scalar(mu.evaluate(self.max_level))
-        return mu
+        return self._at_level(mu_symbolic(tree))
 
     def utr(self, e: "AlgebraElement") -> RatFun:
         return e.vec[self.identity_index] * self._mu(self.tree)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from arboreal.amalgam import Amalgamation, amalgamations, count_by_shape, self_amalgamations, triple_amalgamations
@@ -180,12 +181,13 @@ def relation_sweep(max_leaves: int) -> Tuple[List[DuplicateRelation], Dict[str, 
     """Duplicate relations of the minimal marked trees, and where each
     defining form fails to vanish.
 
-    The sources are the marked stars with fewer than ``max_leaves`` leaves
-    (at least the one-leaf star) and the Y and Z shapes once they fit.  Each
-    of the five linear forms and the quadratic one maps to the sides,
-    "ring" and "measure", on which it does not vanish.
+    The sources are the minimal marked trees with at most ``max_leaves``
+    leaves: the marked stars (at least the one-leaf star), Y from four
+    leaves and Z from five.  Each of the five linear forms and the quadratic
+    one maps to the sides, "ring" and "measure", on which it does not
+    vanish.
     """
-    sources = [marked_star(m) for m in range(1, max(2, max_leaves))]
+    sources = [marked_star(m) for m in range(1, max(1, max_leaves) + 1)]
     if max_leaves >= 4:
         sources.append(marked_y())
     if max_leaves >= 5:
@@ -615,10 +617,8 @@ def _random_edge_elements(rng: random.Random, count: int):
     return out
 
 
-_POOL_CACHE: List[List[HomElement]] = []
-
-
-def _hom_pool() -> List[List[HomElement]]:
+@lru_cache(maxsize=1)
+def _hom_pool() -> Tuple[Tuple[HomElement, HomElement, HomElement], ...]:
     """Composable chains of basis morphisms among small objects.
 
     Chains are size-capped (at most one four-leaf object, nine leaves in
@@ -626,11 +626,10 @@ def _hom_pool() -> List[List[HomElement]]:
     fixed, so every caller sees the same chains and the composition cache is
     shared across the property checks.
     """
-    if _POOL_CACHE:
-        return _POOL_CACHE
     objects = [parse_tree(s) for s in ("p", "(p,q)", "(p,q,r)", "((p,q),(r,s))")]
     rng = random.Random(SEED + 1)
-    while len(_POOL_CACHE) < 10:
+    pool = []
+    while len(pool) < 10:
         quad = [objects[rng.randrange(len(objects))] for _ in range(4)]
         sizes = [x.leaf_count for x in quad]
         if sum(sizes) > 9 or sum(1 for s in sizes if s >= 4) > 1:
@@ -640,8 +639,8 @@ def _hom_pool() -> List[List[HomElement]]:
         f = HomElement.basis(a, b, h1[rng.randrange(len(h1))])
         g = HomElement.basis(b, c, h2[rng.randrange(len(h2))])
         h = HomElement.basis(c, d, h3[rng.randrange(len(h3))])
-        _POOL_CACHE.append([f, g, h])
-    return _POOL_CACHE
+        pool.append((f, g, h))
+    return tuple(pool)
 
 
 def check_associativity() -> CheckResult:

@@ -93,10 +93,6 @@ def _param_from_args(args) -> ParamSpec:
     return ParamSpec.symbolic()
 
 
-def _value_str(v) -> str:
-    return str(v)
-
-
 def _parse_element(alg, text: str) -> Dict[int, RatFun]:
     """An element spec: a bare amalgamation tree, or a JSON coefficient list."""
     text = text.strip()
@@ -156,13 +152,13 @@ def _cmd_measure(args) -> Tuple[int, Dict]:
         sub, sup = parse_tree(args.sub), parse_tree(args.super_)
         payload["sub"] = sub.canonical_key()
         payload["super"] = sup.canonical_key()
-        payload["value"] = _value_str(mu_embedding(sub, sup, p))
+        payload["value"] = str(mu_embedding(sub, sup, p))
         return 0, payload
     if not args.tree:
         raise TreeError("measure needs --tree or --sub/--super")
     tree = parse_tree(args.tree)
     payload["tree"] = tree.canonical_key()
-    payload["mu"] = _value_str(mu_of_tree(tree, p))
+    payload["mu"] = str(mu_of_tree(tree, p))
     return 0, payload
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict
 
 from arboreal.category import (
     AlgebraElement,
@@ -209,11 +210,9 @@ def _proportionality(left: AlgebraElement, right: AlgebraElement) -> RatFun:
     return lam if lam is not None else RatFun.zero()
 
 
-_FIXTURE: List[EdgeAlgebra] = []
-register_measure_cache(_FIXTURE.clear)
-
-
+@lru_cache(maxsize=1)
 def edge_algebra() -> EdgeAlgebra:
-    if not _FIXTURE:
-        _FIXTURE.append(EdgeAlgebra.build())
-    return _FIXTURE[0]
+    return EdgeAlgebra.build()
+
+
+register_measure_cache(edge_algebra.cache_clear)

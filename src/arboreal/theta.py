@@ -34,7 +34,7 @@ from arboreal.measure import (
     marked_z,
     theta_generator_values,
 )
-from arboreal.ratfun import RatFun
+from arboreal.ratfun import Poly, RatFun
 from arboreal.trees import Tree, TreeError, build_tree
 
 
@@ -147,98 +147,48 @@ def generator_name(mt: MarkedTree) -> str:
 
 @dataclass(frozen=True)
 class ThetaElement:
-    """c + p(u) + q(v) in Z[u,v]/(uv), with p and q lacking constant terms.
+    """p(u) + q(v) in Z[u,v]/(uv), as two integer polynomials.
 
-    ``u_part``/``v_part`` hold coefficients by degree starting at degree 1.
+    ``p`` carries the constant term and ``q`` has none, so each element has
+    exactly one such pair.  Since uv = 0, a product keeps p1*p2 on the u
+    side and q1*q2 plus each q times the other's constant on the v side.
     """
 
-    c: int = 0
-    u_part: Tuple[int, ...] = ()
-    v_part: Tuple[int, ...] = ()
-
-    @staticmethod
-    def _trim(seq) -> Tuple[int, ...]:
-        out = list(seq)
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    @staticmethod
-    def make(c: int = 0, u_part=(), v_part=()) -> "ThetaElement":
-        return ThetaElement(c, ThetaElement._trim(u_part), ThetaElement._trim(v_part))
+    p: Poly = Poly()
+    q: Poly = Poly()
 
     @staticmethod
     def const(c: int) -> "ThetaElement":
-        return ThetaElement.make(c)
+        return ThetaElement(Poly((c,)))
 
     @staticmethod
     def u() -> "ThetaElement":
-        return ThetaElement.make(0, (1,))
+        return ThetaElement(Poly.t())
 
     @staticmethod
     def v() -> "ThetaElement":
-        return ThetaElement.make(0, (), (1,))
+        return ThetaElement(Poly(), Poly.t())
 
     def is_zero(self) -> bool:
-        return self.c == 0 and not self.u_part and not self.v_part
+        return not self.p and not self.q
 
     def __add__(self, other: "ThetaElement") -> "ThetaElement":
-        nu = [0] * max(len(self.u_part), len(other.u_part))
-        for i, x in enumerate(self.u_part):
-            nu[i] += x
-        for i, x in enumerate(other.u_part):
-            nu[i] += x
-        nv = [0] * max(len(self.v_part), len(other.v_part))
-        for i, x in enumerate(self.v_part):
-            nv[i] += x
-        for i, x in enumerate(other.v_part):
-            nv[i] += x
-        return ThetaElement.make(self.c + other.c, nu, nv)
+        return ThetaElement(self.p + other.p, self.q + other.q)
 
     def __neg__(self) -> "ThetaElement":
-        return ThetaElement.make(
-            -self.c, tuple(-x for x in self.u_part), tuple(-x for x in self.v_part)
-        )
+        return ThetaElement(-self.p, -self.q)
 
     def __sub__(self, other: "ThetaElement") -> "ThetaElement":
-        return self + (-other)
+        return ThetaElement(self.p - other.p, self.q - other.q)
 
     def scale(self, k: int) -> "ThetaElement":
-        return ThetaElement.make(
-            k * self.c,
-            tuple(k * x for x in self.u_part),
-            tuple(k * x for x in self.v_part),
-        )
+        return ThetaElement(self.p.scale(k), self.q.scale(k))
 
     def __mul__(self, other: "ThetaElement") -> "ThetaElement":
-        # (c1 + P1 + Q1)(c2 + P2 + Q2) with P_i pure-u, Q_i pure-v and PQ = 0
-        def poly_mul(a: Tuple[int, ...], b: Tuple[int, ...]) -> List[int]:
-            # inputs indexed from degree 1
-            out = [0] * (len(a) + len(b) + 1)
-            for i, x in enumerate(a, start=1):
-                for j, y in enumerate(b, start=1):
-                    out[i + j - 1] += x * y
-            return out
-
-        nu = [0] * max(len(self.u_part), len(other.u_part))
-        for i, x in enumerate(other.u_part):
-            nu[i] += self.c * x
-        for i, x in enumerate(self.u_part):
-            nu[i] += other.c * x
-        uu = poly_mul(self.u_part, other.u_part)
-        nu += [0] * (len(uu) - len(nu))
-        for i, x in enumerate(uu):
-            nu[i] += x
-        nv = [0] * max(len(self.v_part), len(other.v_part))
-        for i, x in enumerate(other.v_part):
-            nv[i] += self.c * x
-        for i, x in enumerate(self.v_part):
-            nv[i] += other.c * x
-        vv = poly_mul(self.v_part, other.v_part)
-        nv += [0] * (len(vv) - len(nv))
-        for i, x in enumerate(vv):
-            nv[i] += x
-        return ThetaElement.make(self.c * other.c, nu, nv)
+        c1, c2 = Poly(self.p.coeffs[:1]), Poly(other.p.coeffs[:1])
+        return ThetaElement(
+            self.p * other.p, self.q * other.q + self.q * c2 + c1 * other.q
+        )
 
     def __pow__(self, n: int) -> "ThetaElement":
         out = ThetaElement.const(1)
@@ -250,29 +200,22 @@ class ThetaElement:
         """Image under u -> u_value, v -> v_value (their product must be 0)."""
         if not (u_value * v_value).is_zero():
             raise ValueError("u and v images must multiply to zero")
-        out = RatFun.from_scalar(self.c)
-        for i, x in enumerate(self.u_part, start=1):
-            out = out + RatFun.from_scalar(x) * u_value**i
-        for i, x in enumerate(self.v_part, start=1):
-            out = out + RatFun.from_scalar(x) * v_value**i
-        return out
+        return RatFun(self.p).substitute(u_value) + RatFun(self.q).substitute(v_value)
 
     def __str__(self) -> str:
         parts = []
-        if self.c:
-            parts.append(str(self.c))
-        for var, coeffs in (("u", self.u_part), ("v", self.v_part)):
-            for i, x in enumerate(coeffs, start=1):
+        for var, poly in (("u", self.p), ("v", self.q)):
+            for i, x in enumerate(poly.coeffs):
                 if not x:
+                    continue
+                if i == 0:
+                    parts.append("%+d" % x)
                     continue
                 body = var if i == 1 else "%s^%d" % (var, i)
                 if abs(x) != 1:
                     body = "%d*%s" % (abs(x), body)
                 parts.append(("-" if x < 0 else "+") + body)
-        if not parts:
-            return "0"
-        s = "".join(parts)
-        return s.lstrip("+")
+        return "".join(parts).lstrip("+") or "0"
 
 
 def theta_image(name: str) -> ThetaElement:

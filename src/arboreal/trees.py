@@ -198,28 +198,23 @@ class Tree:
         """Apply a label substitution; labels absent from the map are kept.
 
         Two names of one leaf may map to the same new name (they collapse);
-        collisions across leaves are rejected by construction.
+        a collision across leaves raises :class:`TreeError`.
         """
-        labels = {
-            v: tuple(sorted({mapping.get(l, l) for l in ls}))
-            for v, ls in enumerate(self.labels)
-            if ls
-        }
-        edges = [(u, v) for u in range(len(self.adj)) for v in self.adj[u] if u < v]
-        return build_tree(range(len(self.adj)), edges, labels)
+        return self._with_labels({mapping.get(l, l) for l in ls} for ls in self.labels)
 
     def merge_labels(self, extra: Dict[str, Iterable[str]]) -> "Tree":
         """Add labels to leaves: ``extra`` maps an existing label to new ones."""
         added: Dict[int, List[str]] = {}
         for anchor, new in extra.items():
             added.setdefault(self.leaf_of(anchor), []).extend(new)
-        labels = {
-            v: tuple(ls) + tuple(added.get(v, ()))
-            for v, ls in enumerate(self.labels)
-            if ls or v in added
-        }
-        edges = [(u, v) for u in range(len(self.adj)) for v in self.adj[u] if u < v]
-        return build_tree(range(len(self.adj)), edges, labels)
+        return self._with_labels(ls + tuple(added.get(v, ())) for v, ls in enumerate(self.labels))
+
+    def _with_labels(self, labels: Iterable[Iterable[str]]) -> "Tree":
+        """The same graph with new labels per vertex; a leaf keeps at least
+        one label, so only the labels themselves need checking."""
+        labels = [tuple(ls) for ls in labels]
+        _check_labels(l for ls in labels for l in ls)
+        return Tree(self.adj, tuple(tuple(sorted(ls)) for ls in labels))
 
     def path_edges(self, a: int, b: int) -> FrozenSet[FrozenSet[int]]:
         """Edges on the unique path between vertices a and b."""

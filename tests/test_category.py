@@ -216,6 +216,19 @@ def test_truncated_algebra_composition():
     assert lhs.terms == rhs.terms
 
 
+def test_product_rows_match_composition():
+    """Structure constants read by basis index equal the composition of the
+    two basis morphisms, taken back into the algebra."""
+    for max_level in (None, 3, 4):
+        alg = algebra_for(EDGE, max_level)
+        p = ParamSpec.symbolic() if max_level is None else ParamSpec.finite_level(max_level)
+        for i, fi in enumerate(alg.basis):
+            for j, gj in enumerate(alg.basis):
+                f = HomElement.basis(EDGE, EDGE, fi)
+                g = HomElement.basis(EDGE, EDGE, gj)
+                assert alg.product_row(i, j) == alg.from_hom(compose(f, g, p)).vec, (max_level, i, j)
+
+
 def test_triple_trace_matches_composition(edge):
     alg = edge.algebra
     for (i, j, k) in ((3, 5, 10), (8, 9, 2), (4, 4, 4)):

@@ -107,10 +107,19 @@ def test_algebra_operations():
 
 
 def test_verify_suites():
-    code, out = run(["verify", "relations", "--max-leaves", "5"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["failures"] == 0 and data["cases"] > 5
+    # the relation sources are the minimal marked trees with at most N
+    # leaves: stars with 1..N leaves, Y from N = 4 and Z from N = 5
+    expected = {
+        1: ["x1"],
+        3: ["x1", "x2", "x3"],
+        4: ["x1", "x2", "x3", "x4", "y"],
+        5: ["x1", "x2", "x3", "x4", "x5", "y", "z"],
+        6: ["x1", "x2", "x3", "x4", "x5", "x6", "y", "z"],
+    }
+    for n, sources in expected.items():
+        data = payload(["verify", "relations", "--max-leaves", str(n)])
+        assert [rel["source"] for rel in data["relations"]] == sources, n
+        assert data["failures"] == 0 and data["cases"] == len(sources) + 6
     code, out = run(["verify", "measure-axioms", "--max-leaves", "4"])
     assert code == 0 and json.loads(out)["failures"] == 0
     code, out = run(["verify", "separated", "--max-leaves", "4"])

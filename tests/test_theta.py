@@ -13,6 +13,8 @@ Core claims:
       the level
 """
 
+import random
+
 import pytest
 
 from arboreal.measure import (
@@ -169,6 +171,43 @@ def test_ring_structure():
             evaluate_form_mu(malformed, values)
     with pytest.raises(ValueError, match="unknown generator 'x9'"):
         evaluate_form_mu("x9+1", values)
+
+
+def _random_form(rng, depth):
+    """A random generator expression: integers, x1..x7, y, z, + - * and
+    parentheses, with unary minus and unparenthesized precedence."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["%d" % rng.randint(0, 9), "x%d" % rng.randint(1, 7), "y", "z"])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "-" + _random_form(rng, depth - 1)
+    if kind == 1:
+        return "(%s)" % _random_form(rng, depth - 1)
+    return _random_form(rng, depth - 1) + rng.choice("+-*") + _random_form(rng, depth - 1)
+
+
+def test_theta_eval_matches_sympy_expansion():
+    """theta_eval equals the expansion in Z[u,v] with every monomial
+    divisible by u*v dropped."""
+    sympy = pytest.importorskip("sympy")
+    u, v = sympy.symbols("u v")
+    images = {"y": u, "z": u - v, "x1": u + v + 2, "x2": u + v + 1, "x3": u + v}
+    images.update({"x%d" % m: v + 1 - (m - 2) * (u + 1) for m in range(4, 8)})
+    names = {name: sympy.Symbol(name) for name in images}
+    rng = random.Random(20231)
+    for _ in range(400):
+        form = _random_form(rng, 5)
+        expanded = sympy.expand(sympy.sympify(form, locals=names).subs(
+            {names[k]: images[k] for k in images}, simultaneous=True))
+        want = {
+            m: int(c)
+            for m, c in sympy.Poly(expanded, u, v).terms()
+            if c and (m[0] == 0 or m[1] == 0)
+        }
+        e = theta_eval(form)
+        got = {(i, 0): c for i, c in enumerate(e.p.coeffs) if c}
+        got.update({(0, j): c for j, c in enumerate(e.q.coeffs) if c})
+        assert got == want, form
 
 
 def test_defining_forms_vanish():

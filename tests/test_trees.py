@@ -271,9 +271,10 @@ def graph_insertions(tree: Tree, new_labels):
 
 
 def test_trusted_construction_matches_build_tree():
-    """Restriction and single-site insertion skip validation; their packed
-    vertex order, neighbour tuples and label tuples must still be exactly
-    those build_tree makes of the same graph data."""
+    """Restriction, single-site insertion, relabeling and label merging skip
+    the graph checks; their packed vertex order, neighbour tuples and label
+    tuples must still be exactly those build_tree makes of the same graph
+    data."""
     trees = [EMPTY_TREE] + [t for n in range(1, 7) for t in enumerate_trees(LETTERS[:n])]
     for t in trees:
         got = [(c.adj, c.labels) for c in t.insertions(("z", "y"))]
@@ -284,6 +285,26 @@ def test_trusted_construction_matches_build_tree():
             for keep in combinations(labels, k):
                 r, o = t.restrict(keep), oracle_restrict(t, keep)
                 assert (r.adj, r.labels) == (o.adj, o.labels), (t, keep)
+        # relabel and merge_labels keep the graph and only swap the labels
+        edges = [(u, v) for u in range(len(t.adj)) for v in t.adj[u] if u < v]
+
+        def rebuilt(new_labels):
+            b = build_tree(range(len(t.adj)), edges, new_labels)
+            return (b.adj, b.labels)
+
+        perm = dict(zip(labels, reversed(labels)))
+        r = t.relabel(perm)
+        assert (r.adj, r.labels) == rebuilt(
+            {v: [perm[l] for l in ls] for v, ls in enumerate(t.labels) if ls}), t
+        extra = {l: (l.upper(), l + "2") for l in labels[::2]}
+        m = t.merge_labels(extra)
+        assert (m.adj, m.labels) == rebuilt(
+            {v: list(ls) + [x for l in ls for x in extra.get(l, ())]
+             for v, ls in enumerate(t.labels) if ls}), t
+        collapse = {l.upper(): l + "2" for l in extra}
+        c = m.relabel(collapse)
+        assert (c.adj, c.labels) == rebuilt(
+            {v: {collapse.get(l, l) for l in ls} for v, ls in enumerate(m.labels) if ls}), t
     # a multi-label leaf keeps the sorted tuple of its remaining labels
     r = parse_tree("((a/x/z,b),c,d)").restrict("abdz")
     assert ("a", "z") in r.labels
