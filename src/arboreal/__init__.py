@@ -10,6 +10,7 @@ from arboreal.amalgam import (
     AmalgamError,
     Amalgamation,
     TripleAmalgamation,
+    amalgamation_trees,
     amalgamations,
     count_by_shape,
     self_amalgamations,
@@ -35,6 +36,7 @@ from arboreal.measure import (
     ParamSpec,
     mu_embedding,
     mu_of_tree,
+    mu_sum,
     mu_symbolic,
     theta_generator_values,
     verify_amalgamation_equation,

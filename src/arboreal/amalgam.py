@@ -19,6 +19,11 @@ Comput. 10(3), 1981) and of Ng and Wormald (Discrete Appl. Math. 69, 1996),
 listing every tree that displays the given subtrees.  Pruning partial trees
 is sound because restriction commutes with taking sub-label-sets, so a
 mismatch can never be repaired by later insertions.
+
+The enumerators stream whole trees, each built once, unkeyed and in no
+promised order: different matchings give different leaf label classes, so
+no tree arises twice.  Only the listings :func:`amalgamations` and
+:func:`triple_amalgamations` key their results and sort them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _check_labels
 
@@ -80,9 +85,6 @@ class Amalgamation:
             "right": sorted(self.right),
         }
 
-    def __lt__(self, other: "Amalgamation") -> bool:
-        return self.key < other.key
-
 
 @dataclass(frozen=True)
 class TripleAmalgamation:
@@ -117,16 +119,13 @@ def trees_with_restrictions(
     the same place of ``t|V_old`` as that leaf does in ``E|V_old``, so the
     sites are selected by their places (see :func:`_clades`) and only kept
     trees are built.  No tree is built twice: deleting the new leaf gives
-    back ``t`` and its site.  Results are sorted by canonical key.
+    back ``t`` and its site.  The last frontier is returned as it stands, in
+    no promised order.
     """
     if len(classes) > MAX_CLASSES:
         raise AmalgamError("quotient label set has %d classes (cap %d)" % (len(classes), MAX_CLASSES))
     if not classes:
-        out = EMPTY_TREE
-        for (subset, expected) in constraints:
-            if not expected.is_empty():
-                return []
-        return [out]
+        return [EMPTY_TREE] if all(e.is_empty() for _, e in constraints) else []
     order = sorted((tuple(sorted(c)) for c in classes), key=min)
     labels = [l for cls in order for l in cls]
     _check_labels(labels)
@@ -174,7 +173,7 @@ def trees_with_restrictions(
         current = nxt
         if not current:
             return []
-    return sorted(current, key=lambda t: t.canonical_key())
+    return current
 
 
 def _clades(
@@ -232,10 +231,11 @@ def _partial_matchings(
                 yield tuple(zip(asub, bperm))
 
 
-def amalgamations(
+def amalgamation_trees(
     t1: Tree, t2: Tree, max_level: Optional[int] = None
-) -> List[Amalgamation]:
-    """All amalgamations of t1 and t2 up to label-preserving isomorphism.
+) -> Iterator[Tree]:
+    """The whole tree of every amalgamation of t1 and t2, one matching at a
+    time, each built once, in no promised order and with no canonical key.
 
     Shared labels form the base and must induce the same tree on both sides.
     ``max_level`` restricts to amalgamations whose every node valence stays
@@ -247,26 +247,26 @@ def amalgamations(
         raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(base))
     private1 = sorted(i1 - base)
     private2 = sorted(i2 - base)
-    constraints = ((frozenset(i1), t1), (frozenset(i2), t2))
-    out: Dict[str, Amalgamation] = {}
+    constraints = ((i1, t1), (i2, t2))
     for matching in _partial_matchings(private1, private2):
-        matched1 = {x for x, _ in matching}
-        matched2 = {y for _, y in matching}
-        classes = (
-            [(l,) for l in sorted(base)]
-            + [pair for pair in matching]
-            + [(l,) for l in private1 if l not in matched1]
-            + [(l,) for l in private2 if l not in matched2]
-        )
-        for whole in trees_with_restrictions(classes, constraints, max_level):
-            am = Amalgamation(whole, frozenset(i1), frozenset(i2))
-            out.setdefault(am.key, am)
-    return [out[k] for k in sorted(out)]
+        matched = {l for pair in matching for l in pair}
+        classes = [(l,) for l in sorted(i1 | i2) if l not in matched] + list(matching)
+        yield from trees_with_restrictions(classes, constraints, max_level)
+
+
+def amalgamations(
+    t1: Tree, t2: Tree, max_level: Optional[int] = None
+) -> List[Amalgamation]:
+    """All amalgamations of t1 and t2 up to label-preserving isomorphism,
+    sorted by canonical key (see :func:`amalgamation_trees`)."""
+    left, right = t1.label_set, t2.label_set
+    ams = [Amalgamation(whole, left, right) for whole in amalgamation_trees(t1, t2, max_level)]
+    return sorted(ams, key=lambda a: a.key)
 
 
 def count_by_shape(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> Counter:
     """Amalgamation counts grouped by the unlabeled shape of the whole."""
-    return Counter(a.whole.shape_key() for a in amalgamations(t1, t2, max_level))
+    return Counter(whole.shape_key() for whole in amalgamation_trees(t1, t2, max_level))
 
 
 COPY_TAG = "t:"
@@ -288,40 +288,42 @@ def self_amalgamations(
     return amalgamations(tree, fresh_copy(tree), max_level)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: str, y: str) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
-def _identified_pairs(am: Amalgamation) -> List[Tuple[str, str]]:
-    pairs = []
-    for ls in am.whole.labels:
-        lefts = [l for l in ls if l in am.left and l not in am.right]
-        rights = [l for l in ls if l in am.right and l not in am.left]
-        if lefts and rights:
-            pairs.append((lefts[0], rights[0]))
-    return pairs
+def _leaf_classes(labels: Iterable[str], wholes: Iterable[Tree]) -> List[Tuple[str, ...]]:
+    """The labels grouped by sharing a leaf of one of the wholes, closed
+    transitively; each class sorted, the classes in order."""
+    cls = {l: (l,) for l in labels}
+    for whole in wholes:
+        for ls in whole.labels:
+            merged = tuple(sorted({m for l in ls for m in cls[l]}))
+            for l in merged:
+                cls[l] = merged
+    return sorted(set(cls.values()))
 
 
 def triple_amalgamations(
     x: Amalgamation, y: Amalgamation, max_level: Optional[int] = None
 ) -> List[Tuple[TripleAmalgamation, Amalgamation]]:
-    """All three-block trees extending x on blocks (1,2) and y on (2,3).
+    """All three-block trees extending x on blocks (1,2) and y on (2,3),
+    each with its restriction to blocks (1,3), sorted by the key of the
+    whole (see :func:`_triple_trees`)."""
+    blocks = (x.left, x.right, y.right)
+    out = [
+        (TripleAmalgamation(z, blocks), Amalgamation(y3, x.left, y.right))
+        for z, y3 in _triple_trees(x, y, max_level)
+    ]
+    return sorted(out, key=lambda pair: pair[0].key)
+
+
+def _triple_trees(
+    x: Amalgamation, y: Amalgamation, max_level: Optional[int] = None
+) -> Iterator[Tuple[Tree, Tree]]:
+    """Every three-block tree z extending x on blocks (1,2) and y on (2,3),
+    with its restriction y3 to blocks (1,3); each z is built once, in no
+    promised order and with no canonical key.
 
     Identifications between blocks 1 and 2 are forced by x, between 2 and 3
     by y (with transitive closure); the free choices are extra matchings
-    between still-untouched labels of blocks 1 and 3.  Each result is
-    returned with its restriction to blocks (1,3).
+    between still-untouched labels of blocks 1 and 3.
     """
     b1, b2, b3 = x.left, x.right, y.right
     if y.left != b2:
@@ -330,26 +332,13 @@ def triple_amalgamations(
         raise AmalgamError("middle trees disagree")
     if b1 & b3 or b1 & b2 or b2 & b3:
         raise AmalgamError("triple blocks must be disjoint")
-    uf = _UnionFind(b1 | b2 | b3)
-    for (a, b) in _identified_pairs(x) + _identified_pairs(y):
-        uf.union(a, b)
-    groups: Dict[str, List[str]] = {}
-    for l in sorted(b1 | b2 | b3):
-        groups.setdefault(uf.find(l), []).append(l)
-    touched1 = {a for (a, _) in _identified_pairs(x)}
-    touched3 = {b for (_, b) in _identified_pairs(y)}
-    free1 = sorted(b1 - touched1)
-    free3 = sorted(b3 - touched3)
-    constraints = ((frozenset(b1 | b2), x.whole), (frozenset(b2 | b3), y.whole))
-    out: Dict[str, Tuple[TripleAmalgamation, Amalgamation]] = {}
+    classes = _leaf_classes(b1 | b2 | b3, (x.whole, y.whole))
+    # a label of block 1 or 3 identified with no other sits alone in its class
+    free1 = [c[0] for c in classes if len(c) == 1 and c[0] in b1]
+    free3 = [c[0] for c in classes if len(c) == 1 and c[0] in b3]
+    constraints = ((b1 | b2, x.whole), (b2 | b3, y.whole))
     for matching in _partial_matchings(free1, free3):
-        merged: Dict[str, List[str]] = {k: list(v) for k, v in groups.items()}
-        for (a, b) in matching:
-            ka, kb = uf.find(a), uf.find(b)
-            merged[ka] = merged[ka] + merged.pop(kb)
-        classes = [tuple(sorted(v)) for v in merged.values()]
-        for whole in trees_with_restrictions(classes, constraints, max_level):
-            z = TripleAmalgamation(whole, (b1, b2, b3))
-            y3 = Amalgamation(whole.restrict(b1 | b3), b1, b3)
-            out.setdefault(z.key, (z, y3))
-    return [out[k] for k in sorted(out)]
+        matched = {l for pair in matching for l in pair}
+        merged = [c for c in classes if c[0] not in matched] + list(matching)
+        for z in trees_with_restrictions(merged, constraints, max_level):
+            yield z, z.restrict(b1 | b3)

@@ -25,14 +25,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from arboreal.amalgam import (
     Amalgamation,
-    _UnionFind,
+    _leaf_classes,
+    _triple_trees,
     amalgamations,
     trees_with_restrictions,
-    triple_amalgamations,
 )
 from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
+    mu_sum,
     mu_symbolic,
     register_measure_cache,
 )
@@ -217,8 +218,9 @@ def _composition_table(
     measure of y3 (each term is the measure of the inclusion y3 -> z).
 
     The three blocks carry the tags "1:", "2:", "3:" while the extensions
-    are enumerated; the stored restrictions are tagged "s:"/"t:" again, in
-    key order.
+    are enumerated; the extensions are grouped by the key of y3 and summed
+    by signature, and no extension gets a key of its own.  The stored
+    restrictions are tagged "s:"/"t:" again, in key order.
     """
     key = (gu.key, fv.key, max_level)
     hit = _TRIPLE_CACHE.get(key)
@@ -234,13 +236,13 @@ def _composition_table(
         _retag_block(fv.left, SOURCE_TAG, "2:"),
         _retag_block(fv.right, TARGET_TAG, "3:"),
     )
-    acc: Dict[Amalgamation, RatFun] = {}
-    for z, y3 in triple_amalgamations(u, v, max_level=max_level):
-        acc[y3] = acc.get(y3, RatFun.zero()) + mu_symbolic(z.whole)
+    extensions: Dict[str, Tuple[Tree, List[Tree]]] = {}
+    for z, y3 in _triple_trees(u, v, max_level):
+        extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
-        (Amalgamation(retag(y3.whole, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
-         total / mu_symbolic(y3.whole))
-        for y3, total in sorted(acc.items(), key=lambda pair: pair[0].key)
+        (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
+         mu_sum(zs) / mu_symbolic(y3))
+        for _, (y3, zs) in sorted(extensions.items())
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
         del _TRIPLE_CACHE[next(iter(_TRIPLE_CACHE))]
@@ -314,6 +316,7 @@ def triple_trace_trees(
     is what makes the enumeration match trace-of-composition for every
     pattern, not only the transpose-symmetric ones.  Identifications across
     blocks are forced by the three patterns, so no free matchings arise.
+    The trees come in no promised order.
     """
     wholes = {
         "u": retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
@@ -323,25 +326,12 @@ def triple_trace_trees(
     b1 = _retag_block(u.left, SOURCE_TAG, "1:")
     b2 = _retag_block(u.right, TARGET_TAG, "2:")
     b3 = _retag_block(w.right, TARGET_TAG, "3:")
-    labels = b1 | b2 | b3
-    uf = _UnionFind(labels)
-    for whole in wholes.values():
-        for ls in whole.labels:
-            for other in ls[1:]:
-                uf.union(ls[0], other)
-    groups: Dict[str, List[str]] = {}
-    for l in sorted(labels):
-        groups.setdefault(uf.find(l), []).append(l)
-    classes = [tuple(sorted(g)) for g in groups.values()]
+    classes = _leaf_classes(b1 | b2 | b3, wholes.values())
     for cls in classes:
         per_block = [sum(1 for l in cls if l.startswith(tag)) for tag in ("1:", "2:", "3:")]
         if max(per_block) > 1:
             return []
-    constraints = (
-        (frozenset(b1 | b2), wholes["u"]),
-        (frozenset(b1 | b3), wholes["v"]),
-        (frozenset(b2 | b3), wholes["w"]),
-    )
+    constraints = ((b1 | b2, wholes["u"]), (b1 | b3, wholes["v"]), (b2 | b3, wholes["w"]))
     return trees_with_restrictions(classes, constraints)
 
 
@@ -352,10 +342,7 @@ def triple_trace(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> RatFun:
     endomorphisms; the agreement with compose-then-trace is part of the
     verification suite.
     """
-    total = RatFun.zero()
-    for tree in triple_trace_trees(u, v, w):
-        total = total + mu_symbolic(tree)
-    return total
+    return mu_sum(triple_trace_trees(u, v, w))
 
 
 # -- endomorphism algebras ---------------------------------------------------
@@ -381,7 +368,7 @@ class ArborealAlgebra:
     # -- element plumbing --------------------------------------------------
 
     def zero_vector(self) -> Tuple[RatFun, ...]:
-        return tuple(RatFun.zero() for _ in range(self.dim))
+        return (RatFun.zero(),) * self.dim
 
     def element(self, coeffs: Dict[int, Coeff]) -> "AlgebraElement":
         """The element with the given coefficients by basis index."""

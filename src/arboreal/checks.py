@@ -133,10 +133,11 @@ def equation_sweep(max_labels: int) -> Tuple[int, int]:
                 shared = ["b%d" % i for i in range(b)]
                 lefts = enumerate_trees(left_labels) if left_labels else [EMPTY_TREE]
                 rights = enumerate_trees(right_labels) if right_labels else [EMPTY_TREE]
+                right_bases = [(t2, t2.restrict(shared)) for t2 in rights]
                 for t1 in lefts:
                     base1 = t1.restrict(shared)
-                    for t2 in rights:
-                        if t2.restrict(shared) != base1:
+                    for t2, base2 in right_bases:
+                        if base2 != base1:
                             continue
                         checked += 1
                         if not verify_amalgamation_equation(t1, t2).is_zero():

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from arboreal.amalgam import amalgamations
+from arboreal.amalgam import amalgamation_trees
 from arboreal.ratfun import ONE, Poly, RatFun, bracket
-from arboreal.trees import Tree, TreeError, build_tree, parse_tree
+from arboreal.trees import Tree, TreeError, TreeStats, build_tree, parse_tree
 
 Value = Union[RatFun, Fraction, int]
 
@@ -170,6 +170,23 @@ def mu_of_tree(tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     return _specialize(mu_symbolic(tree), p)
 
 
+def mu_sum(trees: Iterable[Tree], p: ParamSpec = SYMBOLIC) -> Value:
+    """The summed measure of the trees under the given parameter mode.
+
+    The measure depends only on the leaf count and the node valences, so
+    ``mu_of_tree`` runs once per such signature, times the number of trees
+    that share it.
+    """
+    reps: Dict[TreeStats, list] = {}
+    for tree in trees:
+        reps.setdefault(tree.stats(), [tree, 0])[1] += 1
+    total = RatFun.zero() if p.mode == "symbolic" else Fraction(0)
+    for tree, n in reps.values():
+        value = mu_of_tree(tree, p)
+        total = total + (value * n if n > 1 else value)  # a product costs a gcd
+    return total
+
+
 def _check_embedding(sub: Tree, super_tree: Tree) -> None:
     if not sub.label_set <= super_tree.label_set:
         raise TreeError("sub labels are not contained in super labels")
@@ -267,17 +284,8 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    ams = amalgamations(t1, t2, max_level=max_level)
-
+    rhs = mu_sum(amalgamation_trees(t1, t2, max_level), p)
     base_value = mu_of_tree(base, p)
     if base_value == 0:
         raise ZeroDivisionError("base tree has measure zero at this parameter")
-    lhs = mu_of_tree(t1, p) * mu_of_tree(t2, p) / base_value
-    rhs = _zero_like(p)
-    for a in ams:
-        rhs = rhs + mu_of_tree(a.whole, p)
-    return lhs - rhs
-
-
-def _zero_like(p: ParamSpec) -> Value:
-    return RatFun.zero() if p.mode == "symbolic" else Fraction(0)
+    return mu_of_tree(t1, p) * mu_of_tree(t2, p) / base_value - rhs

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-from arboreal.amalgam import amalgamations
+from arboreal.amalgam import amalgamation_trees
 from arboreal.measure import (
     SYMBOLIC,
     MarkedTree,
@@ -80,15 +81,15 @@ def separated_bruteforce(tree: Tree, a: str, b: str) -> bool:
 
     The tree itself is always one amalgamation of tree-minus-a and
     tree-minus-b over the common part, so the pair is separated exactly
-    when the count is one.
+    when the count is one; the count stops at the second tree.
     """
     va, vb = tree.leaf_of(a), tree.leaf_of(b)
     if va == vb:
         raise TreeError("labels %r and %r share a leaf" % (a, b))
-    ams = amalgamations(tree.drop_leaf(a), tree.drop_leaf(b))
-    if len(ams) == 1 and ams[0].whole != tree:
+    wholes = list(islice(amalgamation_trees(tree.drop_leaf(a), tree.drop_leaf(b)), 2))
+    if len(wholes) == 1 and wholes[0] != tree:
         raise AssertionError("unique amalgamation differs from the input tree")
-    return len(ams) == 1
+    return len(wholes) == 1
 
 
 def extraneous_leaves(mt: MarkedTree) -> List[str]:
@@ -400,13 +401,12 @@ def verify_L_relation(mt: MarkedTree) -> DuplicateRelation:
     fresh = mt.mark + ".dup"
     copy = mt.tree.relabel({mt.mark: fresh})
     terms: Dict[str, int] = {generator_name(mt): 1}
-    for am in amalgamations(mt.tree, copy):
-        mark_leaf = am.whole.leaf_of(mt.mark)
-        if fresh in am.whole.labels_of(mark_leaf):
+    for whole in amalgamation_trees(mt.tree, copy):
+        if fresh in whole.labels_of(whole.leaf_of(mt.mark)):
             # the identified amalgamation: an isomorphism, class 1
             terms["1"] = terms.get("1", 0) - 1
             continue
-        _, code = minimize_marked(MarkedTree(am.whole, mt.mark))
+        _, code = minimize_marked(MarkedTree(whole, mt.mark))
         cls = generator_of_code(code)
         terms[cls] = terms.get(cls, 0) - 1
     terms = {k: v for k, v in terms.items() if v}

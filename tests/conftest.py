@@ -1,7 +1,7 @@
 import pytest
 
 from arboreal.edge_algebra import edge_algebra
-from arboreal.trees import enumerate_trees
+from arboreal.trees import Tree, enumerate_trees
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,17 @@ def small_trees():
     """All trees on at most five of the labels a..e, grouped by size."""
     letters = "abcde"
     return {n: enumerate_trees(letters[:n]) for n in range(1, 6)}
+
+
+@pytest.fixture
+def keyed_sizes(monkeypatch):
+    """The label count of every tree whose canonical key is asked for."""
+    sizes = []
+    canonical_key = Tree.canonical_key
+
+    def recording(self):
+        sizes.append(sum(len(ls) for ls in self.labels))
+        return canonical_key(self)
+
+    monkeypatch.setattr(Tree, "canonical_key", recording)
+    return sizes

@@ -13,6 +13,8 @@ Core claims:
     - triple extensions restrict correctly on all three block pairs
     - guided site selection keeps exactly what filtering every insertion
       candidate keeps, and builds no tree it does not keep
+    - the stream yields each amalgamation once and keys none of them; the
+      consumers that count, group by shape or sum measures key no whole tree
 """
 
 import random
@@ -25,6 +27,7 @@ from arboreal import amalgam
 from arboreal.amalgam import (
     AmalgamError,
     Amalgamation,
+    amalgamation_trees,
     amalgamations,
     count_by_shape,
     fresh_copy,
@@ -32,6 +35,8 @@ from arboreal.amalgam import (
     triple_amalgamations,
     trees_with_restrictions,
 )
+from arboreal.measure import verify_amalgamation_equation
+from arboreal.theta import separated_bruteforce
 from arboreal.trees import EMPTY_TREE, Tree, enumerate_trees, parse_tree
 
 
@@ -251,9 +256,9 @@ def test_constrained_search_empty_cases():
 
 def test_guided_insertion_matches_filtered_candidates(monkeypatch):
     """Site selection keeps exactly the candidates the restriction filter
-    keeps, in the same order, on every call the enumerators make.  A level
-    bound keeps the unbounded results within it, since inserting a leaf
-    never lowers a valence."""
+    keeps, each once, on every call the enumerators make.  A level bound
+    keeps the unbounded results within it, since inserting a leaf never
+    lowers a valence."""
     guided = amalgam.trees_with_restrictions
     unbounded = {}
     calls = []
@@ -264,7 +269,9 @@ def test_guided_insertion_matches_filtered_candidates(monkeypatch):
         if key not in unbounded:
             unbounded[key] = filtered_insertions(classes, constraints)
         want = [t for t in unbounded[key] if max_level is None or t.level <= max_level]
-        assert [t.canonical_key() for t in got] == [t.canonical_key() for t in want]
+        keys = [t.canonical_key() for t in got]
+        assert len(set(keys)) == len(keys)
+        assert sorted(keys) == sorted(t.canonical_key() for t in want)
         assert all(ls == tuple(sorted(ls)) for t in got for ls in t.labels)
         calls.append(len(got))
         return got
@@ -311,3 +318,42 @@ def test_guided_insertion_builds_only_kept_trees(monkeypatch):
         classes = list(matching) + [(l,) for l in sorted((t1.label_set | t2.label_set) - matched)]
         filtered_insertions(classes, constraints, frontiers=frontiers)
     assert sum(frontiers) == 4933
+
+
+STAR4_A, STAR4_B = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
+
+
+def test_stream_yields_each_amalgamation_once_unkeyed():
+    for t1, t2, max_level in [(EDGE, STAR, None), (EDGE, STAR, 3), (EDGE, parse_tree("(1,4,5)"), None),
+                              (STAR4_A, STAR4_B, None)]:
+        wholes = list(amalgamation_trees(t1, t2, max_level))
+        assert all(t._key is None for t in wholes)
+        keys = [t.canonical_key() for t in wholes]
+        assert len(set(keys)) == len(keys)
+        assert sorted(keys) == [a.key for a in amalgamations(t1, t2, max_level)]
+    x, y = self_amalgamations(EDGE)[3], self_amalgamations(fresh_copy(EDGE))[7]
+    pairs = list(amalgam._triple_trees(x, y))
+    assert all(z._key is None for z, _ in pairs)
+    assert sorted(z.canonical_key() for z, _ in pairs) == [z.key for z, _ in triple_amalgamations(x, y)]
+    assert all(y3 == z.restrict(x.left | y.right) for z, y3 in pairs)
+
+
+def test_stream_consumers_key_no_whole_tree(monkeypatch, keyed_sizes):
+    """Counting, shapes, the product equation and the separation verdict
+    read the stream: no tree on all eight labels of two 4-stars is keyed."""
+    assert sum(count_by_shape(STAR4_A, STAR4_B).values()) == 2642
+    assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
+    assert keyed_sizes and max(keyed_sizes) < 8
+    # two of its three amalgamations settle "not separated": the count stops
+    drawn = []
+
+    def counted(t1, t2, max_level=None):
+        for whole in amalgamation_trees(t1, t2, max_level):
+            drawn.append(whole)
+            yield whole
+
+    monkeypatch.setattr("arboreal.theta.amalgamation_trees", counted)
+    keyed_sizes.clear()
+    assert separated_bruteforce(parse_tree("(a,b,(c,d,e,f,g))"), "a", "b") is False
+    assert len(drawn) == 2
+    assert keyed_sizes and max(keyed_sizes) < 7

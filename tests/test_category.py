@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from arboreal import category
 from arboreal.category import (
     HomElement,
     algebra_for,
@@ -227,6 +228,27 @@ def test_product_rows_match_composition():
                 f = HomElement.basis(EDGE, EDGE, fi)
                 g = HomElement.basis(EDGE, EDGE, gj)
                 assert alg.product_row(i, j) == alg.from_hom(compose(f, g, p)).vec, (max_level, i, j)
+
+
+def test_product_row_zero_slots_are_shared(edge):
+    """Empty slots of a structure-constant row are one shared zero."""
+    alg = edge.algebra
+    rows = [alg.product_row(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+    sparse = [row for row in rows if sum(c.is_zero() for c in row) >= 2]
+    assert sparse
+    for row in sparse:
+        assert len({id(c) for c in row if c.is_zero()}) == 1
+
+
+def test_composition_table_keys_only_the_restrictions(keyed_sizes):
+    """The extensions are summed by signature; only their (1,3)-restrictions
+    are keyed, never a tree on all three blocks of two labels each."""
+    x, y = parse_tree("(p,q)"), parse_tree("(r,u)")
+    f = HomElement.basis(x, y, hom_basis(x, y)[0])
+    g = HomElement.basis(y, x, hom_basis(y, x)[-1])
+    category._TRIPLE_CACHE.clear()
+    assert compose(g, f).terms
+    assert keyed_sizes and max(keyed_sizes) < 6
 
 
 def test_triple_trace_matches_composition(edge):

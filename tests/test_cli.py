@@ -35,6 +35,15 @@ def test_amalgamate_count_and_shapes():
     assert data["count"] == 39
 
 
+def test_amalgamate_stream_counts_match_the_listing():
+    stars = ["--t1", "(a1,a2,a3,a4)", "--t2", "(b1,b2,b3,b4)"]
+    listing = payload(["amalgamate"] + stars)
+    assert listing["count"] == len(listing["amalgamations"]) == 2642
+    assert payload(["amalgamate"] + stars + ["--count"])["count"] == 2642
+    shapes = payload(["amalgamate"] + stars + ["--by-shape"])
+    assert shapes["count"] == sum(item["count"] for item in shapes["by_shape"]) == 2642
+
+
 def test_enumerate():
     data = payload(["enumerate", "--labels", "a,b,c,d"])
     assert data["count"] == 4 and len(data["trees"]) == 4

@@ -1,0 +1,95 @@
+"""Byte-identity of the command line against recorded output.
+
+``tests/data/cli_golden.json`` holds the exact stdout and exit code of every
+invocation in ``CASES``: the README examples (all but the full
+``paper-check``), full amalgamation listings, level-bounded algebra
+operations and the ``sec5`` report.  A change that reorders a listing,
+renames a key or reformats a value fails here.
+
+Regenerate the file (only when an output change is deliberate) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import json
+import os
+
+import pytest
+
+from arboreal.cli import run
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+
+_B3 = json.dumps(
+    [
+        {"amalgamation": "((s:1,t:1),(s:2,t:2))", "coeff": "1/2"},
+        {"amalgamation": "((s:1,t:2),(s:2,t:1))", "coeff": "-1/2"},
+    ]
+)
+_QUARTET = "((s:1,t:1),(s:2,t:2))"
+
+
+def _algebra(level):
+    bound = [] if level is None else ["--max-level", str(level)]
+    return [
+        ["algebra", "gram", "--tree", "(1,2)", "--at", "3"] + bound,
+        ["algebra", "compose", "--tree", "(1,2)", "--f", "(s:1/t:2,s:2/t:1)", "--g", _QUARTET] + bound,
+        ["algebra", "trace", "--tree", "(1,2)", "--u", _QUARTET, "--v", _QUARTET, "--w", _QUARTET] + bound,
+        ["algebra", "trace", "--tree", "(1,2)", "--e", _B3] + bound,
+        ["algebra", "minpoly", "--tree", "(1,2)", "--e", _B3] + bound,
+        ["algebra", "idempotent", "--tree", "(1,2)", "--e", "(s:1/t:1,s:2/t:2)"] + bound,
+    ]
+
+
+CASES = [
+    ["enumerate", "--labels", "a,b,c,d"],
+    ["enumerate", "--labels", "a,b,c,d,e", "--max-level", "3", "--count"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--count"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--by-shape"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(1,4,5)", "--count"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--max-level", "3", "--count"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(1,4,5)"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--max-level", "3"],
+    ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--max-level", "3", "--by-shape"],
+    ["measure", "--tree", "(a,b,(c,d))", "--symbolic"],
+    ["measure", "--tree", "(a,a)"],
+    ["measure", "--tree", "(a,b,c,d,e)", "--t", "4"],
+    ["measure", "--tree", "(a,b,c)", "--level", "3"],
+    ["measure", "--sub", "(a,b,c)", "--super", "(a,b,(c,d))", "--symbolic"],
+    ["measure", "--tree", "(a,b)", "--infinity"],
+    *_algebra(None),
+    *_algebra(3),
+    ["verify", "measure-axioms", "--max-leaves", "5"],
+    ["verify", "separated", "--max-leaves", "5"],
+    ["verify", "relations", "--max-leaves", "5"],
+    ["paper-check", "--scope", "sec6"],
+    ["paper-check", "--scope", "sec1-census-total", "--json"],
+    ["paper-check", "--scope", "sec5", "--json"],
+]
+
+
+def _record():
+    return [{"argv": argv, "code": code, "stdout": out} for argv in CASES for code, out in [run(argv)]]
+
+
+def _golden():
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+def test_golden_covers_every_case():
+    assert [case["argv"] for case in _golden()] == CASES
+
+
+@pytest.mark.parametrize("i", range(len(CASES)), ids=lambda i: "%02d-%s" % (i, CASES[i][0]))
+def test_cli_output_matches_golden(i):
+    case = _golden()[i]
+    assert run(case["argv"]) == (case["code"], case["stdout"])
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as f:
+        json.dump(_record(), f, indent=1)
+        f.write("\n")

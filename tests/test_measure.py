@@ -10,7 +10,8 @@ Core claims:
     - the limit measure is a chain product independent of deletion order
     - degrees: numerator one less than the leaf count, denominator equal
     - the product equation over a base holds on exhausted small diagrams
-      and fails under the testing perturbation hook
+      and fails under the testing perturbation hook; its signature-grouped
+      sum equals the plain sum over the listed amalgamations in every mode
     - finite-level mode enforces the level bound instead of dividing by zero
 """
 
@@ -20,6 +21,7 @@ from itertools import permutations
 
 import pytest
 
+from arboreal.amalgam import amalgamations
 from arboreal.measure import (
     SYMBOLIC,
     LevelError,
@@ -193,6 +195,30 @@ def test_equation_examples():
     assert r == 0
     r = verify_amalgamation_equation(parse_tree("(1,2)"), parse_tree("(1,4,5)"), ParamSpec.finite_level(3))
     assert r == 0
+
+
+def test_equation_sums_every_amalgamation():
+    """The residual equals the one the test computes itself, adding the
+    measure of each listed amalgamation one by one."""
+    modes = [
+        SYMBOLIC,
+        ParamSpec.numeric(Fraction(7, 2)),
+        ParamSpec.finite_level(3),
+        ParamSpec.finite_level(4),
+        ParamSpec.infinity(),
+    ]
+    pairs = [
+        (parse_tree("(1,2)"), parse_tree("(3,4,5)"), 56),
+        (parse_tree("((a,b),(c,d))"), parse_tree("(a,e,f)"), 114),
+    ]
+    for t1, t2, count in pairs:
+        assert len(amalgamations(t1, t2)) == count
+        base = t1.restrict(t1.label_set & t2.label_set)
+        for p in modes:
+            ams = amalgamations(t1, t2, p.n if p.mode == "level" else None)
+            total = sum((mu_of_tree(a.whole, p) for a in ams), RatFun.zero() if p is SYMBOLIC else 0)
+            lhs = mu_of_tree(t1, p) * mu_of_tree(t2, p) / mu_of_tree(base, p)
+            assert verify_amalgamation_equation(t1, t2, p) == lhs - total, (t1, p)
 
 
 def test_equation_sweep_small():
