@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from arboreal.amalgam import (
@@ -349,7 +350,7 @@ def triple_trace(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> RatFun:
 
 
 class ArborealAlgebra:
-    """The endomorphism algebra of a tree, with cached structure constants.
+    """The endomorphism algebra of a tree.
 
     The basis is the sorted list of self-amalgamations (within the level
     bound, when one is given); elements are coefficient vectors over it.
@@ -363,18 +364,14 @@ class ArborealAlgebra:
         self.dim = len(self.basis)
         ident = diagonal_amalgamation(tree)
         self.identity_index = self.index[ident.key]
-        self._products: Dict[Tuple[int, int], Tuple[RatFun, ...]] = {}
 
     # -- element plumbing --------------------------------------------------
 
-    def zero_vector(self) -> Tuple[RatFun, ...]:
-        return (RatFun.zero(),) * self.dim
-
     def element(self, coeffs: Dict[int, Coeff]) -> "AlgebraElement":
         """The element with the given coefficients by basis index."""
-        vec = list(self.zero_vector())
+        vec = [RatFun.zero()] * self.dim
         for i, c in coeffs.items():
-            vec[i] = vec[i] + _coeff(c)
+            vec[i] = _coeff(c)
         return AlgebraElement(self, tuple(vec))
 
     def basis_element(self, i: int) -> "AlgebraElement":
@@ -384,10 +381,7 @@ class ArborealAlgebra:
         return self.element({self.identity_index: 1})
 
     def from_hom(self, f: HomElement) -> "AlgebraElement":
-        vec = list(self.zero_vector())
-        for am, c in f.terms:
-            vec[self.index[am.key]] = vec[self.index[am.key]] + c
-        return AlgebraElement(self, tuple(vec))
+        return self.element({self.index[am.key]: c for am, c in f.terms})
 
     def to_hom(self, e: "AlgebraElement") -> HomElement:
         return HomElement.make(
@@ -398,21 +392,23 @@ class ArborealAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def product_row(self, i: int, j: int) -> Tuple[RatFun, ...]:
-        """Structure constants of basis[i] * basis[j] (i acting after j),
-        read off the composition table by basis index."""
-        hit = self._products.get((i, j))
-        if hit is not None:
-            return hit
-        vec = list(self.zero_vector())
+    def product_row(self, i: int, j: int) -> Tuple[Tuple[int, RatFun], ...]:
+        """Structure constants of basis[i] * basis[j] (i acting after j).
+
+        The row is sparse: a ``(k, value)`` pair for each nonzero
+        coefficient of basis[k], in increasing k.  It is read off the
+        composition table on every call and holds no zero value.
+        """
+        row = []
         for out, w in _composition_table(self.basis[j], self.basis[i], self.max_level):
-            vec[self.index[out.key]] = self._at_level(w)
-        vec = tuple(vec)
-        self._products[(i, j)] = vec
-        return vec
+            w = self._at_level(w)
+            if not w.is_zero():
+                row.append((self.index[out.key], w))
+        row.sort()
+        return tuple(row)
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-        out = list(self.zero_vector())
+        out = [RatFun.zero()] * self.dim
         for i, ca in enumerate(a.vec):
             if ca.is_zero():
                 continue
@@ -420,9 +416,8 @@ class ArborealAlgebra:
                 if cb.is_zero():
                     continue
                 scale = ca * cb
-                for k, w in enumerate(self.product_row(i, j)):
-                    if not w.is_zero():
-                        out[k] = out[k] + w * scale
+                for k, w in self.product_row(i, j):
+                    out[k] = out[k] + w * scale
         return AlgebraElement(self, tuple(out))
 
     def _at_level(self, value: RatFun) -> RatFun:
@@ -438,12 +433,7 @@ class ArborealAlgebra:
         return e.vec[self.identity_index] * self._mu(self.tree)
 
     def transpose_vector(self, e: "AlgebraElement") -> "AlgebraElement":
-        out = list(self.zero_vector())
-        for i, c in enumerate(e.vec):
-            if not c.is_zero():
-                j = self.transpose_index(i)
-                out[j] = out[j] + c
-        return AlgebraElement(self, tuple(out))
+        return self.element({self.transpose_index(i): c for i, c in enumerate(e.vec) if not c.is_zero()})
 
     def transpose_index(self, i: int) -> int:
         am = self.basis[i]
@@ -624,13 +614,10 @@ def _solve_dependence(
     return solution
 
 
-_ALGEBRAS: Dict[Tuple[str, Optional[int]], ArborealAlgebra] = {}
-register_measure_cache(_ALGEBRAS.clear)
+# An algebra holds no measure-derived value, so a perturbation leaves it valid.
+_shared_algebra = lru_cache(maxsize=32)(ArborealAlgebra)
 
 
 def algebra_for(tree: Tree, max_level: Optional[int] = None) -> ArborealAlgebra:
     """Shared algebra instances, keyed by tree identity and level bound."""
-    key = (tree.canonical_key(), max_level)
-    if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = ArborealAlgebra(tree, max_level)
-    return _ALGEBRAS[key]
+    return _shared_algebra(tree, max_level)

@@ -90,7 +90,7 @@ class MarkedTree:
         return self.tree.drop_leaf(self.mark)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _mu_symbolic_key(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
     return _mu_formula(leaf_count, valences)
 

@@ -550,7 +550,7 @@ def aut_order(tree: Tree) -> int:
 # -- enumeration -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
     if not labels:
         return (EMPTY_TREE,)

@@ -21,6 +21,7 @@ import pytest
 
 from arboreal import category
 from arboreal.category import (
+    ArborealAlgebra,
     HomElement,
     algebra_for,
     compose,
@@ -227,17 +228,34 @@ def test_product_rows_match_composition():
             for j, gj in enumerate(alg.basis):
                 f = HomElement.basis(EDGE, EDGE, fi)
                 g = HomElement.basis(EDGE, EDGE, gj)
-                assert alg.product_row(i, j) == alg.from_hom(compose(f, g, p)).vec, (max_level, i, j)
+                vec = alg.from_hom(compose(f, g, p)).vec
+                nonzero = tuple((k, c) for k, c in enumerate(vec) if not c.is_zero())
+                assert alg.product_row(i, j) == nonzero, (max_level, i, j)
 
 
-def test_product_row_zero_slots_are_shared(edge):
-    """Empty slots of a structure-constant row are one shared zero."""
-    alg = edge.algebra
-    rows = [alg.product_row(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-    sparse = [row for row in rows if sum(c.is_zero() for c in row) >= 2]
-    assert sparse
-    for row in sparse:
-        assert len({id(c) for c in row if c.is_zero()}) == 1
+def test_product_rows_are_sparse():
+    """A structure-constant row holds no zero value, and its basis indices
+    strictly increase."""
+    for max_level in (None, 3, 4):
+        alg = algebra_for(EDGE, max_level)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                row = alg.product_row(i, j)
+                assert not any(w.is_zero() for _, w in row)
+                assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+
+
+def test_held_algebra_reads_rows_under_the_current_measure():
+    """An algebra held across a measure perturbation returns the same rows
+    as a fresh instance, never rows computed under the earlier measure."""
+    tree = parse_tree("(p,q)")
+    alg = algebra_for(tree)
+    assert alg.product_row(1, 2)
+    set_mu_perturbation(Fraction(2))
+    try:
+        assert alg.product_row(1, 2) == ArborealAlgebra(tree).product_row(1, 2)
+    finally:
+        set_mu_perturbation(None)
 
 
 def test_composition_table_keys_only_the_restrictions(keyed_sizes):

@@ -3,7 +3,8 @@
 ``tests/data/cli_golden.json`` holds the exact stdout and exit code of every
 invocation in ``CASES``: the README examples (all but the full
 ``paper-check``), full amalgamation listings, level-bounded algebra
-operations and the ``sec5`` report.  A change that reorders a listing,
+operations, the ``sec5`` report and two operations in the 548-dimensional
+algebra of ``(1,2,3)``.  A change that reorders a listing,
 renames a key or reformats a value fails here.
 
 Regenerate the file (only when an output change is deliberate) with
@@ -66,6 +67,9 @@ CASES = [
     ["paper-check", "--scope", "sec6"],
     ["paper-check", "--scope", "sec1-census-total", "--json"],
     ["paper-check", "--scope", "sec5", "--json"],
+    ["algebra", "compose", "--tree", "(1,2,3)", "--f", "((s:1,t:1),s:2/t:2,s:3/t:3)",
+     "--g", "((s:1,s:2),s:3/t:3,(t:1,t:2))", "--max-level", "4"],
+    ["algebra", "minpoly", "--tree", "(1,2,3)", "--e", "((s:1,s:2),s:3/t:3,(t:1,t:2))"],
 ]
 
 
