@@ -221,14 +221,25 @@ def _clades(
     return parent, up, above
 
 
-def _partial_matchings(
-    a: Sequence[str], b: Sequence[str]
-) -> Iterable[Tuple[Tuple[str, str], ...]]:
+def _partial_matchings(a: Sequence, b: Sequence) -> Iterable[Tuple[tuple, ...]]:
     """Partial injective matchings a -> b in lexicographic order."""
     for k in range(min(len(a), len(b)) + 1):
         for asub in combinations(a, k):
             for bperm in permutations(b, k):
                 yield tuple(zip(asub, bperm))
+
+
+def _matched_classes(
+    classes: Sequence[Tuple[str, ...]], own1: FrozenSet[str], own2: FrozenSet[str]
+) -> Iterator[List[Tuple[str, ...]]]:
+    """For every partial matching between the classes lying inside ``own1``
+    and those lying inside ``own2``, the classes with each matched pair
+    merged into one leaf class."""
+    free1 = [c for c in classes if own1.issuperset(c)]
+    free2 = [c for c in classes if own2.issuperset(c)]
+    for matching in _partial_matchings(free1, free2):
+        matched = {c for pair in matching for c in pair}
+        yield [c for c in classes if c not in matched] + [a + b for a, b in matching]
 
 
 def amalgamation_trees(
@@ -238,20 +249,19 @@ def amalgamation_trees(
     time, each built once, in no promised order and with no canonical key.
 
     Shared labels form the base and must induce the same tree on both sides.
-    ``max_level`` restricts to amalgamations whose every node valence stays
-    within the bound.
+    Labels sharing a leaf of either tree stay together on one leaf; the free
+    choices match leaves of t1 holding only private labels with such leaves
+    of t2.  ``max_level`` restricts to amalgamations whose every node
+    valence stays within the bound.
     """
     i1, i2 = t1.label_set, t2.label_set
     base = i1 & i2
     if t1.restrict(base) != t2.restrict(base):
         raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(base))
-    private1 = sorted(i1 - base)
-    private2 = sorted(i2 - base)
+    classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
-    for matching in _partial_matchings(private1, private2):
-        matched = {l for pair in matching for l in pair}
-        classes = [(l,) for l in sorted(i1 | i2) if l not in matched] + list(matching)
-        yield from trees_with_restrictions(classes, constraints, max_level)
+    for merged in _matched_classes(classes, i1 - base, i2 - base):
+        yield from trees_with_restrictions(merged, constraints, max_level)
 
 
 def amalgamations(
@@ -333,12 +343,7 @@ def _triple_trees(
     if b1 & b3 or b1 & b2 or b2 & b3:
         raise AmalgamError("triple blocks must be disjoint")
     classes = _leaf_classes(b1 | b2 | b3, (x.whole, y.whole))
-    # a label of block 1 or 3 identified with no other sits alone in its class
-    free1 = [c[0] for c in classes if len(c) == 1 and c[0] in b1]
-    free3 = [c[0] for c in classes if len(c) == 1 and c[0] in b3]
     constraints = ((b1 | b2, x.whole), (b2 | b3, y.whole))
-    for matching in _partial_matchings(free1, free3):
-        matched = {l for pair in matching for l in pair}
-        merged = [c for c in classes if c[0] not in matched] + list(matching)
+    for merged in _matched_classes(classes, b1, b3):
         for z in trees_with_restrictions(merged, constraints, max_level):
             yield z, z.restrict(b1 | b3)

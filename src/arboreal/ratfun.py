@@ -1,13 +1,15 @@
-"""Exact arithmetic in one variable over arbitrary-precision rationals.
+"""Exact arithmetic with rational functions in one variable.
 
-Polynomials are dense coefficient tuples holding a Python ``int`` for every
-integral coefficient and a ``fractions.Fraction`` only for a non-integral
-one.  A rational function normalizes to a coprime numerator/denominator pair
-with integer coefficients, overall content 1, and a positive leading
-denominator coefficient, so equal values always serialize to identical
-strings.  Normalization stays in the integers: each side splits into its
-rational content and primitive integer part, and the primitive parts are
-divided by their gcd, taken by a primitive remainder sequence over Z.
+Polynomials are integer polynomials: dense tuples of Python ``int``
+coefficients.  A rational function normalizes to a coprime
+numerator/denominator pair of integer polynomials with overall content 1 and
+a positive leading denominator coefficient, so equal values always serialize
+to identical strings.  Normalization stays in the integers: each side splits
+into its integer content and primitive part, and the primitive parts are
+divided by their gcd, taken by a primitive remainder sequence over Z.  By
+Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1) products and exact quotients of
+primitive polynomials stay primitive, so no rational coefficient is ever
+needed; the parser clears the denominators of the ones it reads.
 
 The serialized form is ``num_poly + " / " + den_poly`` with polynomials
 written highest degree first, e.g. ``t^3-4*t^2+4*t / t^4-4*t^3+6*t^2-4*t+1``.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -41,27 +43,11 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError("expected an int or Fraction, got %r" % (c,))
 
 
-def _scalar(c: Scalar) -> Scalar:
-    """c as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError("expected an int or Fraction, got %r" % (c,))
-
-
-def _split(coeffs: Sequence[Scalar]) -> Tuple[int, int, Sequence[int]]:
-    """(g, d, p) with coeffs = (g/d) * p, g and d positive and p primitive
-    integer coefficients; coeffs must not all be zero."""
-    try:
-        d, ints, g = 1, coeffs, gcd(*coeffs)
-    except TypeError:  # a Fraction among the coefficients
-        d = lcm(*[c.denominator for c in coeffs])
-        ints = [c.numerator * (d // c.denominator) for c in coeffs]
-        g = gcd(*ints)
-    return g, d, (ints if g == 1 else [x // g for x in ints])
+def _split(coeffs: Sequence[int]) -> Tuple[int, Sequence[int]]:
+    """(g, p) with coeffs = g * p, g positive and p primitive; coeffs must
+    not all be zero."""
+    g = gcd(*coeffs)
+    return g, (coeffs if g == 1 else [x // g for x in coeffs])
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -90,26 +76,23 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return r
 
 
-def _quotient(c: Scalar, lead: Scalar) -> Scalar:
-    """c / lead, with // whenever two ints divide exactly."""
-    if type(c) is int and type(lead) is int:
-        q, r = divmod(c, lead)
-        if not r:
-            return q
-    return _scalar(Fraction(c) / lead)
-
-
 class Poly:
-    """A polynomial in t, stored as a tuple of coefficients by degree.
+    """A polynomial in t over Z, stored as a tuple of ``int`` coefficients
+    by degree.
 
     No trailing zero coefficients; the zero polynomial is the empty tuple.
-    Instances are immutable and usable as dict keys.
+    Any other coefficient type, ``bool``, ``float`` and ``Fraction``
+    included, raises ``TypeError``.  Instances are immutable and usable as
+    dict keys.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError("Poly coefficients must be int, got %r" % (c,))
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -118,10 +101,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(c: Scalar) -> "Poly":
-        return Poly((c,))
 
     @staticmethod
     def t() -> "Poly":
@@ -137,7 +116,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Scalar:
+    def leading(self) -> int:
         if not self.coeffs:
             return 0
         return self.coeffs[-1]
@@ -180,14 +159,13 @@ class Poly:
                 out[i : i + n] = [o + ca * cb for o, cb in zip(out[i : i + n], b)]
         return Poly(out)
 
-    def scale(self, c: Scalar) -> "Poly":
-        c = _scalar(c)
+    def scale(self, c: int) -> "Poly":
         return Poly(tuple(x * c for x in self.coeffs))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.constant(1)
+        out = Poly((1,))
         base = self
         while n:
             if n & 1:
@@ -197,7 +175,9 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
-        """Quotient and remainder over Q; exact integer quotients stay int."""
+        """Quotient and remainder in Z[t]; ValueError when a quotient
+        coefficient is not an integer (exact division and division by a
+        monic polynomial never do that)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         b = other.coeffs
@@ -207,7 +187,10 @@ class Poly:
         for k in range(len(q) - 1, -1, -1):
             top = rem.pop()
             if top:
-                f = q[k] = _quotient(top, lead)
+                f, r = divmod(top, lead)
+                if r:
+                    raise ValueError("%s does not divide %s in Z[t]" % (other, self))
+                q[k] = f
                 rem[k:] = [x - f * y for x, y in zip(rem[k:], b)]
         return Poly(q), Poly(rem)
 
@@ -221,9 +204,9 @@ class Poly:
         if not a or not b:
             if not (a or b):
                 return Poly()
-            g = _split(a or b)[2]
+            g = _split(a or b)[1]
         else:
-            a, b = _split(a)[2], _split(b)[2]
+            a, b = _split(a)[1], _split(b)[1]
             if len(a) < len(b):
                 a, b = b, a
             while True:
@@ -232,7 +215,7 @@ class Poly:
                     break
                 if len(r) == 1:
                     return Poly((1,))
-                a, b = b, _split(r)[2]
+                a, b = b, _split(r)[1]
             g = b
         return Poly(g if g[-1] > 0 else [-c for c in g])
 
@@ -247,26 +230,15 @@ class Poly:
             qpow *= q
         return Fraction(acc, qpow // q) if self.coeffs else Fraction(0)
 
-    # -- integer normalization --------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self.coeffs:
-            return Fraction(0)
-        g, d, _ = _split(self.coeffs)
-        return Fraction(g, d)
-
     def sqrt(self) -> Optional["Poly"]:
-        """Exact square root with positive leading coefficient, or None."""
+        """The square root in Z[t] with positive leading coefficient, or
+        None.  By Gauss's lemma an integer polynomial that is a square over
+        Q is one over Z."""
         if self.is_zero():
             return Poly()
-        if self.degree % 2 != 0:
-            return None
-        lead = self.leading()
-        if lead < 0:
-            return None
-        root_lead = _fraction_sqrt(lead)
-        if root_lead is None:
+        lead = self.coeffs[-1]
+        root_lead = isqrt(max(lead, 0))
+        if self.degree % 2 or root_lead * root_lead != lead:
             return None
         half = self.degree // 2
         out = [0] * (half + 1)
@@ -282,7 +254,9 @@ class Poly:
             if diff.degree > half + k:
                 return None
             if diff.degree == half + k:
-                out[k] = diff.coeffs[-1] / (2 * root_lead)
+                out[k], r = divmod(diff.coeffs[-1], 2 * root_lead)
+                if r:
+                    return None
                 acc = Poly(out)
         return acc if (acc * acc) == self else None
 
@@ -293,23 +267,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (self,)
-
-
-def _fraction_sqrt(c: Fraction) -> Optional[Fraction]:
-    from math import isqrt
-
-    if c < 0:
-        return None
-    a, b = isqrt(c.numerator), isqrt(c.denominator)
-    if a * a == c.numerator and b * b == c.denominator:
-        return Fraction(a, b)
-    return None
-
-
-def _coeff_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
 
 
 def poly_to_str(p: Poly, var: str = "t") -> str:
@@ -323,9 +280,9 @@ def poly_to_str(p: Poly, var: str = "t") -> str:
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
         if d == 0:
-            body = _coeff_str(mag)
+            body = str(mag)
         else:
-            head = "" if mag == 1 else _coeff_str(mag) + "*"
+            head = "" if mag == 1 else "%d*" % mag
             body = head + (var if d == 1 else "%s^%d" % (var, d))
         parts.append(sign + body)
     return "".join(parts)
@@ -339,8 +296,10 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(text: str, var: str = "t") -> Poly:
-    """Parse the serialization produced by :func:`poly_to_str`."""
+def _parse_terms(text: str, var: str = "t") -> Tuple[Poly, int]:
+    """(p, d): the polynomial written in ``text``, whose coefficients may be
+    fractions ``a/b``, as an integer polynomial p over the least common
+    denominator d of its coefficients."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -351,9 +310,7 @@ def parse_poly(text: str, var: str = "t") -> Poly:
         if m is None or m.end() == pos:
             raise ValueError("malformed polynomial %r at %d" % (text, pos))
         sign = -1 if m.group("sign") == "-" else 1
-        coeff = m.group("coeff")
-        v = m.group("var")
-        exp = m.group("exp")
+        coeff, v, exp = m.group("coeff", "var", "exp")
         if v is None:
             if coeff is None:
                 raise ValueError("malformed polynomial %r" % (text,))
@@ -362,13 +319,22 @@ def parse_poly(text: str, var: str = "t") -> Poly:
             if v != var:
                 raise ValueError("unknown variable %r in %r" % (v, text))
             d = int(exp) if exp is not None else 1
-        c = Fraction(coeff) if coeff is not None else Fraction(1)
-        coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
+        coeffs[d] = coeffs.get(d, 0) + sign * Fraction(coeff or 1)
         pos = m.end()
-    out = [Fraction(0)] * (max(coeffs) + 1)
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
-        out[d] = c
-    return Poly(out)
+        out[d] = c.numerator * (den // c.denominator)
+    return Poly(out), den
+
+
+def parse_poly(text: str, var: str = "t") -> Poly:
+    """Parse the serialization produced by :func:`poly_to_str`; a
+    non-integral coefficient raises ValueError."""
+    p, den = _parse_terms(text, var)
+    if den != 1:
+        raise ValueError("non-integral coefficient in polynomial %r" % (text,))
+    return p
 
 
 class RatFun:
@@ -387,18 +353,17 @@ class RatFun:
         if num.is_zero():
             num, den = Poly(), Poly((1,))
         else:
-            gn, dn, pn = _split(num.coeffs)
-            gd, dd, pd = _split(den.coeffs)
+            gn, pn = _split(num.coeffs)
+            gd, pd = _split(den.coeffs)
             num, den = Poly(pn), Poly(pd)
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            # primitive parts times the reduced content ratio (gn/dn)/(gd/dd):
-            # both parts integer with joint content 1
-            a, b = gn * dd, dn * gd
-            h = gcd(a, b)
-            a, b = a // h, b // h
+            # primitive parts times the reduced content ratio gn/gd: both
+            # parts integer with joint content 1
+            h = gcd(gn, gd)
+            a, b = gn // h, gd // h
             if den.coeffs[-1] < 0:
                 a, b = -a, -b
             if a != 1:
@@ -507,7 +472,7 @@ class RatFun:
         t = _as_fraction(t)
         dv = self.den.evaluate(t)
         if dv == 0:
-            factor = poly_to_str(Poly((-t, 1)))
+            factor = "t" if not t else "t%s%s" % ("-" if t > 0 else "+", abs(t))
             raise PoleError(t, "(%s)" % factor)
         return self.num.evaluate(t) / dv
 
@@ -551,11 +516,11 @@ def _factored_poly_str(p: Poly, bound: int) -> str:
     if p.degree == 0:
         c = p.coeffs[0]
         if not factors:
-            return _coeff_str(c)
+            return str(c)
         if c == -1:
             lead = "-"
         elif c != 1:
-            lead = _coeff_str(c) + "*"
+            lead = "%d*" % c
     else:
         factors.append("(%s)" % poly_to_str(p))
     return lead + "*".join(factors)
@@ -564,15 +529,14 @@ def _factored_poly_str(p: Poly, bound: int) -> str:
 def parse_ratfun(text: str) -> RatFun:
     """Parse ``num_poly / den_poly`` (separator ' / ') or a bare polynomial.
 
-    A bare ``p/q`` with integer p, q parses as the constant rational.
+    Coefficients may be fractions ``a/b``, so a bare ``p/q`` with integer p,
+    q parses as the constant rational.
     """
     s = text.strip()
-    if " / " in s:
-        num_s, den_s = s.split(" / ", 1)
-        return RatFun(parse_poly(num_s), parse_poly(den_s))
-    if re.fullmatch(r"-?\d+(?:/\d+)?", s):
-        return RatFun.from_scalar(Fraction(s))
-    return RatFun(parse_poly(s))
+    num_s, sep, den_s = s.partition(" / ")
+    num, dn = _parse_terms(num_s)
+    den, dd = _parse_terms(den_s) if sep else (Poly((1,)), 1)
+    return RatFun(num.scale(dd), den.scale(dn))
 
 
 def bracket(n: int) -> Poly:
@@ -589,26 +553,14 @@ def bracket(n: int) -> Poly:
 
 
 def ratfun_sqrt(f: RatFun) -> Optional[RatFun]:
-    """Exact square root in Q(t) if one exists, else None."""
-    if f.is_zero():
-        return RatFun.zero()
-    num = f.num.sqrt()
-    den = f.den.sqrt()
-    if num is None or den is None:
-        # retry with content pulled out: c*p^2 with square rational c
-        cn, cd = f.num.content(), f.den.content()
-        if f.num.leading() < 0:
-            return None
-        sn = _fraction_sqrt(cn)
-        sd = _fraction_sqrt(cd)
-        if sn is None or sd is None:
-            return None
-        pn = f.num.scale(1 / cn).sqrt()
-        pd = f.den.scale(1 / cd).sqrt()
-        if pn is None or pd is None:
-            return None
-        return RatFun(pn.scale(sn), pd.scale(sd))
-    return RatFun(num, den)
+    """Exact square root in Q(t) if one exists, else None.
+
+    The normal form has coprime sides with joint content 1 and a positive
+    leading denominator coefficient, and so has the square of any root; so
+    f is a square exactly when both of its sides are squares in Z[t].
+    """
+    num, den = f.num.sqrt(), f.den.sqrt()
+    return None if num is None or den is None else RatFun(num, den)
 
 
 ONE = RatFun.one()

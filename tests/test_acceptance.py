@@ -3,7 +3,9 @@
 One test per registered check; the identifiers mirror the CLI paper-check
 ids, so a red test here names the failing reference computation directly.
 All comparisons are exact (normalized rational-function equality and
-integer counts); there are no tolerances to tune.
+integer counts); there are no tolerances to tune.  Each result must also
+match its entry in ``tests/data/paper_check.json``, the committed output of
+``arboreal paper-check --json``, field by field.
 
 The mapping from the twelve acceptance items to check ids:
 
@@ -25,9 +27,15 @@ The mapping from the twelve acceptance items to check ids:
         props-transpose, props-trace-symmetry, props-dual-path
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from arboreal.checks import CHECKS, SECTIONS, run_checks
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "paper_check.json").read_text())["checks"]
+GOLDEN_BY_ID = {entry["id"]: entry for entry in GOLDEN}
 
 CRITERIA_COVERAGE = {
     1: ["sec1-census-total", "sec1-census-shapes", "sec1-census-base"],
@@ -71,6 +79,10 @@ def test_every_criterion_is_covered():
         assert not missing, "criterion %d lost checks %s" % (item, missing)
 
 
+def test_golden_lists_every_check_in_order():
+    assert [entry["id"] for entry in GOLDEN] == [c.id for c in CHECKS]
+
+
 def test_scope_selection():
     assert {c.section for c in CHECKS} == set(SECTIONS)
     assert len(run_checks("sec6-flagged-formulas")) == 1
@@ -89,3 +101,12 @@ def test_check(check):
     )
     print(line)
     assert result.ok, line
+    computed = {
+        "section": check.section,
+        "title": check.title,
+        "ok": result.ok,
+        "expected": result.expected,
+        "computed": result.computed,
+    }
+    golden = GOLDEN_BY_ID[check.id]
+    assert computed == {k: golden[k] for k in computed}, check.id

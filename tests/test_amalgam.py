@@ -35,8 +35,9 @@ from arboreal.amalgam import (
     triple_amalgamations,
     trees_with_restrictions,
 )
+from arboreal.cli import run
 from arboreal.measure import verify_amalgamation_equation
-from arboreal.theta import separated_bruteforce
+from arboreal.theta import separated, separated_bruteforce
 from arboreal.trees import EMPTY_TREE, Tree, enumerate_trees, parse_tree
 
 
@@ -247,6 +248,24 @@ def test_triple_block_mismatch():
     x = Amalgamation(parse_tree("(1:a/2:a,1:b/2:b)"), frozenset(("1:a", "1:b")), frozenset(("2:a", "2:b")))
     with pytest.raises(AmalgamError):
         triple_amalgamations(x, x)
+
+
+def test_multi_label_leaf_amalgamates_as_one_leaf():
+    """A leaf carrying a/b amalgamates like a leaf carrying a alone, with b
+    riding along; only the listing, which wants one label per side and
+    leaf, rejects it."""
+    t1, t2 = parse_tree("(a/b,c)"), parse_tree("(d,e)")
+    wholes = list(amalgamation_trees(t1, t2))
+    plain = amalgamations(parse_tree("(a,c)"), t2)
+    assert len(wholes) == len(plain) == 10
+    assert all(w.leaf_of("a") == w.leaf_of("b") for w in wholes)
+    assert sorted(w.restrict(frozenset("acde")).canonical_key() for w in wholes) == [a.key for a in plain]
+    assert verify_amalgamation_equation(t1, t2).is_zero()
+    t = parse_tree("((a,b/x),e,(c,d))")
+    assert separated(t, "a", "c") == separated_bruteforce(t, "a", "c")
+    code, out = run(["amalgamate", "--t1", "(a/b,c)", "--t2", "(d,e)", "--count"])
+    assert code == 0 and '"count": 10' in out
+    assert run(["amalgamate", "--t1", "(a/b,c)", "--t2", "(d,e)"])[0] == 2
 
 
 def test_constrained_search_empty_cases():

@@ -6,13 +6,16 @@ Core claims:
     - evaluation is a ring homomorphism away from poles, with poles reported
     - the falling-product factor has the stated small values
     - serialization round-trips and matches the documented format
-    - coefficients are ints wherever integral; gcds are primitive
+    - polynomials live in Z[t]: int coefficients only, exact division,
+      square roots in the integers; gcds are primitive
+    - parsing clears fractional coefficients and keeps every value
     - normal forms agree with sympy.cancel on random expressions
 """
 
 import operator
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -34,12 +37,28 @@ T = RatFun.t()
 ONE = RatFun.one()
 
 
+def qpoly(*factors):
+    """(p, d): the product of the polynomials with the given rational
+    coefficient lists, as an integer Poly p over a positive int d."""
+    p, d = Poly((1,)), 1
+    for coeffs in factors:
+        k = lcm(*[Fraction(c).denominator for c in coeffs])
+        p, d = p * Poly([int(c * k) for c in coeffs]), d * k
+    return p, d
+
+
+def qratfun(num, den=(Poly((1,)), 1)):
+    """num/den for two (p, d) pairs from qpoly."""
+    (pn, dn), (pd, dd) = num, den
+    return RatFun(pn.scale(dd), pd.scale(dn))
+
+
 def rand_ratfun(rng, degree=3):
-    num = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, degree + 1))])
-    den = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, degree + 1))])
-    if den.is_zero():
-        den = Poly((1,))
-    return RatFun(num, den)
+    num = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, degree + 1))]
+    den = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, degree + 1))]
+    if not any(den):
+        den = [1]
+    return qratfun(qpoly(num), qpoly(den))
 
 
 def test_normalization_cancels_common_factors():
@@ -55,7 +74,7 @@ def test_normalization_is_idempotent_and_structural():
         again = RatFun(f.num, f.den)
         assert again.num == f.num and again.den == f.den
     # integer content is pulled out jointly
-    assert str(RatFun(Poly((Fraction(1, 2),)), Poly((1,)))) == "1 / 2"
+    assert str(qratfun(qpoly([Fraction(1, 2)]))) == "1 / 2"
     assert str(RatFun(Poly((0, 2)), Poly((4,)))) == "t / 2"
 
 
@@ -138,6 +157,76 @@ def test_poly_parse_roundtrip_randomized():
         parse_poly("t^")
     with pytest.raises(ValueError):
         parse_poly("2x+1")
+    # Z[t] only: a coefficient must be integral once its terms are summed
+    assert parse_poly("4/2*t - 1/2 + 3/2") == Poly((1, 2))
+    with pytest.raises(ValueError):
+        parse_poly("1/2*t")
+
+
+def _render_term(rng, c, d, first):
+    """One written term c*t^d in a randomly chosen spelling; spaces never
+    touch a '/', so no term reads as the ' / ' separator."""
+    sign = "-" if c < 0 else rng.choice(["", "+"] if first else ["+"])
+    k = rng.choice([1, 1, 2, 3])  # a fraction need not be in lowest terms
+    a, b = abs(c.numerator) * k, c.denominator * k
+    coeff = str(a) if b == 1 and rng.random() < 0.7 else "%d/%d" % (a, b)
+    if d == 0:
+        body = coeff + rng.choice(["", "*t^0"])
+    else:
+        power = "t" if d == 1 and rng.random() < 0.7 else "t^%d" % d
+        if a == b and rng.random() < 0.5:
+            body = power
+        else:
+            body = coeff + rng.choice(["*", "", "* "]) + power
+    return rng.choice(["", " "]) + sign + rng.choice(["", " "]) + body + rng.choice(["", " "])
+
+
+def _written_poly(rng):
+    """(text, value) of a random polynomial written term by term, with the
+    term-by-term oracle value sum of from_scalar(c) * T**d."""
+    text, value = "", RatFun.zero()
+    for i in range(rng.randint(1, 4)):
+        c = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+        d = rng.randint(0, 4)
+        text += _render_term(rng, c, d, not i)
+        value = value + RatFun.from_scalar(c) * T**d
+    return text, value
+
+
+_MALFORMED = [
+    lambda s: s + "^",
+    lambda s: s + "/",
+    lambda s: s + "+",
+    lambda s: "/2" + s,
+    lambda s: s.replace("t", "x", 1) if "t" in s else s + "x",
+    lambda s: s + "*1.5",
+    lambda s: s + "**t",
+    lambda s: s + "^^2",
+    lambda s: s + "t^-1",
+    lambda s: "",
+    lambda s: " / " + s,
+]
+
+
+def test_parse_ratfun_corpus_matches_term_oracle():
+    rng = random.Random(2024)
+    well_formed = malformed = 0
+    for _ in range(360):
+        text, value = _written_poly(rng)
+        if rng.random() < 0.3:
+            den_text, den = _written_poly(rng)
+            if den.is_zero():
+                continue
+            text, value = text + " / " + den_text, value / den
+        if rng.random() < 0.15:
+            bad = rng.choice(_MALFORMED)(text)
+            with pytest.raises(ValueError):
+                parse_ratfun(bad)
+            malformed += 1
+        else:
+            assert parse_ratfun(text) == value, text
+            well_formed += 1
+    assert well_formed + malformed >= 300 and malformed >= 30
 
 
 def test_sqrt():
@@ -153,6 +242,11 @@ def test_sqrt():
     h = (T * T + 1) ** 2
     assert ratfun_sqrt(h) == T * T + 1
     assert ratfun_sqrt((T * T + 1) ** 2 + 1) is None
+    # square roots that hinge on the content of one side
+    assert ratfun_sqrt(2 * (T + 1) ** 2) is None
+    assert ratfun_sqrt(-((T + 1) ** 2)) is None
+    assert ratfun_sqrt((T + 1) ** 2 / 4) == (T + 1) / 2
+    assert ratfun_sqrt(9 * T**2 / (T - 1) ** 4) == 3 * T / (T - 1) ** 2
     rng = random.Random(17)
     for _ in range(40):
         p = rand_ratfun(rng, degree=2)
@@ -171,14 +265,14 @@ def _all_int(p):
     return all(type(c) is int for c in p.coeffs)
 
 
-def test_integral_coefficients_are_ints():
-    assert Poly((Fraction(4, 2),)).coeffs == (2,)
-    assert _all_int(Poly((Fraction(4, 2), Fraction(-3), True)))
-    assert Poly((Fraction(2),)) == Poly((2,))
-    assert hash(Poly((Fraction(2),))) == hash(Poly((2,)))
-    half = Poly((Fraction(1, 2), 1))
-    assert [type(c) for c in half.coeffs] == [Fraction, int]
-    assert _all_int(half.scale(2)) and _all_int(half * Poly((2,)))
+def test_poly_rejects_non_int_coefficients():
+    for c in (Fraction(1, 2), Fraction(2), 2.0, True):
+        with pytest.raises(TypeError):
+            Poly((c,))
+        with pytest.raises(TypeError):
+            Poly((1, c, 1))
+    with pytest.raises(TypeError):
+        Poly((0, 1)).scale(Fraction(1, 2))
     rng = random.Random(5)
     for _ in range(100):
         f = rand_ratfun(rng)
@@ -188,27 +282,27 @@ def test_integral_coefficients_are_ints():
 def test_gcd_is_primitive_with_positive_leading_coefficient():
     p, q = Poly((-2, 1)), Poly((3, 1))
     a = (p * p * q).scale(-6)
-    b = (p * Poly((5, 1))).scale(Fraction(4, 3))
+    b = (p * Poly((5, 1))).scale(4)
     assert a.gcd(b) == p and b.gcd(a) == p
     c = Poly((1, -2))  # 1-2t
     assert (c * q).gcd(c.scale(3) * Poly.t()) == Poly((-1, 2))
     assert (c * q).gcd(c * q) == Poly((-1, 2)) * q
     assert p.gcd(q) == Poly((1,))
-    assert Poly((5,)).gcd(a) == Poly((1,)) and a.gcd(Poly((Fraction(1, 3),))) == Poly((1,))
+    assert Poly((5,)).gcd(a) == Poly((1,)) and a.gcd(Poly((3,))) == Poly((1,))
     assert Poly().gcd(c.scale(-4)) == Poly((-1, 2))
     assert Poly().gcd(Poly()) == Poly()
     assert _all_int(a.gcd(b))
 
 
-def test_divmod_keeps_integer_quotients():
+def test_divmod_is_exact_in_z():
     q, r = Poly((-6, 1, 1)).divmod(Poly((-2, 1)))  # (t+3)(t-2) / (t-2)
     assert q == Poly((3, 1)) and r.is_zero() and _all_int(q)
     q, r = Poly((-12, 2, 2)).divmod(Poly((6, 2)))
     assert q == Poly((-2, 1)) and r.is_zero() and _all_int(q)
-    a, b = Poly((1, 0, 1)), Poly((1, 2))
-    q, r = a.divmod(b)
-    assert q == Poly((Fraction(-1, 4), Fraction(1, 2))) and r == Poly((Fraction(5, 4),))
-    assert q * b + r == a
+    q, r = Poly((1, 0, 1)).divmod(Poly((3, 1)))  # by a monic t+3
+    assert q == Poly((-3, 1)) and r == Poly((10,))
+    with pytest.raises(ValueError):
+        Poly((1, 0, 1)).divmod(Poly((1, 2)))  # quotient t/2-1/4 over Q
     q, r = Poly((1, 2)).divmod(Poly((0, 0, 1)))
     assert q.is_zero() and r == Poly((1, 2))
 
@@ -234,7 +328,8 @@ def _sympy_normal_form(expr):
         return (), (1,)
     pn = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(num, _t).all_coeffs())]
     pd = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(den, _t).all_coeffs())]
-    content = Poly(pn + pd).content()
+    d = lcm(*[c.denominator for c in pn + pd])
+    content = Fraction(gcd(*[int(c * d) for c in pn + pd]), d)
     if pd[-1] < 0:
         content = -content
     return tuple(c / content for c in pn), tuple(c / content for c in pd)
@@ -244,11 +339,11 @@ def _sympy_normal_form(expr):
 @given(_coeffs, _coeffs, _coeffs, _coeffs, _coeffs, st.sampled_from(sorted(_OPS)))
 def test_normal_form_agrees_with_sympy_cancel(common, n1, d1, n2, d2, op):
     # a shared factor on both sides of the first operand makes gcds nontrivial
-    den1, den2 = Poly(common) * Poly(d1), Poly(d2)
-    if den1.is_zero() or den2.is_zero():
+    den1, den2 = qpoly(common, d1), qpoly(d2)
+    if den1[0].is_zero() or den2[0].is_zero():
         return
-    a = RatFun(Poly(common) * Poly(n1), den1)
-    b = RatFun(Poly(n2), den2)
+    a = qratfun(qpoly(common, n1), den1)
+    b = qratfun(qpoly(n2), den2)
     sa = _sympy_poly(common) * _sympy_poly(n1) / (_sympy_poly(common) * _sympy_poly(d1))
     sb = _sympy_poly(n2) / _sympy_poly(d2)
     if op == "/" and b.is_zero():
