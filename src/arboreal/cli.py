@@ -30,6 +30,10 @@ from arboreal.trees import DEFAULT_LABEL_CAP, TreeError, enumerate_trees, parse_
 
 SCHEMA = "arboreal/1"
 
+# The longest text an argument may have.  Keying a caterpillar of n leaves holds
+# about n * len(text) / 2 characters, so this bounds a key to about 40 MB.
+TREE_TEXT_CAP = 20_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,23 +97,26 @@ def _param_from_args(args) -> ParamSpec:
     return ParamSpec.symbolic()
 
 
-def _parse_element(alg, text: str) -> Dict[int, RatFun]:
-    """An element spec: a bare amalgamation tree, or a JSON coefficient list."""
-    text = text.strip()
-    coeffs: Dict[int, RatFun] = {}
-    if text.startswith("["):
-        for item in json.loads(text):
-            key = parse_tree(item["amalgamation"]).canonical_key()
-            if key not in alg.index:
-                raise TreeError("not a basis amalgamation: %r" % item["amalgamation"])
-            c = parse_ratfun(str(item.get("coeff", "1")))
-            i = alg.index[key]
-            coeffs[i] = coeffs.get(i, RatFun.zero()) + c
-        return coeffs
+def _basis_index(alg, text: str) -> int:
     key = parse_tree(text).canonical_key()
     if key not in alg.index:
         raise TreeError("not a basis amalgamation: %r" % text)
-    return {alg.index[key]: RatFun.one()}
+    return alg.index[key]
+
+
+def _parse_element(alg, text: str) -> Dict[int, RatFun]:
+    """An element spec: a bare amalgamation tree, or a JSON coefficient list."""
+    text = text.strip()
+    if not text.startswith("["):
+        return {_basis_index(alg, text): RatFun.one()}
+    items = json.loads(text)
+    if not all(isinstance(item, dict) and isinstance(item.get("amalgamation"), str) for item in items):
+        raise ValueError('element lists hold objects with a string "amalgamation" and an optional "coeff"')
+    coeffs: Dict[int, RatFun] = {}
+    for item in items:
+        i = _basis_index(alg, item["amalgamation"])
+        coeffs[i] = coeffs.get(i, RatFun.zero()) + parse_ratfun(str(item.get("coeff", "1")))
+    return coeffs
 
 
 def _cmd_enumerate(args) -> Tuple[int, Dict]:
@@ -197,12 +204,7 @@ def _cmd_algebra(args) -> Tuple[int, Dict]:
         return 0, payload
     if op == "trace":
         if args.u and args.v and args.w:
-            ams = []
-            for text in (args.u, args.v, args.w):
-                key = parse_tree(text).canonical_key()
-                if key not in alg.index:
-                    raise TreeError("not a basis amalgamation: %r" % text)
-                ams.append(alg.basis[alg.index[key]])
+            ams = [alg.basis[_basis_index(alg, text)] for text in (args.u, args.v, args.w)]
             trees = triple_trace_trees(*ams)
             payload["triple_trees"] = len(trees)
             payload["utr"] = str(triple_trace(*ams))
@@ -303,6 +305,8 @@ def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
     except SystemExit as e:
         return (int(e.code) if e.code else 0), ""
     try:
+        if any(isinstance(a, str) and len(a) > TREE_TEXT_CAP for a in vars(args).values()):
+            raise TreeError("an argument exceeds the cap of %d characters" % TREE_TEXT_CAP)
         if args.command == "enumerate":
             code, payload = _cmd_enumerate(args)
         elif args.command == "amalgamate":

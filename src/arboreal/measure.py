@@ -128,7 +128,9 @@ def _mu_formula(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
     for v in valences:
         num = num * bracket(v)
     sign = -1 if len(valences) % 2 else 1
-    value = RatFun(num.scale(sign), Poly((-1, 1)) ** leaf_count)
+    # t times factors t-k, k >= 2, over (t-1)^leaves: coprime monic polynomials
+    # up to sign, so already in normal form and no gcd is needed
+    value = RatFun._normal(num.scale(sign), Poly((-1, 1)) ** leaf_count)
     if _PERTURB_PER_LEAF is not None:
         value = value * RatFun.from_scalar(_PERTURB_PER_LEAF) ** leaf_count
     return value

@@ -290,7 +290,7 @@ def poly_to_str(p: Poly, var: str = "t") -> str:
 
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
-    r"(?:(?P<coeff>\d+(?:/\d+)?)(?:\*)?)?"
+    r"(?:(?P<coeff>\d+(?:/\d*[1-9]\d*)?)(?:\*)?)?"  # no zero denominator
     r"(?P<var>[A-Za-z]+)?"
     r"(?:\^(?P<exp>\d+))?"
 )
@@ -377,6 +377,14 @@ class RatFun:
         raise AttributeError("RatFun is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _normal(num: Poly, den: Poly) -> "RatFun":
+        """Trusted: num/den already in the normal form; nothing is checked."""
+        out = object.__new__(RatFun)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @staticmethod
     def from_scalar(c: Scalar) -> "RatFun":
@@ -536,6 +544,8 @@ def parse_ratfun(text: str) -> RatFun:
     num_s, sep, den_s = s.partition(" / ")
     num, dn = _parse_terms(num_s)
     den, dd = _parse_terms(den_s) if sep else (Poly((1,)), 1)
+    if den.is_zero():
+        raise ValueError("zero denominator in %r" % (text,))
     return RatFun(num.scale(dd), den.scale(dn))
 
 

@@ -22,20 +22,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_:.]+\Z")
+_LABEL_SET_RE = re.compile(r"[A-Za-z0-9_:.]+(?:/[A-Za-z0-9_:.]+)*")
 
 DEFAULT_LABEL_CAP = 9
 
 
 class TreeError(ValueError):
     """Malformed tree input: bad labels, bad nesting, or broken invariants."""
-
-
-def _label_set_str(labels: Sequence[str]) -> str:
-    return "/".join(sorted(labels))
 
 
 class Tree:
@@ -111,31 +109,62 @@ class Tree:
 
     def canonical_key(self) -> str:
         if self._key is None:
-            object.__setattr__(self, "_key", self._canonical(lambda ls: _label_set_str(ls)))
+            object.__setattr__(self, "_key", self._min_serial("/".join))
         return self._key
 
     def shape_key(self) -> str:
         if self._shape is None:
-            object.__setattr__(self, "_shape", self._canonical(lambda ls: "*" * len(ls)))
+            object.__setattr__(self, "_shape", self._min_serial(lambda ls: "*" * len(ls)))
         return self._shape
 
-    def _canonical(self, leaf_repr: Callable[[Sequence[str]], str]) -> str:
+    def _min_serial(self, leaf: Callable[[Sequence[str]], str]) -> str:
+        """The least serialization of the tree rooted at an internal vertex."""
         n = len(self.adj)
         if n == 0:
             return "()"
         if n == 1:
-            return leaf_repr(self.labels[0])
+            return leaf(self.labels[0])
         if n == 2:
-            return "(%s)" % ",".join(sorted(leaf_repr(ls) for ls in self.labels))
+            return "(%s)" % ",".join(sorted(leaf(ls) for ls in self.labels))
+        return min(self._rerooted(leaf)[1])
 
-        def serial(v: int, parent: int) -> str:
-            if len(self.adj[v]) <= 1:
-                return leaf_repr(self.labels[v])
-            parts = sorted(serial(w, v) for w in self.adj[v] if w != parent)
-            return "(%s)" % ",".join(parts)
+    def _rerooted(self, leaf: Callable[[Sequence[str]], str]) -> Tuple[List[List[str]], Iterator[str]]:
+        """Root the tree at its first internal vertex; return the sorted child
+        serials of every vertex and an iterator over the serials of the tree
+        rerooted at each internal vertex, root first (Aho, Hopcroft and
+        Ullman, 1974, §3.2).  A serial is ``leaf(labels)`` or the sorted child
+        serials in parentheses.  Needs at least three vertices."""
+        adj = self.adj
+        root = next(v for v in range(len(adj)) if len(adj[v]) > 1)
+        parent = [-1] * len(adj)
+        order = [root]  # breadth first
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        down = [""] * len(adj)  # the serial away from the parent, children first
+        kids: List[List[str]] = [[] for _ in adj]
+        for v in reversed(order):
+            if len(adj[v]) == 1:
+                down[v] = leaf(self.labels[v])
+            else:
+                kids[v] = sorted(down[w] for w in adj[v] if w != parent[v])
+                down[v] = "(%s)" % ",".join(kids[v])
 
-        return min("(%s)" % ",".join(sorted(serial(w, v) for w in self.adj[v]))
-                   for v in self.nodes())
+        def rooted_serials() -> Iterator[str]:
+            up = {}  # the serial of the parent's side, parents first
+            for v in order:
+                if len(adj[v]) > 1:
+                    parts = sorted(kids[v] + [up.pop(v)]) if v != root else kids[v]
+                    yield "(%s)" % ",".join(parts)
+                    for w in adj[v]:
+                        if w != parent[v] and len(adj[w]) > 1:
+                            rest = parts[:]
+                            rest.remove(down[w])
+                            up[w] = "(%s)" % ",".join(rest)
+
+        return kids, rooted_serials()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self.canonical_key() == other.canonical_key()
@@ -319,56 +348,19 @@ class Tree:
         )
 
     def aut_order(self) -> int:
-        """Order of the label-forgetting automorphism group of the graph."""
+        """Order of the label-forgetting automorphism group of the graph: by
+        orbit–stabilizer, the number of internal vertices with the unlabeled
+        serial of the root, times m! for each m isomorphic child subtrees."""
         n = len(self.adj)
-        if n <= 1:
-            return 1
-        centers = self._centers()
-
-        def shape(v: int, parent: int) -> str:
-            kids = [shape(w, v) for w in self.adj[v] if w != parent]
-            if not kids:
-                return "*"
-            return "(%s)" % ",".join(sorted(kids))
-
-        def count(v: int, parent: int) -> int:
-            kids = [(shape(w, v), w) for w in self.adj[v] if w != parent]
-            if not kids:
-                return 1
-            total = 1
-            by_shape: Dict[str, int] = {}
-            for s, w in kids:
-                by_shape[s] = by_shape.get(s, 0) + 1
-                total *= count(w, v)
-            for m in by_shape.values():
-                total *= factorial(m)
-            return total
-
-        if len(centers) == 1:
-            return count(centers[0], -1)
-        u, v = centers
-        order = count(u, v) * count(v, u)
-        if shape(u, v) == shape(v, u):
-            order *= 2
+        if n <= 2:
+            return max(n, 1)
+        kids, serials = self._rerooted(lambda ls: "*")
+        root = next(serials)
+        order = 1 + sum(1 for s in serials if s == root)
+        for ks in kids:
+            for _, group in groupby(ks):
+                order *= factorial(sum(1 for _ in group))
         return order
-
-    def _centers(self) -> List[int]:
-        n = len(self.adj)
-        deg = [len(self.adj[v]) for v in range(n)]
-        layer = [v for v in range(n) if deg[v] <= 1]
-        seen = len(layer)
-        while seen < n:
-            nxt = []
-            for v in layer:
-                deg[v] = 0
-                for w in self.adj[v]:
-                    if deg[w] > 0:
-                        deg[w] -= 1
-                        if deg[w] == 1:
-                            nxt.append(w)
-            seen += len(nxt)
-            layer = nxt
-        return layer if layer else [0]
 
 
 @dataclass(frozen=True)
@@ -478,46 +470,35 @@ def parse_tree(text: str) -> Tree:
     s = "".join(text.split())
     if s == "()":
         return EMPTY_TREE
-    pos = 0
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
+    pos, count = 0, 0  # vertices are numbered in pre-order
     edges: List[Tuple[int, int]] = []
     labels: Dict[int, Tuple[str, ...]] = {}
-
-    def parse_node() -> int:
-        nonlocal pos
-        if pos < len(s) and s[pos] == "(":
-            pos += 1
-            me = fresh()
-            children = [parse_node()]
-            while pos < len(s) and s[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-            if pos >= len(s) or s[pos] != ")":
-                raise TreeError("expected ')' at position %d in %r" % (pos, text))
-            pos += 1
-            if len(children) < 2:
-                raise TreeError("parenthesized group needs at least two parts")
-            for c in children:
-                edges.append((me, c))
-            return me
-        m = re.match(r"[A-Za-z0-9_:.]+(?:/[A-Za-z0-9_:.]+)*", s[pos:])
+    groups: List[List[int]] = []  # the open groups: [vertex, parts so far]
+    while True:
+        if groups:
+            edges.append((groups[-1][0], count))
+            groups[-1][1] += 1
+        if s.startswith("(", pos):
+            groups.append([count, 0])
+            count, pos = count + 1, pos + 1
+            continue
+        m = _LABEL_SET_RE.match(s, pos)
         if not m:
             raise TreeError("expected a label at position %d in %r" % (pos, text))
-        token = m.group(0)
-        pos += len(token)
-        me = fresh()
-        labels[me] = tuple(token.split("/"))
-        return me
-
-    parse_node()
+        labels[count] = tuple(m.group(0).split("/"))
+        count, pos = count + 1, m.end()
+        while groups and not s.startswith(",", pos):
+            if not s.startswith(")", pos):
+                raise TreeError("expected ')' at position %d in %r" % (pos, text))
+            pos += 1
+            if groups.pop()[1] < 2:
+                raise TreeError("parenthesized group needs at least two parts")
+        if not groups:
+            break
+        pos += 1  # the comma before the next part
     if pos != len(s):
         raise TreeError("trailing input at position %d in %r" % (pos, text))
-    return build_tree(range(counter[0]), edges, labels)
+    return build_tree(range(count), edges, labels)
 
 
 # -- module-level operation wrappers ----------------------------------------
@@ -580,13 +561,8 @@ def enumerate_trees(
     bound (valid to apply during construction, since deleting a leaf never
     raises a valence).
     """
-    labs_list = list(labels)
-    if len(set(labs_list)) != len(labs_list):
-        raise TreeError("duplicate labels in enumeration request")
-    labs = tuple(sorted(labs_list))
-    for l in labs:
-        if not LABEL_RE.match(l):
-            raise TreeError("malformed label %r" % (l,))
+    labs = tuple(sorted(labels))
+    _check_labels(labs)
     if len(labs) > cap:
         raise TreeError(
             "enumeration over %d labels exceeds the cap of %d" % (len(labs), cap)

@@ -9,8 +9,11 @@ Core claims:
 """
 
 import json
+import random
+from fractions import Fraction
 
-from arboreal.cli import run
+from arboreal.cli import TREE_TEXT_CAP, run
+from arboreal.ratfun import parse_poly
 
 
 def payload(argv):
@@ -163,11 +166,63 @@ def test_mutation_hook_fails_the_equation_check(monkeypatch):
     assert code == 0
 
 
-def test_usage_errors():
+def caterpillar(leaves: int) -> str:
+    text = "(l0,l1)"
+    for i in range(2, leaves):
+        text = "(%s,l%d)" % (text, i)
+    return text
+
+
+def assert_closed_form(mu: str, leaves: int, valences) -> None:
+    """mu, printed as num / den, is the closed-form measure
+    (-1)^nodes * t * prod over nodes of (t-2)...(t-v+1) / (t-1)^leaves."""
+    num, den = (parse_poly(side) for side in mu.split(" / "))
+    assert (num.degree, den.degree) == (1 + sum(v - 2 for v in valences), leaves)
+    for t in (Fraction(1, 2), Fraction(-2), Fraction(7, 3), Fraction(-5, 4)):
+        value = Fraction((-1) ** len(valences)) * t / (t - 1) ** leaves
+        for v in valences:
+            for k in range(2, v):
+                value *= t - k
+        assert num.evaluate(t) / den.evaluate(t) == value
+
+
+def test_usage_errors(capsys):
     assert run(["amalgamate", "--t1", "(1,2)"])[0] == 2
     assert run(["no-such-command"])[0] == 2
     assert run(["enumerate", "--labels", "a,b", "--bogus-flag"])[0] == 2
-    deep = "(l0,l1)"
-    for i in range(2, 1501):
-        deep = "(%s,l%d)" % (deep, i)
-    assert run(["measure", "--tree", deep]) == (2, "")
+    code, out = run(["measure", "--tree", caterpillar(1501)])
+    assert code == 0
+    assert_closed_form(json.loads(out)["mu"], 1501, [3] * 1499)
+    capsys.readouterr()
+    star = "(%s)" % ",".join("l%d" % i for i in range(TREE_TEXT_CAP // 3))
+    assert len(star) > TREE_TEXT_CAP
+    for argv in (["measure", "--tree", star], ["amalgamate", "--t1", star, "--t2", "(a,b)"],
+                 ["measure", "--sub", "(l0,l1)", "--super", star],
+                 ["algebra", "minpoly", "--tree", "(1,2)", "--e", star]):
+        assert run(argv) == (2, "")
+        assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_element_specs_are_checked(capsys):
+    for spec in ('[1]', '[{}]', '[{"amalgamation": 5}]', '[[[]]]'):
+        assert run(["algebra", "minpoly", "--tree", "(1,2)", "--e", spec]) == (2, "")
+        assert '"amalgamation"' in capsys.readouterr().err
+
+
+def test_measure_of_large_trees():
+    """A 2,000-leaf caterpillar and a 2,000-leaf random tree get the closed
+    form; the tree kernel has no recursion limit."""
+    code, out = run(["measure", "--tree", caterpillar(2000), "--symbolic"])
+    assert code == 0
+    assert_closed_form(json.loads(out)["mu"], 2000, [3] * 1998)
+    rng = random.Random(2000)
+    parts, valences = ["l%d" % i for i in range(2000)], []
+    while len(parts) > 3:
+        k = 3 if len(parts) > 4 and rng.random() < 0.5 else 2
+        group = [parts.pop(rng.randrange(len(parts))) for _ in range(k)]
+        parts.append("(%s)" % ",".join(group))
+        valences.append(k + 1)
+    text = "(%s)" % ",".join(parts)
+    code, out = run(["measure", "--tree", text, "--symbolic"])
+    assert code == 0
+    assert_closed_form(json.loads(out)["mu"], 2000, valences + [3])

@@ -216,6 +216,9 @@ def test_parse_ratfun_corpus_matches_term_oracle():
         if rng.random() < 0.3:
             den_text, den = _written_poly(rng)
             if den.is_zero():
+                with pytest.raises(ValueError):
+                    parse_ratfun(text + " / " + den_text)
+                malformed += 1
                 continue
             text, value = text + " / " + den_text, value / den
         if rng.random() < 0.15:
@@ -227,6 +230,12 @@ def test_parse_ratfun_corpus_matches_term_oracle():
             assert parse_ratfun(text) == value, text
             well_formed += 1
     assert well_formed + malformed >= 300 and malformed >= 30
+    # a zero denominator is malformed input, not an arithmetic error
+    for bad in ("1/0*t", "1/0", "t / 0"):
+        with pytest.raises(ValueError):
+            parse_ratfun(bad)
+    with pytest.raises(ValueError):
+        parse_poly("1/0*t")
 
 
 def test_sqrt():

@@ -15,12 +15,22 @@ Core claims:
       prime factors stay below the level
     - restriction and single-site insertion build exactly the packed form
       build_tree gives the same graph data; relabeling still validates labels
+    - the one rerooting pass gives the canonical key, the shape key and the
+      automorphism order the earlier recursive walkers gave, and the
+      explicit-stack parser the same graph data and errors as recursive
+      descent, on every tree with at most seven labels, on multi-label trees
+      and on random trees and caterpillars of up to 400 leaves
+    - keys survive a parse round trip and any renumbering of the vertices
 """
 
 import random
+import re
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.trees import (
     EMPTY_TREE,
@@ -113,6 +123,237 @@ def oracle_aut(tree: Tree) -> int:
         if image == target:
             count += 1
     return count
+
+
+def recursive_key(tree: Tree, leaf_repr) -> str:
+    """The canonical or shape key as the recursive walker computed it: the
+    least full re-serialization from any internal vertex."""
+    n = len(tree.adj)
+    if n == 0:
+        return "()"
+    if n == 1:
+        return leaf_repr(tree.labels[0])
+    if n == 2:
+        return "(%s)" % ",".join(sorted(leaf_repr(ls) for ls in tree.labels))
+
+    def serial(v, parent):
+        if len(tree.adj[v]) <= 1:
+            return leaf_repr(tree.labels[v])
+        return "(%s)" % ",".join(sorted(serial(w, v) for w in tree.adj[v] if w != parent))
+
+    return min("(%s)" % ",".join(sorted(serial(w, v) for w in tree.adj[v]))
+               for v in tree.nodes())
+
+
+def recursive_aut_order(tree: Tree) -> int:
+    """The automorphism order as the recursive walker computed it: rooted
+    counts from the one or two centers of the graph."""
+    adj = tree.adj
+    n = len(adj)
+    if n <= 1:
+        return 1
+    deg = [len(adj[v]) for v in range(n)]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    seen = len(layer)
+    while seen < n:
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w] > 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        seen += len(nxt)
+        layer = nxt
+    centers = layer if layer else [0]
+
+    def shape(v, parent):
+        kids = [shape(w, v) for w in adj[v] if w != parent]
+        return "(%s)" % ",".join(sorted(kids)) if kids else "*"
+
+    def count(v, parent):
+        total, by_shape = 1, {}
+        for w in adj[v]:
+            if w != parent:
+                s = shape(w, v)
+                by_shape[s] = by_shape.get(s, 0) + 1
+                total *= count(w, v)
+        for m in by_shape.values():
+            total *= factorial(m)
+        return total
+
+    if len(centers) == 1:
+        return count(centers[0], -1)
+    u, v = centers
+    order = count(u, v) * count(v, u)
+    return order * 2 if shape(u, v) == shape(v, u) else order
+
+
+def recursive_parse(text: str):
+    """(adj, labels) of a text as the recursive-descent parser built them."""
+    s = "".join(text.split())
+    if s == "()":
+        return EMPTY_TREE.adj, EMPTY_TREE.labels
+    pos = 0
+    edges, labels = [], {}
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return counter[0] - 1
+
+    def node():
+        nonlocal pos
+        if pos < len(s) and s[pos] == "(":
+            pos += 1
+            me = fresh()
+            children = [node()]
+            while pos < len(s) and s[pos] == ",":
+                pos += 1
+                children.append(node())
+            if pos >= len(s) or s[pos] != ")":
+                raise TreeError("expected ')' at position %d in %r" % (pos, text))
+            pos += 1
+            if len(children) < 2:
+                raise TreeError("parenthesized group needs at least two parts")
+            edges.extend((me, c) for c in children)
+            return me
+        m = re.match(r"[A-Za-z0-9_:.]+(?:/[A-Za-z0-9_:.]+)*", s[pos:])
+        if not m:
+            raise TreeError("expected a label at position %d in %r" % (pos, text))
+        pos += len(m.group(0))
+        me = fresh()
+        labels[me] = tuple(m.group(0).split("/"))
+        return me
+
+    node()
+    if pos != len(s):
+        raise TreeError("trailing input at position %d in %r" % (pos, text))
+    t = build_tree(range(counter[0]), edges, labels)
+    return t.adj, t.labels
+
+
+def random_graph_tree(rng: random.Random, vertices: int, multi: float = 0.0) -> Tree:
+    """A random recursive tree on the vertices, each hung off an earlier
+    one, with its leaves labeled (a second label with probability
+    ``multi``) and its vertices renumbered at random."""
+    names = list(range(vertices))
+    rng.shuffle(names)
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, vertices)]
+    deg = {v: 0 for v in names}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    labels = {}
+    for v in names:
+        if deg[v] <= 1:
+            labels[v] = ("x%d" % v,) + (("y%d" % v,) if rng.random() < multi else ())
+    return build_tree(names, edges, labels)
+
+
+def caterpillar_text(n: int) -> str:
+    text = "(l0,l1)"
+    for i in range(2, n):
+        text = "(%s,l%d)" % (text, i)
+    return text
+
+
+def assert_matches_recursive(t: Tree) -> None:
+    key = t.canonical_key()
+    assert key == recursive_key(t, lambda ls: "/".join(sorted(ls))), t
+    assert t.shape_key() == recursive_key(t, lambda ls: "*" * len(ls)), t
+    assert t.aut_order() == recursive_aut_order(t), t
+    p = parse_tree(key)
+    assert (p.adj, p.labels) == recursive_parse(key), key
+
+
+# -- the rerooting pass and the parser against the recursive walkers ---------------
+
+
+def test_all_small_trees_match_recursive_walkers():
+    trees = [EMPTY_TREE] + [t for n in range(1, 8) for t in enumerate_trees(LETTERS[:n])]
+    assert len(trees) == 1 + 3021
+    for t in trees:
+        assert_matches_recursive(t)
+
+
+def test_multilabel_and_renumbered_trees_match_recursive_walkers():
+    rng = random.Random(11)
+    for vertices in list(range(1, 40)) * 3:
+        assert_matches_recursive(random_graph_tree(rng, vertices, multi=0.3))
+    for t in enumerate_trees(LETTERS[:5]):
+        labels = sorted(t.label_set)
+        assert_matches_recursive(t.merge_labels({l: [l.upper()] for l in labels[::2]}))
+
+
+def test_large_trees_match_recursive_walkers():
+    rng = random.Random(400)
+    for vertices in (60, 150, 300, 500, 800):
+        assert_matches_recursive(random_graph_tree(rng, vertices, multi=0.1))
+    for n in (3, 10, 57, 200, 400):
+        t = parse_tree(caterpillar_text(n))
+        assert (t.adj, t.labels) == recursive_parse(caterpillar_text(n))
+        assert_matches_recursive(t)
+
+
+def test_parser_matches_recursive_descent():
+    texts = ["()", "a", "b/a", " ( a , b ) ", "((a,b),(c,d))", "(a,(b,(c,d)))",
+             "(a,b,((c,d),e/f),(g,h,i))", "((((a,b),c),d),e)"]
+    bad = ["(a,a)", "(a/a,b)", "(a)", "(,a)", "(a,b", "a,b", "(a,())", "", "(a,b))",
+           "a-b", "((a,b)", "(a,b),", "((a,b),c", "(((a)))", ")", "(", "((a,b)(c,d))",
+           "a/", "(a,b)/c", "((a,b))", "(a,(b))"]
+    for text in texts + bad:
+        try:
+            want = recursive_parse(text)
+        except TreeError as e:
+            with pytest.raises(TreeError) as got:
+                parse_tree(text)
+            assert str(got.value) == str(e), text
+        else:
+            t = parse_tree(text)
+            assert (t.adj, t.labels) == want, text
+
+
+@st.composite
+def graph_trees(draw):
+    """Graph data of a random tree: vertex i > 0 hangs off an earlier vertex,
+    every leaf is labeled, and the vertex numbers are a permutation."""
+    n = draw(st.integers(1, 40))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    names = draw(st.permutations(range(n)))
+    edges = [(names[p], names[i]) for i, p in zip(range(1, n), parents)]
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    labels = {v: ("x%d" % v,) for v in range(n) if deg[v] <= 1}
+    return n, edges, labels
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(graph_trees())
+def test_parse_round_trips_through_the_key(data):
+    n, edges, labels = data
+    t = build_tree(range(n), edges, labels)
+    key = t.canonical_key()
+    back = parse_tree(key)
+    assert back == t and back.canonical_key() == key
+    assert (back.adj, back.labels) == recursive_parse(key)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(graph_trees(), st.randoms(use_true_random=False))
+def test_keys_ignore_vertex_numbering(data, rng):
+    n, edges, labels = data
+    t = build_tree(range(n), edges, labels)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = build_tree(range(n), [(perm[u], perm[v]) for u, v in edges],
+                       {perm[v]: ls for v, ls in labels.items()})
+    assert moved.canonical_key() == t.canonical_key()
+    assert moved.shape_key() == t.shape_key()
+    assert moved.aut_order() == t.aut_order()
 
 
 # -- parsing ---------------------------------------------------------------------
