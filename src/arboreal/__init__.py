@@ -41,7 +41,7 @@ from arboreal.measure import (
     theta_generator_values,
     verify_amalgamation_equation,
 )
-from arboreal.ratfun import Poly, PoleError, RatFun, bracket, parse_ratfun
+from arboreal.ratfun import Poly, PoleError, RatFun, parse_ratfun
 from arboreal.theta import (
     ThetaElement,
     mark_type,

@@ -107,20 +107,12 @@ class HomElement:
 
     @staticmethod
     def make(source: Tree, target: Tree, terms: Dict[Amalgamation, Coeff]) -> "HomElement":
-        cleaned = {}
-        for am, c in terms.items():
-            c = _coeff(c)
-            if not c.is_zero():
-                cleaned[am] = cleaned.get(am, RatFun.zero()) + c
+        cleaned = ((am, _coeff(c)) for am, c in terms.items())
         pruned = tuple(
-            sorted(((am, c) for am, c in cleaned.items() if not c.is_zero()),
+            sorted(((am, c) for am, c in cleaned if not c.is_zero()),
                    key=lambda pair: pair[0].key)
         )
         return HomElement(source, target, pruned)
-
-    @staticmethod
-    def zero(source: Tree, target: Tree) -> "HomElement":
-        return HomElement(source, target, ())
 
     @staticmethod
     def basis(source: Tree, target: Tree, am: Amalgamation) -> "HomElement":

@@ -24,6 +24,7 @@ from arboreal.category import (
     AlgebraElement,
     ArborealAlgebra,
     HomElement,
+    _solve_dependence,
     algebra_for,
     compose,
     hom_basis,
@@ -144,11 +145,10 @@ class EdgeAlgebra:
         f0 = self.f0()
         chi0 = alg.utr(f0 * g) / alg.utr(f0)
         g = g - f0 * chi0
-        square = g * g
-        lam = _proportionality(square, g)
-        if lam is None or lam.is_zero():
+        sol = _solve_dependence([g.vec], (g * g).vec)
+        if sol is None or sol[0].is_zero():
             raise AssertionError("projector derivation degenerated")
-        return g * (RatFun.one() / lam)
+        return g * (RatFun.one() / sol[0])
 
     def plus_idempotents(self) -> Dict[str, AlgebraElement]:
         """A complete orthogonal idempotent system for the +1 eigenspace.
@@ -163,8 +163,6 @@ class EdgeAlgebra:
         f1 = self.derive_f1()
         rest = self.c[1] - f0 - f1 - f3
         h = (rest * self.c[5]) * rest
-        from arboreal.category import _solve_dependence
-
         sol = _solve_dependence([rest.vec, h.vec], (h * h).vec)
         if sol is None:
             raise AssertionError("c5 action is not quadratic on the remainder")
@@ -192,22 +190,6 @@ class EdgeAlgebra:
                 "derived projector dimensions do not match the expected pair"
             )
         return out
-
-
-def _proportionality(left: AlgebraElement, right: AlgebraElement) -> RatFun:
-    """The scalar with left = scalar * right, or None if not proportional."""
-    lam = None
-    for x, y in zip(left.vec, right.vec):
-        if y.is_zero():
-            if not x.is_zero():
-                return None
-            continue
-        ratio = x / y
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            return None
-    return lam if lam is not None else RatFun.zero()
 
 
 @lru_cache(maxsize=1)

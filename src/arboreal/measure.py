@@ -5,9 +5,10 @@ The value on a nonempty tree T is
     (-1)^nodes * t * prod_over_nodes (t-2)(t-3)...(t-v+1) / (t-1)^leaves
 
 with the empty tree assigned 1.  The value on an embedding sub -> super is
-the symbolic ratio value(super)/value(sub); every finite-parameter
-evaluation goes through the symbolic form first, so cancellations between
-numerator and denominator happen automatically.
+the ratio value(super)/value(sub), an exact quotient of the closed forms
+side by side; every finite-parameter evaluation goes through the symbolic
+form first.  Both are built in normal form, so no gcd runs for them; only
+sums of values (``mu_sum``, the product equation) use general arithmetic.
 
 Parameter modes:
 
@@ -25,13 +26,14 @@ Parameter modes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from arboreal.amalgam import amalgamation_trees
-from arboreal.ratfun import ONE, Poly, RatFun, bracket
+from arboreal.ratfun import ONE, Poly, RatFun
 from arboreal.trees import Tree, TreeError, TreeStats, build_tree, parse_tree
 
 Value = Union[RatFun, Fraction, int]
@@ -90,12 +92,40 @@ class MarkedTree:
         return self.tree.drop_leaf(self.mark)
 
 
+_PERTURB_PER_LEAF: Optional[Fraction] = None
+
+
+def _power(k: int, e: int) -> Poly:
+    """(t-k)^e, expanded by the binomial theorem from the top coefficient
+    down: C(e, j-1) (-k)^(e-j+1) = C(e, j) (-k)^(e-j) * (-k) j / (e-j+1)."""
+    coeffs = [0] * (e + 1)
+    c = 1
+    for j in range(e, -1, -1):
+        coeffs[j] = c
+        c = c * -k * j // (e - j + 1)
+    return Poly(coeffs)
+
+
 @lru_cache(maxsize=4096)
 def _mu_symbolic_key(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
-    return _mu_formula(leaf_count, valences)
+    """The closed form from the leaf count and the sorted node valences:
+    (-1)^nodes * t * prod over k >= 2 of (t-k)^(nodes of valence above k),
+    over (t-1)^leaves."""
+    if not leaf_count:
+        return ONE
+    num = Poly((0, -1 if len(valences) % 2 else 1))
+    for k in range(2, valences[-1] if valences else 2):
+        num = num * _power(k, len(valences) - bisect_right(valences, k))
+    den = _power(1, leaf_count)
+    if _PERTURB_PER_LEAF is not None:
+        c = _PERTURB_PER_LEAF**leaf_count
+        if not c:
+            return RatFun.zero()
+        num, den = num.scale(c.numerator), den.scale(c.denominator)
+    # t and the t-k, k >= 2, against t-1: coprime monic polynomials up to
+    # sign, scaled by c^leaves = a/b in lowest terms: already a normal form
+    return RatFun._normal(num, den)
 
-
-_PERTURB_PER_LEAF: Optional[Fraction] = None
 
 # Clear functions of every cache whose values derive from the measure.
 _MEASURE_CACHES: List[Callable[[], None]] = [_mu_symbolic_key.cache_clear]
@@ -119,21 +149,6 @@ def set_mu_perturbation(scale_per_leaf: Optional[Fraction]) -> None:
     _PERTURB_PER_LEAF = scale_per_leaf
     for clear in _MEASURE_CACHES:
         clear()
-
-
-def _mu_formula(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
-    if not leaf_count:
-        return ONE
-    num = Poly((0, 1))  # t
-    for v in valences:
-        num = num * bracket(v)
-    sign = -1 if len(valences) % 2 else 1
-    # t times factors t-k, k >= 2, over (t-1)^leaves: coprime monic polynomials
-    # up to sign, so already in normal form and no gcd is needed
-    value = RatFun._normal(num.scale(sign), Poly((-1, 1)) ** leaf_count)
-    if _PERTURB_PER_LEAF is not None:
-        value = value * RatFun.from_scalar(_PERTURB_PER_LEAF) ** leaf_count
-    return value
 
 
 def mu_symbolic(tree: Tree) -> RatFun:
@@ -202,7 +217,13 @@ def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     if p.mode == "level":
         _require_level(sub, p.n)
         _require_level(super_tree, p.n)
-    return _specialize(mu_symbolic(super_tree) / mu_symbolic(sub), p)
+    small, big = mu_symbolic(sub), mu_symbolic(super_tree)
+    # Exact quotients in normal form: restriction keeps fewer leaves and maps
+    # the nodes of sub injectively to nodes of super of no lower valence, so
+    # each factor of sub's closed form divides the like side of super's.
+    num = big.num.divmod(small.num)[0]
+    den = big.den.divmod(small.den)[0]
+    return _specialize(RatFun._normal(num, den), p)
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:
@@ -264,12 +285,8 @@ def theta_generator_values(p: ParamSpec = SYMBOLIC, m_max: int = 6) -> Dict[str,
         raise ValueError("m_max must be at least 4")
     out: Dict[str, Value] = {}
     for m in range(1, m_max + 1):
-        big = star_tree(m)
-        small = big.drop_leaf("v1") if m > 1 else None
-        if small is None:
-            out["x1"] = mu_of_tree(big, p)
-        else:
-            out["x%d" % m] = mu_embedding(small, big, p)
+        big = star_tree(m)  # x1 embeds the empty tree in the point
+        out["x%d" % m] = mu_embedding(big.drop_leaf("v1"), big, p)
     ym = marked_y()
     out["y"] = mu_embedding(ym.unmarked(), ym.tree, p)
     zm = marked_z()
@@ -280,14 +297,11 @@ def theta_generator_values(p: ParamSpec = SYMBOLIC, m_max: int = 6) -> Dict[str,
 def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     """Residual of the product equation over the shared-label base.
 
-    Computes value(t1) * value(t2) / value(base) minus the sum of the values
-    of all amalgamations; a correct measure returns exactly zero.  At finite
+    Computes value(base -> t1) * value(t2) minus the sum of the values of
+    all amalgamations; a correct measure returns exactly zero.  At finite
     level n only amalgamations within the level bound are counted.
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
     rhs = mu_sum(amalgamation_trees(t1, t2, max_level), p)
-    base_value = mu_of_tree(base, p)
-    if base_value == 0:
-        raise ZeroDivisionError("base tree has measure zero at this parameter")
-    return mu_of_tree(t1, p) * mu_of_tree(t2, p) / base_value - rhs
+    return mu_embedding(base, t1, p) * mu_of_tree(t2, p) - rhs

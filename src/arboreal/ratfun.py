@@ -549,19 +549,6 @@ def parse_ratfun(text: str) -> RatFun:
     return RatFun(num.scale(dd), den.scale(dn))
 
 
-def bracket(n: int) -> Poly:
-    """The degree n-2 product of (t-k) for k = 2, ..., n-1.
-
-    Defined for n >= 3; bracket(3) = t-2.
-    """
-    if n < 3:
-        raise ValueError("bracket requires n >= 3, got %d" % n)
-    out = Poly((1,))
-    for k in range(2, n):
-        out = out * Poly((-k, 1))
-    return out
-
-
 def ratfun_sqrt(f: RatFun) -> Optional[RatFun]:
     """Exact square root in Q(t) if one exists, else None.
 

@@ -535,18 +535,17 @@ def aut_order(tree: Tree) -> int:
 def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
     if not labels:
         return (EMPTY_TREE,)
-    current: Dict[str, Tree] = {}
-    first = build_tree([0], [], {0: (labels[0],)})
-    current[first.canonical_key()] = first
+    # each tree with the new leaf arises from exactly one tree without it,
+    # at one site, so no candidate repeats and only the result is keyed
+    current = [build_tree([0], [], {0: (labels[0],)})]
     for l in labels[1:]:
-        nxt: Dict[str, Tree] = {}
-        for t in current.values():
-            for cand in t.insertions((l,)):
-                if max_level is not None and cand.level > max_level:
-                    continue
-                nxt.setdefault(cand.canonical_key(), cand)
-        current = nxt
-    return tuple(current[k] for k in sorted(current))
+        current = [
+            cand
+            for t in current
+            for cand in t.insertions((l,))
+            if max_level is None or cand.level <= max_level
+        ]
+    return tuple(sorted(current, key=Tree.canonical_key))
 
 
 def enumerate_trees(
@@ -556,7 +555,7 @@ def enumerate_trees(
 ) -> List[Tree]:
     """All reduced trees with one label per leaf, each label used once.
 
-    Deduplicated by canonical key and returned in sorted key order.
+    Each tree appears once, in sorted key order.
     ``max_level`` keeps only trees whose every node has valence at most that
     bound (valid to apply during construction, since deleting a leaf never
     raises a valence).

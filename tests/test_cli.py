@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from arboreal.cli import TREE_TEXT_CAP, run
 from arboreal.ratfun import parse_poly
+from arboreal.trees import parse_tree
 
 
 def payload(argv):
@@ -173,17 +174,21 @@ def caterpillar(leaves: int) -> str:
     return text
 
 
+def closed_form(t: Fraction, leaves: int, valences) -> Fraction:
+    """(-1)^nodes * t * prod over nodes of (t-2)...(t-v+1) / (t-1)^leaves."""
+    value = Fraction((-1) ** len(valences)) * t / (t - 1) ** leaves
+    for v in valences:
+        for k in range(2, v):
+            value *= t - k
+    return value
+
+
 def assert_closed_form(mu: str, leaves: int, valences) -> None:
-    """mu, printed as num / den, is the closed-form measure
-    (-1)^nodes * t * prod over nodes of (t-2)...(t-v+1) / (t-1)^leaves."""
+    """mu, printed as num / den, is the closed-form measure."""
     num, den = (parse_poly(side) for side in mu.split(" / "))
     assert (num.degree, den.degree) == (1 + sum(v - 2 for v in valences), leaves)
     for t in (Fraction(1, 2), Fraction(-2), Fraction(7, 3), Fraction(-5, 4)):
-        value = Fraction((-1) ** len(valences)) * t / (t - 1) ** leaves
-        for v in valences:
-            for k in range(2, v):
-                value *= t - k
-        assert num.evaluate(t) / den.evaluate(t) == value
+        assert num.evaluate(t) / den.evaluate(t) == closed_form(t, leaves, valences)
 
 
 def test_usage_errors(capsys):
@@ -211,7 +216,8 @@ def test_element_specs_are_checked(capsys):
 
 def test_measure_of_large_trees():
     """A 2,000-leaf caterpillar and a 2,000-leaf random tree get the closed
-    form; the tree kernel has no recursion limit."""
+    form, and so does the embedding of half the random tree's labels in it;
+    the tree kernel has no recursion limit."""
     code, out = run(["measure", "--tree", caterpillar(2000), "--symbolic"])
     assert code == 0
     assert_closed_form(json.loads(out)["mu"], 2000, [3] * 1998)
@@ -226,3 +232,11 @@ def test_measure_of_large_trees():
     code, out = run(["measure", "--tree", text, "--symbolic"])
     assert code == 0
     assert_closed_form(json.loads(out)["mu"], 2000, valences + [3])
+    tree = parse_tree(text)
+    sub = tree.restrict(rng.sample(sorted(tree.label_set), 1000))
+    code, out = run(["measure", "--sub", sub.canonical_key(), "--super", text, "--symbolic"])
+    assert code == 0
+    num, den = (parse_poly(side) for side in json.loads(out)["value"].split(" / "))
+    for t in (Fraction(1, 2), Fraction(-2), Fraction(7, 3), Fraction(-5, 4)):
+        whole = closed_form(t, 2000, valences + [3])
+        assert num.evaluate(t) / den.evaluate(t) == whole / closed_form(t, 1000, sub.stats().valences)

@@ -3,21 +3,25 @@
 Core claims:
     - closed-form values on the small reference trees, with the empty tree
       assigned one
-    - embedding values are the symbolic ratios, with numeric evaluation
-      agreeing with symbolic-then-substitute on random parameters
+    - the closed form equals the product of the falling factors of the
+      node valences over (t-1)^leaves
+    - embedding values are the symbolic ratios, in normal form, under every
+      parameter mode and perturbation, with numeric evaluation agreeing with
+      symbolic-then-substitute on random parameters
     - multiplicativity: deleting any leaf splits the value by the generator
       of the leaf's marked type (exhaustive at small size)
     - the limit measure is a chain product independent of deletion order
     - degrees: numerator one less than the leaf count, denominator equal
     - the product equation over a base holds on exhausted small diagrams
       and fails under the testing perturbation hook; its signature-grouped
-      sum equals the plain sum over the listed amalgamations in every mode
+      sum equals the plain sum over the listed amalgamations in every mode,
+      also where the base's measure vanishes
     - finite-level mode enforces the level bound instead of dividing by zero
 """
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -38,8 +42,8 @@ from arboreal.measure import (
     theta_generator_values,
     verify_amalgamation_equation,
 )
-from arboreal.ratfun import ONE, RatFun
-from arboreal.trees import EMPTY_TREE, TreeError, enumerate_trees, parse_tree
+from arboreal.ratfun import ONE, Poly, RatFun
+from arboreal.trees import EMPTY_TREE, TreeError, enumerate_trees, parse_tree, shape_key
 
 T = RatFun.t()
 
@@ -51,6 +55,116 @@ def test_closed_forms():
     assert mu_symbolic(parse_tree("(a,b,c)")) == -T * (T - 2) / (T - 1) ** 3
     assert mu_symbolic(parse_tree("(a,b,(c,d))")) == T * (T - 2) ** 2 / (T - 1) ** 4
     assert mu_symbolic(parse_tree("(a,b,c,d,e,f)")) == -T * (T - 2) * (T - 3) * (T - 4) * (T - 5) / (T - 1) ** 6
+
+
+def bracket_product(tree):
+    """The closed form as a product over the nodes of the falling factors
+    (t-2)(t-3)...(t-v+1), one linear factor at a time."""
+    if not tree.leaf_count:
+        return ONE
+    num = Poly((0, 1))
+    for v in tree.stats().valences:
+        for k in range(2, v):
+            num = num * Poly((-k, 1))
+    value = RatFun(num, Poly((-1, 1)) ** tree.leaf_count)
+    return -value if tree.stats().node_count % 2 else value
+
+
+def random_tree(rng, leaves, max_group=3):
+    """A seeded random tree: groups of 2..max_group parts merged under a new
+    node until at most three parts remain."""
+    parts = ["l%d" % i for i in range(leaves)]
+    while len(parts) > 3:
+        k = min(rng.randint(2, max_group), len(parts) - 2)
+        group = [parts.pop(rng.randrange(len(parts))) for _ in range(k)]
+        parts.append("(%s)" % ",".join(group))
+    return parse_tree("(%s)" % ",".join(parts))
+
+
+def caterpillar(leaves):
+    text = "(l0,l1)"
+    for i in range(2, leaves):
+        text = "(%s,l%d)" % (text, i)
+    return parse_tree(text)
+
+
+def test_closed_form_is_the_bracket_product():
+    rng = random.Random(3)
+    trees = [t for n in range(8) for t in enumerate_trees("abcdefg"[:n])]
+    trees += [random_tree(rng, n, 5) for n in (10, 20, 40)]
+    trees += [caterpillar(60), star_tree(30)]
+    for t in trees:
+        assert mu_symbolic(t) == bracket_product(t), t
+
+
+def quotient_oracle(sub, sup):
+    """The embedding measure by general RatFun division of the two tree
+    measures, with its PRS gcd: the definition, computed independently of
+    the side-by-side quotient of closed forms."""
+    return mu_symbolic(sup) / mu_symbolic(sub)
+
+
+def specialized(value, p):
+    if p.mode == "symbolic":
+        return value
+    if p.mode == "infinity":
+        if value.num.degree < value.den.degree:
+            return 0
+        return Fraction(value.num.leading(), value.den.leading())
+    return value.evaluate(p.t if p.mode == "numeric" else p.n)
+
+
+def embedding_cases():
+    """(sub, super) pairs: every restriction of one tree per shape with at
+    most six labels, so of every such tree up to relabeling; and seeded
+    restrictions of random trees and caterpillars up to 300 leaves.  The
+    mixed-valence random trees stop at 60 leaves and the larger random
+    trees are binary, because the oracle's gcd on factors t-2 and t-3 of
+    degree 150 each takes tens of seconds."""
+    rng = random.Random(300)
+    shapes = {}
+    for n in range(1, 7):
+        for t in enumerate_trees("abcdef"[:n]):
+            shapes.setdefault(shape_key(t), t)
+    cases = [
+        (t.restrict(kept), t)
+        for t in shapes.values()
+        for r in range(t.leaf_count + 1)
+        for kept in combinations(sorted(t.label_set), r)
+    ]
+    large = [random_tree(rng, n) for n in (8, 30, 60)]
+    large += [random_tree(rng, n, 2) for n in (150, 300)]
+    large += [caterpillar(n) for n in (10, 100, 300)]
+    for t in large:
+        labels = sorted(t.label_set)
+        for size in (0, 1, len(labels) // 2, rng.randrange(len(labels)), len(labels)):
+            cases.append((t.restrict(rng.sample(labels, size)), t))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "scale", [None, Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1)]
+)
+def test_embedding_is_the_quotient_of_measures(scale):
+    set_mu_perturbation(scale)
+    try:
+        for sub, sup in embedding_cases():
+            expected = quotient_oracle(sub, sup)
+            modes = [
+                SYMBOLIC,
+                ParamSpec.numeric(Fraction(7, 2)),
+                ParamSpec.numeric(2),
+                ParamSpec.numeric(0),
+                ParamSpec.finite_level(max(3, sup.level)),
+                ParamSpec.infinity(),
+            ]
+            for p in modes:
+                assert mu_embedding(sub, sup, p) == specialized(expected, p), (sub, sup, p)
+            e = mu_embedding(sub, sup)
+            again = RatFun(e.num, e.den)
+            assert (again.num, again.den) == (e.num, e.den)
+    finally:
+        set_mu_perturbation(None)
 
 
 def test_embedding_values():
@@ -195,6 +309,9 @@ def test_equation_examples():
     assert r == 0
     r = verify_amalgamation_equation(parse_tree("(1,2)"), parse_tree("(1,4,5)"), ParamSpec.finite_level(3))
     assert r == 0
+    # the base's measure vanishes at t = 2 and t = 0; its embedding's does not
+    for t in (2, 0):
+        assert verify_amalgamation_equation(base, base, ParamSpec.numeric(t)) == 0
 
 
 def test_equation_sums_every_amalgamation():

@@ -4,7 +4,6 @@ Core claims:
     - normalization is canonical (coprime, integer, positive denominator lead)
     - field axioms hold on randomized inputs
     - evaluation is a ring homomorphism away from poles, with poles reported
-    - the falling-product factor has the stated small values
     - serialization round-trips and matches the documented format
     - polynomials live in Z[t]: int coefficients only, exact division,
       square roots in the integers; gcds are primitive
@@ -26,7 +25,6 @@ from arboreal.ratfun import (
     PoleError,
     Poly,
     RatFun,
-    bracket,
     parse_poly,
     parse_ratfun,
     poly_to_str,
@@ -125,16 +123,6 @@ def test_pole_reports_the_vanishing_factor():
     assert "t-1" in str(err.value)
     with pytest.raises(PoleError):
         (ONE / (2 * T - 1)).evaluate(Fraction(1, 2))
-
-
-def test_bracket_values():
-    assert bracket(3) == Poly((-2, 1))
-    assert bracket(4) == Poly((-2, 1)) * Poly((-3, 1))
-    assert bracket(6).evaluate(6) == 24
-    for n in range(3, 9):
-        assert bracket(n).degree == n - 2
-    with pytest.raises(ValueError):
-        bracket(2)
 
 
 def test_serialization_format():

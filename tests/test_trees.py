@@ -610,9 +610,10 @@ def test_enumeration_counts_match_recursion():
 
 
 def test_enumeration_is_sorted_and_deduplicated():
-    trees = enumerate_trees("abcde")
-    keys = [t.canonical_key() for t in trees]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for n in range(1, 8):
+        for max_level in (None, 3, 4):
+            keys = [t.canonical_key() for t in enumerate_trees(LETTERS[:n], max_level)]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), (n, max_level)
 
 
 def test_enumeration_level_filter():
