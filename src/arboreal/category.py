@@ -34,11 +34,12 @@ from arboreal.amalgam import (
 from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
+    mu_embedding_sum,
     mu_sum,
     mu_symbolic,
     register_measure_cache,
 )
-from arboreal.ratfun import RatFun
+from arboreal.ratfun import FractionSum, RatFun
 from arboreal.trees import Tree, TreeError
 
 Coeff = Union[RatFun, Fraction, int]
@@ -135,7 +136,6 @@ class HomElement:
         return self + other.scale(-1)
 
     def scale(self, c: Coeff) -> "HomElement":
-        c = _coeff(c)
         return HomElement.make(
             self.source, self.target, {am: x * c for am, x in self.terms}
         )
@@ -207,8 +207,8 @@ def _composition_table(
 ) -> Tuple[Tuple[Amalgamation, RatFun], ...]:
     """For basis terms gu of g and fv of f, the coefficient of each
     (source, target)-restriction y3 in fv after gu: the summed measures of
-    the three-block extensions z restricting to y3, divided once by the
-    measure of y3 (each term is the measure of the inclusion y3 -> z).
+    the inclusions y3 -> z over the three-block extensions z restricting to
+    y3.
 
     The three blocks carry the tags "1:", "2:", "3:" while the extensions
     are enumerated; the extensions are grouped by the key of y3 and summed
@@ -234,7 +234,7 @@ def _composition_table(
         extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
         (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
-         mu_sum(zs) / mu_symbolic(y3))
+         mu_embedding_sum(y3, zs))
         for _, (y3, zs) in sorted(extensions.items())
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
@@ -253,13 +253,15 @@ def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement
     if g.target != f.source:
         raise TreeError("middle objects do not match")
     max_level = p.n if p.mode == "level" else None
-    acc: Dict[Amalgamation, RatFun] = {}
+    acc: Dict[Amalgamation, FractionSum] = {}
     for gu, cg in g.terms:
         for fv, cf in f.terms:
-            scale = cg * cf
+            num, den = cg.num * cf.num, cg.den * cf.den
             for out, w in _composition_table(gu, fv, max_level):
-                acc[out] = acc.get(out, RatFun.zero()) + w * scale
-    h = HomElement.make(g.source, f.target, acc)
+                if out not in acc:
+                    acc[out] = FractionSum()
+                acc[out].add(w.num * num, w.den * den)
+    h = HomElement.make(g.source, f.target, {out: s.value() for out, s in acc.items()})
     if p.mode == "numeric":
         return evaluate_coefficients(h, p.t)
     if p.mode == "level":
@@ -400,17 +402,17 @@ class ArborealAlgebra:
         return tuple(row)
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-        out = [RatFun.zero()] * self.dim
+        out = [FractionSum() for _ in range(self.dim)]
         for i, ca in enumerate(a.vec):
             if ca.is_zero():
                 continue
             for j, cb in enumerate(b.vec):
                 if cb.is_zero():
                     continue
-                scale = ca * cb
+                num, den = ca.num * cb.num, ca.den * cb.den
                 for k, w in self.product_row(i, j):
-                    out[k] = out[k] + w * scale
-        return AlgebraElement(self, tuple(out))
+                    out[k].add(w.num * num, w.den * den)
+        return AlgebraElement(self, tuple(s.value() for s in out))
 
     def _at_level(self, value: RatFun) -> RatFun:
         """A symbolic value, evaluated at t = n under a level bound n."""
@@ -536,7 +538,6 @@ class AlgebraElement:
         return self.scale(other)
 
     def scale(self, c: Coeff) -> "AlgebraElement":
-        c = _coeff(c)
         return AlgebraElement(self.algebra, tuple(a * c for a in self.vec))
 
     def __eq__(self, other) -> bool:

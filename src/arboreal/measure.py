@@ -7,8 +7,11 @@ The value on a nonempty tree T is
 with the empty tree assigned 1.  The value on an embedding sub -> super is
 the ratio value(super)/value(sub), an exact quotient of the closed forms
 side by side; every finite-parameter evaluation goes through the symbolic
-form first.  Both are built in normal form, so no gcd runs for them; only
-sums of values (``mu_sum``, the product equation) use general arithmetic.
+form first.  Both are built in normal form, so no gcd runs for them.  A sum
+of values (``mu_sum``, ``mu_embedding_sum``, the product equation's
+residual) hands one unnormalized pair per tree signature to ``RatFun.sum``:
+the denominators are all (t-1)^leaves, so the whole sum normalizes with one
+gcd.
 
 Parameter modes:
 
@@ -30,7 +33,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from arboreal.amalgam import amalgamation_trees
 from arboreal.ratfun import ONE, Poly, RatFun
@@ -192,16 +196,28 @@ def mu_sum(trees: Iterable[Tree], p: ParamSpec = SYMBOLIC) -> Value:
 
     The measure depends only on the leaf count and the node valences, so
     ``mu_of_tree`` runs once per such signature, times the number of trees
-    that share it.
+    that share it; a symbolic sum is normalized once.
     """
+    if p.mode == "symbolic":
+        return RatFun.sum(_symbolic_terms(trees))
+    return sum((mu_of_tree(tree, p) * n for tree, n in _signatures(trees)), Fraction(0))
+
+
+def _signatures(trees: Iterable[Tree]) -> Iterable[Tuple[Tree, int]]:
+    """One tree per signature (leaf count and valences), with the number of
+    trees that share it."""
     reps: Dict[TreeStats, list] = {}
     for tree in trees:
         reps.setdefault(tree.stats(), [tree, 0])[1] += 1
-    total = RatFun.zero() if p.mode == "symbolic" else Fraction(0)
-    for tree, n in reps.values():
-        value = mu_of_tree(tree, p)
-        total = total + (value * n if n > 1 else value)  # a product costs a gcd
-    return total
+    return reps.values()
+
+
+def _symbolic_terms(trees: Iterable[Tree], sign: int = 1) -> Iterator[Tuple[Poly, Poly]]:
+    """Unnormalized (num, den) pairs, one per signature, that sum to sign
+    times the summed symbolic measure of the trees."""
+    for tree, n in _signatures(trees):
+        value = mu_symbolic(tree)
+        yield value.num.scale(sign * n), value.den
 
 
 def _check_embedding(sub: Tree, super_tree: Tree) -> None:
@@ -217,13 +233,27 @@ def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     if p.mode == "level":
         _require_level(sub, p.n)
         _require_level(super_tree, p.n)
+    return _specialize(_embedding_quotient(sub, super_tree), p)
+
+
+def _embedding_quotient(sub: Tree, super_tree: Tree) -> RatFun:
+    """The symbolic measure of sub -> super, for sub the restriction of
+    super to its labels (not checked)."""
     small, big = mu_symbolic(sub), mu_symbolic(super_tree)
     # Exact quotients in normal form: restriction keeps fewer leaves and maps
     # the nodes of sub injectively to nodes of super of no lower valence, so
     # each factor of sub's closed form divides the like side of super's.
     num = big.num.divmod(small.num)[0]
     den = big.den.divmod(small.den)[0]
-    return _specialize(RatFun._normal(num, den), p)
+    return RatFun._normal(num, den)
+
+
+def mu_embedding_sum(sub: Tree, supers: Iterable[Tree]) -> RatFun:
+    """The summed symbolic measure of the embeddings sub -> z over the trees
+    z, each of which restricts to sub (not checked): one exact quotient per
+    signature, normalized once."""
+    quotients = ((_embedding_quotient(sub, z), n) for z, n in _signatures(supers))
+    return RatFun.sum((q.num.scale(n), q.den) for q, n in quotients)
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:
@@ -303,5 +333,12 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    rhs = mu_sum(amalgamation_trees(t1, t2, max_level), p)
-    return mu_embedding(base, t1, p) * mu_of_tree(t2, p) - rhs
+    if max_level is not None:
+        for tree in (base, t1, t2):
+            _require_level(tree, max_level)
+    trees = amalgamation_trees(t1, t2, max_level)
+    embedding, value = _embedding_quotient(base, t1), mu_symbolic(t2)
+    if p.mode == "symbolic":
+        lhs = (embedding.num * value.num, embedding.den * value.den)
+        return RatFun.sum(chain((lhs,), _symbolic_terms(trees, -1)))
+    return _specialize(embedding, p) * _specialize(value, p) - mu_sum(trees, p)

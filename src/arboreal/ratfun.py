@@ -11,6 +11,16 @@ Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1) products and exact quotients of
 primitive polynomials stay primitive, so no rational coefficient is ever
 needed; the parser clears the denominators of the ones it reads.
 
+Sums normalize once.  ``RatFun.sum`` (and ``FractionSum``, its running
+form, which algebra products and compositions keep per output slot) takes
+unnormalized num/den pairs, adds the numerators of equal denominators as it
+reads them, brings the distinct denominators together (by an exact quotient
+where one divides another, else by cross-multiplying) and runs one gcd at
+the end; ``+`` is its two-term case.  Tree measures all have denominators
+c*(t-1)^leaves, so a sum of measures meets one gcd however many terms it
+has.  Negation and scaling by a rational number only move the sign and the
+integer content of a normal form and run no gcd at all.
+
 The serialized form is ``num_poly + " / " + den_poly`` with polynomials
 written highest degree first, e.g. ``t^3-4*t^2+4*t / t^4-4*t^3+6*t^2-4*t+1``.
 A denominator equal to 1 is omitted.
@@ -21,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -388,8 +398,17 @@ class RatFun:
 
     @staticmethod
     def from_scalar(c: Scalar) -> "RatFun":
-        c = _as_fraction(c)
-        return RatFun(Poly((c.numerator,)), Poly((c.denominator,)))
+        c = _as_fraction(c)  # in lowest terms with a positive denominator
+        return RatFun._normal(Poly((c.numerator,)), Poly((c.denominator,)))
+
+    @staticmethod
+    def sum(pairs: Iterable[Tuple[Poly, Poly]]) -> "RatFun":
+        """The sum of the fractions num/den over (num, den) pairs of integer
+        polynomials in any form, normalized once (see ``FractionSum``)."""
+        acc = FractionSum()
+        for num, den in pairs:
+            acc.add(num, den)
+        return acc.value()
 
     @staticmethod
     def zero() -> "RatFun":
@@ -429,12 +448,12 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         o = self._coerce(other)
-        return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
+        return RatFun.sum(((self.num, self.den), (o.num, o.den)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
+        return RatFun._normal(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFun":
         return self + (-self._coerce(other))
@@ -443,10 +462,24 @@ class RatFun:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "RatFun":
-        o = self._coerce(other)
-        return RatFun(self.num * o.num, self.den * o.den)
+        if isinstance(other, RatFun):
+            return RatFun(self.num * other.num, self.den * other.den)
+        return self._scaled(_as_fraction(other))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "RatFun":
+        """self * c.  The polynomial parts stay coprime, so only the integer
+        content and the sign change: a = c's numerator cancels against the
+        content of den, b = c's denominator against that of num."""
+        a, b = c.numerator, c.denominator
+        if not a or not self.num:
+            return RatFun.zero()
+        ha, hb = gcd(a, *self.den.coeffs), gcd(b, *self.num.coeffs)
+        a, b = a // ha, b // hb
+        num = Poly([x // hb * a for x in self.num.coeffs])
+        den = Poly([x // ha * b for x in self.den.coeffs])
+        return RatFun._normal(num, den)
 
     def __truediv__(self, other) -> "RatFun":
         o = self._coerce(other)
@@ -503,6 +536,72 @@ class RatFun:
         if self.den.coeffs == (1,):
             return num
         return "%s / %s" % (num, _factored_poly_str(self.den, bound))
+
+
+def _exact_quotient(a: Poly, b: Poly) -> Optional[Poly]:
+    """a / b when b divides a in Z[t], else None."""
+    if a == b:
+        return Poly((1,))
+    if b.degree > a.degree:
+        return None
+    try:
+        q, r = a.divmod(b)
+    except ValueError:  # a quotient coefficient left Z: no exact quotient
+        return None
+    return None if r else q
+
+
+class FractionSum:
+    """A running sum of fractions num/den of integer polynomials.
+
+    ``add`` folds each term into a map from denominator to summed numerator,
+    so a repeated denominator costs one polynomial addition and no term is
+    kept.  ``value`` brings the distinct denominators together, highest
+    degree first, over one running denominator content * prim with prim
+    primitive and of positive leading coefficient: a term whose primitive
+    denominator divides prim is scaled by the quotient (by Gauss's lemma
+    that quotient lies in Z[t]), any other is cross-multiplied in.  The
+    result is normalized once.
+    """
+
+    __slots__ = ("_by_den",)
+
+    def __init__(self):
+        self._by_den: Dict[Poly, Poly] = {}
+
+    def add(self, num: Poly, den: Poly) -> None:
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num:
+            prev = self._by_den.get(den)
+            self._by_den[den] = num if prev is None else prev + num
+
+    def value(self) -> RatFun:
+        terms = [(den, num) for den, num in self._by_den.items() if num]
+        if not terms:
+            return RatFun.zero()
+        if len(terms) == 1:
+            den, num = terms[0]
+            return RatFun(num, den)
+        terms.sort(key=lambda term: -term[0].degree)
+        total, content, prim = Poly(), 1, Poly((1,))
+        for den, num in terms:
+            c, p = _split(den.coeffs)
+            if p[-1] < 0:
+                num, p = -num, [-x for x in p]
+            p = Poly(p)
+            m = lcm(content, c)
+            if m != content:
+                total = total.scale(m // content)
+            if m != c:
+                num = num.scale(m // c)
+            content = m
+            q = _exact_quotient(prim, p)
+            if q is None:
+                total, prim = total * p + num * prim, prim * p
+            else:
+                total = total + num * q
+        return RatFun(total, prim.scale(content))
 
 
 def _factored_poly_str(p: Poly, bound: int) -> str:

@@ -15,11 +15,14 @@ Core claims:
     - the product equation over a base holds on exhausted small diagrams
       and fails under the testing perturbation hook; its signature-grouped
       sum equals the plain sum over the listed amalgamations in every mode,
-      also where the base's measure vanishes
+      also where the base's measure vanishes; it restricts t1 once
     - finite-level mode enforces the level bound instead of dividing by zero
+    - the once-normalized sum of embedding measures equals the sum of the
+      embeddings' measures, under perturbations too
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -35,6 +38,7 @@ from arboreal.measure import (
     marked_y,
     marked_z,
     mu_embedding,
+    mu_embedding_sum,
     mu_of_tree,
     mu_symbolic,
     set_mu_perturbation,
@@ -43,7 +47,7 @@ from arboreal.measure import (
     verify_amalgamation_equation,
 )
 from arboreal.ratfun import ONE, Poly, RatFun
-from arboreal.trees import EMPTY_TREE, TreeError, enumerate_trees, parse_tree, shape_key
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, enumerate_trees, parse_tree, shape_key
 
 T = RatFun.t()
 
@@ -356,6 +360,37 @@ def test_equation_sweep_small():
                         if t1.restrict(shared) != t2.restrict(shared):
                             continue
                         assert verify_amalgamation_equation(t1, t2).is_zero()
+
+
+@pytest.mark.parametrize("scale", [None, Fraction(2), Fraction(-2, 3)])
+def test_embedding_sum_is_the_sum_of_embeddings(scale):
+    t1, t2 = parse_tree("((a,b),(c,d))"), parse_tree("(a,e,f)")
+    wholes = [am.whole for am in amalgamations(t1, t2)]
+    set_mu_perturbation(scale)
+    try:
+        total = sum((mu_embedding(t1, z) for z in wholes), RatFun.zero())
+        assert mu_embedding_sum(t1, wholes) == total
+    finally:
+        set_mu_perturbation(None)
+
+
+def test_equation_restricts_once(monkeypatch):
+    """The base is t1's restriction by construction: one diagram makes one
+    Tree.restrict call in verify_amalgamation_equation, none to check the
+    embedding, besides the two of amalgamation_trees' base check."""
+    calls = []
+    restrict = Tree.restrict
+
+    def counting(self, keep):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return restrict(self, keep)
+
+    monkeypatch.setattr(Tree, "restrict", counting)
+    t1, t2 = parse_tree("((a,b),(c,d))"), parse_tree("(a,e,f)")
+    for p in (SYMBOLIC, ParamSpec.numeric(Fraction(7, 2)), ParamSpec.finite_level(4), ParamSpec.infinity()):
+        calls.clear()
+        assert verify_amalgamation_equation(t1, t2, p) == 0
+        assert calls == ["verify_amalgamation_equation"] + ["amalgamation_trees"] * 2, p
 
 
 def test_perturbation_breaks_the_equation():

@@ -8,7 +8,11 @@ Core claims:
     - polynomials live in Z[t]: int coefficients only, exact division,
       square roots in the integers; gcds are primitive
     - parsing clears fractional coefficients and keeps every value
-    - normal forms agree with sympy.cancel on random expressions
+    - normal forms agree with sympy.cancel on random expressions, and the
+      once-normalized sum of 1 to 6 unnormalized terms agrees with sympy and
+      with the sequential fold of cross-multiplied two-term sums
+    - negation and scaling by a rational number give the normal form of
+      the general path without running a gcd
 """
 
 import operator
@@ -18,10 +22,11 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arboreal.ratfun import (
+    FractionSum,
     PoleError,
     Poly,
     RatFun,
@@ -348,3 +353,111 @@ def test_normal_form_agrees_with_sympy_cancel(common, n1, d1, n2, d2, op):
     f = _OPS[op](a, b)
     assert (f.num.coeffs, f.den.coeffs) == _sympy_normal_form(_OPS[op](sa, sb))
     assert _all_int(f.num) and _all_int(f.den)
+
+
+def sequential_sum(pairs):
+    """The sum of the fractions num/den one term at a time, each two-term
+    sum cross-multiplied and normalized in full: the oracle for
+    ``RatFun.sum``."""
+    acc = RatFun.zero()
+    for num, den in pairs:
+        term = RatFun(num, den)
+        acc = RatFun(acc.num * term.den + term.num * acc.den, acc.den * term.den)
+    return acc
+
+
+# denominator factors: t-1 in powers (so denominators divide each other),
+# and others that do not divide them, one of them not monic
+_DEN_FACTORS = (Poly((-2, 1)), Poly((3, 2)), Poly((0, 1)), Poly((1, 0, 1)))
+_term = st.tuples(
+    st.one_of(_coeffs, st.just([0])),  # numerator, possibly zero
+    st.sampled_from([1, 2, -3, 6]),  # denominator content, sign included
+    st.integers(0, 3),  # power of t-1
+    st.lists(st.integers(0, len(_DEN_FACTORS) - 1), max_size=2),
+)
+
+
+def _term_pair(num_coeffs, content, ones, factors):
+    """(num, den) of integer Polys, unnormalized, and its sympy value."""
+    num, d = qpoly(num_coeffs)
+    den = Poly((-1, 1)) ** ones
+    sden = (_t - 1) ** ones
+    for i in factors:
+        den = den * _DEN_FACTORS[i]
+        sden = sden * _sympy_poly([Fraction(c) for c in _DEN_FACTORS[i].coeffs])
+    return (num, den.scale(content * d)), _sympy_poly(num_coeffs) / (content * sden)
+
+
+_SHARED = ([1, 2], 1, 2, [])
+_DIVIDING = ([3], 2, 3, [])
+_DISTINCT = ([-1, 1], -3, 0, [1, 3])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(_term, min_size=1, max_size=6), st.booleans())
+@example([_SHARED, _SHARED, _DIVIDING, _DISTINCT], False)
+@example([_SHARED, ([0], 6, 1, [0]), _DISTINCT], True)
+@example([([Fraction(1, 2)], 6, 1, [1])], False)
+def test_sum_normal_form_agrees_with_sympy_and_sequential_fold(terms, cancel):
+    """RatFun.sum of 1 to 6 unnormalized terms, with shared denominators,
+    ones dividing each other, distinct non-monic ones with content, zero
+    terms, and (with ``cancel``) each term beside its negative."""
+    if cancel:
+        terms = terms[:3] + [([-c for c in num], *rest) for num, *rest in terms[:3]]
+    built = [_term_pair(*term) for term in terms]
+    pairs = [pair for pair, _ in built]
+    f = RatFun.sum(pairs)
+    assert (f.num.coeffs, f.den.coeffs) == _sympy_normal_form(sum(v for _, v in built))
+    assert f == sequential_sum(pairs)
+    assert f == RatFun.sum(reversed(pairs))
+    if cancel:
+        assert f.is_zero()
+    assert _all_int(f.num) and _all_int(f.den)
+    acc = FractionSum()
+    for num, den in pairs:
+        acc.add(num, den)
+    assert acc.value() == f
+
+
+def test_sum_edge_cases():
+    assert RatFun.sum([]) == RatFun.zero()
+    assert RatFun.sum([(Poly(), Poly((-1, 1)))]) == RatFun.zero()
+    with pytest.raises(ZeroDivisionError):
+        RatFun.sum([(Poly((1,)), Poly())])
+    # (t-1)/(t-1)^2 + 1/(t-1) reduces to 2/(t-1) through the one final gcd
+    one = Poly((-1, 1))
+    assert RatFun.sum([(one, one * one), (Poly((1,)), one)]) == 2 / (T - 1)
+    assert T + 1 == RatFun.sum([(Poly((0, 1)), Poly((1,))), (Poly((1,)), Poly((1,)))])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_coeffs, _coeffs, _coeff)
+def test_negation_and_scalar_products_are_normal_forms(n, d, c):
+    """-f and f * c (c an int or a Fraction) equal the general path
+    RatFun(num, den) on the unnormalized product, and run no gcd."""
+    num, den = qpoly(n), qpoly(d)
+    if den[0].is_zero():
+        return
+    f = qratfun(num, den)
+    c = Fraction(c)
+    gcds = []
+    gcd = Poly.gcd
+
+    def counting(self, other):
+        gcds.append(1)
+        return gcd(self, other)
+
+    Poly.gcd = counting
+    try:
+        neg, scaled, scaled_int = -f, f * c, f * c.numerator
+        rscaled = c * f
+    finally:
+        Poly.gcd = gcd
+    assert not gcds
+    for got, want in (
+        (neg, RatFun(-f.num, f.den)),
+        (scaled, RatFun(f.num.scale(c.numerator), f.den.scale(c.denominator))),
+        (scaled_int, RatFun(f.num.scale(c.numerator), f.den)),
+        (rscaled, scaled),
+    ):
+        assert (got.num, got.den) == (want.num, want.den)
