@@ -34,7 +34,7 @@ from arboreal.amalgam import (
 from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
-    mu_embedding_sum,
+    _embedding_sum,
     mu_sum,
     mu_symbolic,
     register_measure_cache,
@@ -234,7 +234,7 @@ def _composition_table(
         extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
         (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
-         mu_embedding_sum(y3, zs))
+         _embedding_sum(y3, zs))
         for _, (y3, zs) in sorted(extensions.items())
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:

@@ -8,10 +8,10 @@ with the empty tree assigned 1.  The value on an embedding sub -> super is
 the ratio value(super)/value(sub), an exact quotient of the closed forms
 side by side; every finite-parameter evaluation goes through the symbolic
 form first.  Both are built in normal form, so no gcd runs for them.  A sum
-of values (``mu_sum``, ``mu_embedding_sum``, the product equation's
-residual) hands one unnormalized pair per tree signature to ``RatFun.sum``:
-the denominators are all (t-1)^leaves, so the whole sum normalizes with one
-gcd.
+of values (``mu_sum``, the embedding sums of the composition table, the
+product equation's residual) hands one unnormalized pair per tree signature
+to ``RatFun.sum``: the denominators are all (t-1)^leaves, so the whole sum
+normalizes with one gcd, and every other mode specializes that symbolic sum.
 
 Parameter modes:
 
@@ -161,12 +161,16 @@ def mu_symbolic(tree: Tree) -> RatFun:
     return _mu_symbolic_key(s.leaf_count, s.valences)
 
 
-def _require_level(tree: Tree, n: int) -> None:
-    if tree.level > n:
-        raise LevelError(
-            "tree %s has level %d > %d and is outside the level-%d class"
-            % (tree.canonical_key(), tree.level, n, n)
-        )
+def _check_levels(trees: Iterable[Tree], p: ParamSpec) -> None:
+    """In finite-level mode, raise LevelError for a tree above the bound."""
+    if p.mode != "level":
+        return
+    for tree in trees:
+        if tree.level > p.n:
+            raise LevelError(
+                "tree %s has level %d > %d and is outside the level-%d class"
+                % (tree.canonical_key(), tree.level, p.n, p.n)
+            )
 
 
 def _specialize(value: RatFun, p: ParamSpec) -> Value:
@@ -186,8 +190,7 @@ def _specialize(value: RatFun, p: ParamSpec) -> Value:
 
 def mu_of_tree(tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     """The measure of a tree under the given parameter mode."""
-    if p.mode == "level":
-        _require_level(tree, p.n)
+    _check_levels((tree,), p)
     return _specialize(mu_symbolic(tree), p)
 
 
@@ -195,29 +198,34 @@ def mu_sum(trees: Iterable[Tree], p: ParamSpec = SYMBOLIC) -> Value:
     """The summed measure of the trees under the given parameter mode.
 
     The measure depends only on the leaf count and the node valences, so
-    ``mu_of_tree`` runs once per such signature, times the number of trees
-    that share it; a symbolic sum is normalized once.
+    ``mu_symbolic`` runs once per such signature and the symbolic sum is
+    normalized once; the level, a part of the signature, is checked on one
+    tree of each.  Every term's denominator is c*(t-1)^leaves, of no lower
+    degree than its numerator, so specializing the sum agrees with summing
+    the specialized terms in every mode.
     """
-    if p.mode == "symbolic":
-        return RatFun.sum(_symbolic_terms(trees))
-    return sum((mu_of_tree(tree, p) * n for tree, n in _signatures(trees)), Fraction(0))
+    signatures = _signatures(trees)
+    _check_levels((tree for tree, _ in signatures), p)
+    return _specialize(RatFun.sum(_signature_terms(signatures, mu_symbolic)), p)
 
 
-def _signatures(trees: Iterable[Tree]) -> Iterable[Tuple[Tree, int]]:
-    """One tree per signature (leaf count and valences), with the number of
-    trees that share it."""
+def _signatures(trees: Iterable[Tree]) -> List[Tuple[Tree, int]]:
+    """One tree per signature (leaf count, level and valences), with the
+    number of trees that share it."""
     reps: Dict[TreeStats, list] = {}
     for tree in trees:
         reps.setdefault(tree.stats(), [tree, 0])[1] += 1
-    return reps.values()
+    return list(reps.values())
 
 
-def _symbolic_terms(trees: Iterable[Tree], sign: int = 1) -> Iterator[Tuple[Poly, Poly]]:
-    """Unnormalized (num, den) pairs, one per signature, that sum to sign
-    times the summed symbolic measure of the trees."""
-    for tree, n in _signatures(trees):
-        value = mu_symbolic(tree)
-        yield value.num.scale(sign * n), value.den
+def _signature_terms(
+    signatures: Iterable[Tuple[Tree, int]], measure: Callable[[Tree], RatFun]
+) -> Iterator[Tuple[Poly, Poly]]:
+    """Unnormalized (num, den) pairs, one per signature, of the measure of
+    its tree times the number of trees that share it."""
+    for tree, n in signatures:
+        value = measure(tree)
+        yield value.num.scale(n), value.den
 
 
 def _check_embedding(sub: Tree, super_tree: Tree) -> None:
@@ -230,9 +238,7 @@ def _check_embedding(sub: Tree, super_tree: Tree) -> None:
 def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     """The measure of the embedding sub -> super under the parameter mode."""
     _check_embedding(sub, super_tree)
-    if p.mode == "level":
-        _require_level(sub, p.n)
-        _require_level(super_tree, p.n)
+    _check_levels((sub, super_tree), p)
     return _specialize(_embedding_quotient(sub, super_tree), p)
 
 
@@ -248,12 +254,11 @@ def _embedding_quotient(sub: Tree, super_tree: Tree) -> RatFun:
     return RatFun._normal(num, den)
 
 
-def mu_embedding_sum(sub: Tree, supers: Iterable[Tree]) -> RatFun:
+def _embedding_sum(sub: Tree, supers: Iterable[Tree]) -> RatFun:
     """The summed symbolic measure of the embeddings sub -> z over the trees
     z, each of which restricts to sub (not checked): one exact quotient per
     signature, normalized once."""
-    quotients = ((_embedding_quotient(sub, z), n) for z, n in _signatures(supers))
-    return RatFun.sum((q.num.scale(n), q.den) for q, n in quotients)
+    return RatFun.sum(_signature_terms(_signatures(supers), lambda z: _embedding_quotient(sub, z)))
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:
@@ -333,12 +338,10 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    if max_level is not None:
-        for tree in (base, t1, t2):
-            _require_level(tree, max_level)
     trees = amalgamation_trees(t1, t2, max_level)
     embedding, value = _embedding_quotient(base, t1), mu_symbolic(t2)
-    if p.mode == "symbolic":
-        lhs = (embedding.num * value.num, embedding.den * value.den)
-        return RatFun.sum(chain((lhs,), _symbolic_terms(trees, -1)))
-    return _specialize(embedding, p) * _specialize(value, p) - mu_sum(trees, p)
+    # the negated residual: the amalgamations minus the left side
+    lhs = (-(embedding.num * value.num), embedding.den * value.den)
+    residual = -RatFun.sum(chain((lhs,), _signature_terms(_signatures(trees), mu_symbolic)))
+    _check_levels((base, t1, t2), p)
+    return _specialize(residual, p)

@@ -579,7 +579,7 @@ class FractionSum:
     def value(self) -> RatFun:
         terms = [(den, num) for den, num in self._by_den.items() if num]
         if not terms:
-            return RatFun.zero()
+            return ZERO
         if len(terms) == 1:
             den, num = terms[0]
             return RatFun(num, den)
@@ -659,4 +659,5 @@ def ratfun_sqrt(f: RatFun) -> Optional[RatFun]:
     return None if num is None or den is None else RatFun(num, den)
 
 
+ZERO = RatFun.zero()  # shared by every empty sum, as in the slots of a product
 ONE = RatFun.one()

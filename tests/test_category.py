@@ -379,6 +379,14 @@ def test_sums_match_the_sequential_fold(key):
         assert compose(f, g).terms == _sequential_compose(f, g)
 
 
+def test_product_empty_slots_share_one_zero():
+    """A product keeps no zero per empty slot: every one is the same object."""
+    alg = algebra_for(parse_tree("(p,q,r)"))
+    a = alg.element({1: 1 / (T - 1), 4: Fraction(-1, 2)})
+    zeros = [c for c in alg.multiply(a, a).vec if c.is_zero()]
+    assert len(zeros) > 1 and all(c is zeros[0] for c in zeros)
+
+
 @pytest.fixture
 def gcd_calls(monkeypatch):
     """One entry per Poly.gcd call."""

@@ -32,14 +32,15 @@ from arboreal.amalgam import amalgamations
 from arboreal.measure import (
     SYMBOLIC,
     LevelError,
+    _embedding_sum,
     MarkedTree,
     ParamSpec,
     marked_type_code,
     marked_y,
     marked_z,
     mu_embedding,
-    mu_embedding_sum,
     mu_of_tree,
+    mu_sum,
     mu_symbolic,
     set_mu_perturbation,
     star_tree,
@@ -342,6 +343,22 @@ def test_equation_sums_every_amalgamation():
             assert verify_amalgamation_equation(t1, t2, p) == lhs - total, (t1, p)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [ParamSpec.numeric(Fraction(7, 2)), ParamSpec.numeric(0), ParamSpec.finite_level(4), ParamSpec.infinity()],
+)
+def test_sum_specializes_the_symbolic_sum(p):
+    """Specializing the one symbolic sum equals summing the specialized
+    terms, the point and the empty tree (limit 1 at infinity) included."""
+    ams = amalgamations(parse_tree("((a,b),(c,d))"), parse_tree("(a,e,f)"), p.n)
+    trees = [a.whole for a in ams] + [parse_tree("a"), EMPTY_TREE, parse_tree("b")]
+    assert mu_sum(trees, p) == sum(mu_of_tree(z, p) for z in trees)
+    assert mu_sum([], p) == 0
+    if p.mode == "level":
+        with pytest.raises(LevelError):
+            mu_sum(trees + [parse_tree("(a,b,c,d,e)")], p)
+
+
 def test_equation_sweep_small():
     letters = "abcde"
     for total in range(0, 6):
@@ -369,7 +386,7 @@ def test_embedding_sum_is_the_sum_of_embeddings(scale):
     set_mu_perturbation(scale)
     try:
         total = sum((mu_embedding(t1, z) for z in wholes), RatFun.zero())
-        assert mu_embedding_sum(t1, wholes) == total
+        assert _embedding_sum(t1, wholes) == total
     finally:
         set_mu_perturbation(None)
 
