@@ -254,13 +254,21 @@ def amalgamation_trees(
     of t2.  ``max_level`` restricts to amalgamations whose every node
     valence stays within the bound.
     """
+    yield from _amalgamation_trees(t1.restrict(t1.label_set & t2.label_set), t1, t2, max_level)
+
+
+def _amalgamation_trees(
+    base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
+) -> Iterator[Tree]:
+    """``amalgamation_trees`` for a caller that already holds base, t1
+    restricted to the shared labels (not checked)."""
     i1, i2 = t1.label_set, t2.label_set
-    base = i1 & i2
-    if t1.restrict(base) != t2.restrict(base):
-        raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(base))
+    shared = i1 & i2
+    if base != t2.restrict(shared):
+        raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
-    for merged in _matched_classes(classes, i1 - base, i2 - base):
+    for merged in _matched_classes(classes, i1 - shared, i2 - shared):
         yield from trees_with_restrictions(merged, constraints, max_level)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from arboreal.amalgam import (
     Amalgamation,
@@ -39,7 +39,7 @@ from arboreal.measure import (
     mu_symbolic,
     register_measure_cache,
 )
-from arboreal.ratfun import FractionSum, RatFun
+from arboreal.ratfun import ZERO, FractionSum, RatFun, _over_one_denominator
 from arboreal.trees import Tree, TreeError
 
 Coeff = Union[RatFun, Fraction, int]
@@ -243,6 +243,34 @@ def _composition_table(
     return table
 
 
+def _bilinear(
+    left: Sequence[Tuple[Hashable, RatFun]],
+    right: Sequence[Tuple[Hashable, RatFun]],
+    row: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, RatFun]]],
+) -> Dict[Hashable, RatFun]:
+    """The sum over (x, a) in left and (y, b) in right of a * b * w
+    into slot k, for each (k, w) of row(x, y), by slot.
+
+    Each side is brought over one common denominator first, so a pair costs
+    one polynomial product and a term one more; each slot sums its terms by
+    the denominator of w and is normalized once, over the two common
+    denominators.
+    """
+    lnums, lden = _over_one_denominator([(c.num, c.den) for _, c in left])
+    rnums, rden = _over_one_denominator([(c.num, c.den) for _, c in right])
+    acc: Dict[Hashable, FractionSum] = {}
+    for (x, _), a in zip(left, lnums):
+        for (y, _), b in zip(right, rnums):
+            ab = a * b
+            for k, w in row(x, y):
+                s = acc.get(k)
+                if s is None:
+                    s = acc[k] = FractionSum()
+                s.add(w.num * ab, w.den)
+    den = lden * rden
+    return {k: s.value(den) for k, s in acc.items()}
+
+
 def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement:
     """The composition f after g, computed symbolically.
 
@@ -253,15 +281,8 @@ def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement
     if g.target != f.source:
         raise TreeError("middle objects do not match")
     max_level = p.n if p.mode == "level" else None
-    acc: Dict[Amalgamation, FractionSum] = {}
-    for gu, cg in g.terms:
-        for fv, cf in f.terms:
-            num, den = cg.num * cf.num, cg.den * cf.den
-            for out, w in _composition_table(gu, fv, max_level):
-                if out not in acc:
-                    acc[out] = FractionSum()
-                acc[out].add(w.num * num, w.den * den)
-    h = HomElement.make(g.source, f.target, {out: s.value() for out, s in acc.items()})
+    terms = _bilinear(g.terms, f.terms, lambda gu, fv: _composition_table(gu, fv, max_level))
+    h = HomElement.make(g.source, f.target, terms)
     if p.mode == "numeric":
         return evaluate_coefficients(h, p.t)
     if p.mode == "level":
@@ -402,17 +423,12 @@ class ArborealAlgebra:
         return tuple(row)
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-        out = [FractionSum() for _ in range(self.dim)]
-        for i, ca in enumerate(a.vec):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.vec):
-                if cb.is_zero():
-                    continue
-                num, den = ca.num * cb.num, ca.den * cb.den
-                for k, w in self.product_row(i, j):
-                    out[k].add(w.num * num, w.den * den)
-        return AlgebraElement(self, tuple(s.value() for s in out))
+        out = [ZERO] * self.dim
+        left = [(i, c) for i, c in enumerate(a.vec) if not c.is_zero()]
+        right = [(j, c) for j, c in enumerate(b.vec) if not c.is_zero()]
+        for k, value in _bilinear(left, right, self.product_row).items():
+            out[k] = value
+        return AlgebraElement(self, tuple(out))
 
     def _at_level(self, value: RatFun) -> RatFun:
         """A symbolic value, evaluated at t = n under a level bound n."""

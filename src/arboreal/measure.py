@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from arboreal.amalgam import amalgamation_trees
+from arboreal.amalgam import _amalgamation_trees
 from arboreal.ratfun import ONE, Poly, RatFun
 from arboreal.trees import Tree, TreeError, TreeStats, build_tree, parse_tree
 
@@ -107,7 +107,7 @@ def _power(k: int, e: int) -> Poly:
     for j in range(e, -1, -1):
         coeffs[j] = c
         c = c * -k * j // (e - j + 1)
-    return Poly(coeffs)
+    return Poly._of(coeffs)
 
 
 @lru_cache(maxsize=4096)
@@ -338,7 +338,7 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    trees = amalgamation_trees(t1, t2, max_level)
+    trees = _amalgamation_trees(base, t1, t2, max_level)
     embedding, value = _embedding_quotient(base, t1), mu_symbolic(t2)
     # the negated residual: the amalgamations minus the left side
     lhs = (-(embedding.num * value.num), embedding.den * value.den)

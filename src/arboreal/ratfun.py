@@ -1,25 +1,34 @@
 """Exact arithmetic with rational functions in one variable.
 
 Polynomials are integer polynomials: dense tuples of Python ``int``
-coefficients.  A rational function normalizes to a coprime
-numerator/denominator pair of integer polynomials with overall content 1 and
-a positive leading denominator coefficient, so equal values always serialize
-to identical strings.  Normalization stays in the integers: each side splits
-into its integer content and primitive part, and the primitive parts are
-divided by their gcd, taken by a primitive remainder sequence over Z.  By
-Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1) products and exact quotients of
-primitive polynomials stay primitive, so no rational coefficient is ever
-needed; the parser clears the denominators of the ones it reads.
+coefficients.  ``Poly(...)`` checks that every coefficient is an ``int``;
+the ring operations, whose results from ``int`` coefficients are ``int``,
+build theirs through the trusted ``Poly._of``, which only strips trailing
+zeros.  A rational function normalizes to a coprime numerator/denominator
+pair of integer polynomials with overall content 1 and a positive leading
+denominator coefficient, so equal values always serialize to identical
+strings.  Normalization stays in the integers: each side splits into its
+integer content and primitive part.  While both parts vanish at t = 1 (their
+coefficients sum to zero), t-1 is divided out of both by synthetic division.
+If what is left of the denominator is a power of t-1, or the numerator is
+constant, the parts are coprime; otherwise they are divided by their gcd,
+taken by a primitive remainder sequence over Z.  By Gauss's lemma (Knuth,
+TAOCP vol. 2, 4.6.1) products and exact quotients of primitive polynomials
+stay primitive, so no rational coefficient is ever needed; the parser clears
+the denominators of the ones it reads.
 
 Sums normalize once.  ``RatFun.sum`` (and ``FractionSum``, its running
 form, which algebra products and compositions keep per output slot) takes
 unnormalized num/den pairs, adds the numerators of equal denominators as it
-reads them, brings the distinct denominators together (by an exact quotient
-where one divides another, else by cross-multiplying) and runs one gcd at
-the end; ``+`` is its two-term case.  Tree measures all have denominators
-c*(t-1)^leaves, so a sum of measures meets one gcd however many terms it
-has.  Negation and scaling by a rational number only move the sign and the
-integer content of a normal form and run no gcd at all.
+reads them, brings the distinct denominators over one (by an exact quotient
+where one divides another, else by cross-multiplying; algebra products bring
+each operand's coefficients over one denominator the same way) and
+normalizes once at the end; ``+`` is its two-term case.  Every tree measure
+has a denominator c*(t-1)^leaves, and so has every embedding quotient and
+every structure constant, a sum of such quotients, so these sums and
+products take no gcd unless a coefficient brings another denominator.  Negation, scaling by a
+rational number and division by one only move the sign and the integer
+content of a normal form and run no gcd either.
 
 The serialized form is ``num_poly + " / " + den_poly`` with polynomials
 written highest degree first, e.g. ``t^3-4*t^2+4*t / t^4-4*t^3+6*t^2-4*t+1``.
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +61,9 @@ def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError("expected an int or Fraction, got %r" % (c,))
+
+
+_new = object.__new__
 
 
 def _split(coeffs: Sequence[int]) -> Tuple[int, Sequence[int]]:
@@ -105,12 +118,24 @@ class Poly:
                 raise TypeError("Poly coefficients must be int, got %r" % (c,))
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _of(cs: Sequence[int]) -> "Poly":
+        """Trusted: cs are ints, as every ring operation on int coefficients
+        gives; trailing zeros are stripped and nothing is checked."""
+        if cs and not cs[-1]:
+            cs = list(cs)
+            while cs and not cs[-1]:
+                cs.pop()
+        out = _new(Poly)
+        _set_coeffs(out, tuple(cs))
+        return out
 
     @staticmethod
     def t() -> "Poly":
@@ -148,10 +173,10 @@ class Poly:
             a, b = b, a
         out = [x + y for x, y in zip(a, b)]
         out.extend(a[len(b) :])
-        return Poly(out)
+        return Poly._of(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -159,18 +184,23 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly()
+            return Poly._of(())
         if len(a) < len(b):
             a, b = b, a
         n = len(b)
+        if n == 1:  # a constant factor: no zero can appear on top
+            c = b[0]
+            return Poly._of(a if c == 1 else [x * c for x in a])
         out = [0] * (len(a) + n - 1)
         for i, ca in enumerate(a):
             if ca:
                 out[i : i + n] = [o + ca * cb for o, cb in zip(out[i : i + n], b)]
-        return Poly(out)
+        return Poly._of(out)
 
     def scale(self, c: int) -> "Poly":
-        return Poly(tuple(x * c for x in self.coeffs))
+        if type(c) is not int:
+            raise TypeError("Poly coefficients must be int, got %r" % (c,))
+        return Poly._of([x * c for x in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -202,7 +232,7 @@ class Poly:
                     raise ValueError("%s does not divide %s in Z[t]" % (other, self))
                 q[k] = f
                 rem[k:] = [x - f * y for x, y in zip(rem[k:], b)]
-        return Poly(q), Poly(rem)
+        return Poly._of(q), Poly._of(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Primitive greatest common divisor: integer coefficients with
@@ -227,7 +257,7 @@ class Poly:
                     return Poly((1,))
                 a, b = b, _split(r)[1]
             g = b
-        return Poly(g if g[-1] > 0 else [-c for c in g])
+        return Poly._of(g if g[-1] > 0 else [-c for c in g])
 
     def evaluate(self, t: Scalar) -> Fraction:
         # Horner's rule on t = p/q scaled by q^degree, so the integer
@@ -277,6 +307,16 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (self,)
+
+
+_set_coeffs = Poly.coeffs.__set__  # writes the slot past Poly.__setattr__
+
+
+def _div_one(cs: Sequence[int]) -> List[int]:
+    """cs / (t-1) by synthetic division, for coefficients cs (lowest degree
+    first) that sum to zero, i.e. vanish at t = 1: the quotient's
+    coefficients are the partial sums of cs from the top."""
+    return list(accumulate(reversed(cs)))[-2::-1]
 
 
 def poly_to_str(p: Poly, var: str = "t") -> str:
@@ -365,11 +405,22 @@ class RatFun:
         else:
             gn, pn = _split(num.coeffs)
             gd, pd = _split(den.coeffs)
-            num, den = Poly(pn), Poly(pd)
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+            # p(1) is the coefficient sum: while both sides vanish at t = 1,
+            # divide (t-1) out of both
+            while not sum(pn) and not sum(pd):
+                pn, pd = _div_one(pn), _div_one(pd)
+            num, den = Poly._of(pn), Poly._of(pd)
+            if len(pn) > 1:  # a constant num is coprime with den
+                rest = pd
+                while len(rest) > 1 and not sum(rest):
+                    rest = _div_one(rest)
+                # rest is den without the factors t-1, which num no longer
+                # shares: only a nonconstant rest can share a factor with num
+                if len(rest) > 1:
+                    g = num.gcd(den)
+                    if g.degree > 0:
+                        num = num.divmod(g)[0]
+                        den = den.divmod(g)[0]
             # primitive parts times the reduced content ratio gn/gd: both
             # parts integer with joint content 1
             h = gcd(gn, gd)
@@ -399,7 +450,7 @@ class RatFun:
     @staticmethod
     def from_scalar(c: Scalar) -> "RatFun":
         c = _as_fraction(c)  # in lowest terms with a positive denominator
-        return RatFun._normal(Poly((c.numerator,)), Poly((c.denominator,)))
+        return RatFun._normal(Poly._of((c.numerator,)), Poly._of((c.denominator,)))
 
     @staticmethod
     def sum(pairs: Iterable[Tuple[Poly, Poly]]) -> "RatFun":
@@ -477,15 +528,19 @@ class RatFun:
             return RatFun.zero()
         ha, hb = gcd(a, *self.den.coeffs), gcd(b, *self.num.coeffs)
         a, b = a // ha, b // hb
-        num = Poly([x // hb * a for x in self.num.coeffs])
-        den = Poly([x // ha * b for x in self.den.coeffs])
+        num = Poly._of([x // hb * a for x in self.num.coeffs])
+        den = Poly._of([x // ha * b for x in self.den.coeffs])
         return RatFun._normal(num, den)
 
     def __truediv__(self, other) -> "RatFun":
-        o = self._coerce(other)
-        if o.is_zero():
+        if not isinstance(other, RatFun):
+            c = _as_fraction(other)
+            if not c:
+                raise ZeroDivisionError("rational function division by zero")
+            return self._scaled(1 / c)
+        if other.is_zero():
             raise ZeroDivisionError("rational function division by zero")
-        return RatFun(self.num * o.den, self.den * o.num)
+        return RatFun(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RatFun":
         return self._coerce(other) / self
@@ -551,17 +606,46 @@ def _exact_quotient(a: Poly, b: Poly) -> Optional[Poly]:
     return None if r else q
 
 
+def _over_one_denominator(
+    pairs: Sequence[Tuple[Poly, Poly]]
+) -> Tuple[List[Poly], Poly]:
+    """(nums, den) with nums[i] / den = num / d for the i-th (num, d) pair
+    of integer polynomials (d nonzero), found without a gcd: den is the lcm
+    of the contents of the d times a product of their primitive parts.
+    Taken highest degree first, a primitive part that divides the product
+    adds nothing (by Gauss's lemma the exact quotient lies in Z[t]), any
+    other is multiplied in; so powers of t-1 meet at the highest one.
+    """
+    if len(pairs) == 1:
+        return [pairs[0][0]], pairs[0][1]
+    parts = []
+    for _, d in pairs:
+        c, p = _split(d.coeffs)
+        if p[-1] < 0:
+            c, p = -c, [-x for x in p]
+        parts.append((c, Poly._of(p)))
+    prim, quotient = Poly._of((1,)), {}
+    for p in sorted(dict.fromkeys(p for _, p in parts), key=lambda p: -p.degree):
+        q = _exact_quotient(prim, p)
+        if q is None:
+            quotient = {r: s * p for r, s in quotient.items()}
+            q, prim = prim, prim * p
+        quotient[p] = q
+    content = lcm(*[c for c, _ in parts])
+    nums = []
+    for (num, _), (c, p) in zip(pairs, parts):
+        k = content // c
+        nums.append((num if k == 1 else num.scale(k)) * quotient[p])
+    return nums, prim.scale(content)
+
+
 class FractionSum:
     """A running sum of fractions num/den of integer polynomials.
 
     ``add`` folds each term into a map from denominator to summed numerator,
     so a repeated denominator costs one polynomial addition and no term is
-    kept.  ``value`` brings the distinct denominators together, highest
-    degree first, over one running denominator content * prim with prim
-    primitive and of positive leading coefficient: a term whose primitive
-    denominator divides prim is scaled by the quotient (by Gauss's lemma
-    that quotient lies in Z[t]), any other is cross-multiplied in.  The
-    result is normalized once.
+    kept.  ``value`` brings the distinct denominators over one
+    (``_over_one_denominator``), adds the numerators and normalizes once.
     """
 
     __slots__ = ("_by_den",)
@@ -576,32 +660,17 @@ class FractionSum:
             prev = self._by_den.get(den)
             self._by_den[den] = num if prev is None else prev + num
 
-    def value(self) -> RatFun:
-        terms = [(den, num) for den, num in self._by_den.items() if num]
+    def value(self, over: Optional[Poly] = None) -> RatFun:
+        """The sum, divided by the nonzero polynomial ``over`` when one is
+        given, normalized once; the shared ``ZERO`` when it vanishes."""
+        terms = [(num, den) for den, num in self._by_den.items() if num]
         if not terms:
             return ZERO
-        if len(terms) == 1:
-            den, num = terms[0]
-            return RatFun(num, den)
-        terms.sort(key=lambda term: -term[0].degree)
-        total, content, prim = Poly(), 1, Poly((1,))
-        for den, num in terms:
-            c, p = _split(den.coeffs)
-            if p[-1] < 0:
-                num, p = -num, [-x for x in p]
-            p = Poly(p)
-            m = lcm(content, c)
-            if m != content:
-                total = total.scale(m // content)
-            if m != c:
-                num = num.scale(m // c)
-            content = m
-            q = _exact_quotient(prim, p)
-            if q is None:
-                total, prim = total * p + num * prim, prim * p
-            else:
-                total = total + num * q
-        return RatFun(total, prim.scale(content))
+        nums, den = _over_one_denominator(terms)
+        total = sum(nums[1:], nums[0])
+        if not total:
+            return ZERO
+        return RatFun(total, den if over is None else den * over)
 
 
 def _factored_poly_str(p: Poly, bound: int) -> str:

@@ -14,8 +14,10 @@ Core claims:
       parameter, and is the identity when nothing exceeds the bound
     - minimal polynomials and idempotent reports behave on easy elements
     - products and compositions, summed once per output slot, equal the
-      sequential fold of fully normalized two-term sums; fixed products,
-      measure sums and compositions run an exact number of gcds
+      sequential fold of fully normalized two-term sums, and products over
+      one common denominator per operand equal the per-term sum of the
+      previous multiply; fixed products, measure sums, compositions and a
+      round of edge-algebra ops run an exact number of gcds
 """
 
 import random
@@ -42,7 +44,7 @@ from arboreal.category import (
 )
 from arboreal.edge_algebra import edge_algebra
 from arboreal.measure import ParamSpec, mu_sum, mu_symbolic, set_mu_perturbation
-from arboreal.ratfun import ONE, Poly, RatFun, parse_ratfun
+from arboreal.ratfun import ONE, FractionSum, Poly, RatFun, parse_ratfun
 from arboreal.trees import EMPTY_TREE, TreeError, parse_tree
 
 T = RatFun.t()
@@ -363,6 +365,45 @@ def _sequential_compose(f, g):
 _COEFFICIENTS = ["1", "-1/2", "2/3", "-3", "1 / t-1", "t-2 / t-1", "2*t / 3*t-9"]
 
 
+def _per_term_multiply(alg, a, b):
+    """The product with one unnormalized term per (i, j, k), over the
+    product of the two coefficients' denominators and the constant's, and
+    one running sum per slot: the oracle for multiply over one common
+    denominator per operand."""
+    out = [FractionSum() for _ in range(alg.dim)]
+    for i, ca in enumerate(a.vec):
+        for j, cb in enumerate(b.vec):
+            if not (ca.is_zero() or cb.is_zero()):
+                num, den = ca.num * cb.num, ca.den * cb.den
+                for k, w in alg.product_row(i, j):
+                    out[k].add(w.num * num, w.den * den)
+    return tuple(s.value() for s in out)
+
+
+@pytest.mark.parametrize("scale", [None, Fraction(2), Fraction(-1, 2)])
+def test_products_match_the_per_term_sum(edge, scale):
+    """Random elements of the edge algebra at every level bound, and the
+    named edge elements and idempotents, whose coefficients have
+    denominators t and 2 besides powers of t-1."""
+    set_mu_perturbation(scale)
+    try:
+        for level in (None, 3, 4):
+            alg = algebra_for(EDGE, level)
+            rng = random.Random("per-term:%s:%s" % (scale, level))
+            for _ in range(12):
+                a, b = (alg.element({i: parse_ratfun(rng.choice(_COEFFICIENTS))
+                                     for i in rng.sample(range(alg.dim), rng.randint(1, 4))})
+                        for _ in range(2))
+                assert alg.multiply(a, b).vec == _per_term_multiply(alg, a, b)
+        named = [*edge.a.values(), *edge.b.values(), *edge.c.values(),
+                 *edge.minus_idempotents().values()]
+        for x in named:
+            for y in named[::3]:
+                assert edge.algebra.multiply(x, y).vec == _per_term_multiply(edge.algebra, x, y)
+    finally:
+        set_mu_perturbation(None)
+
+
 @pytest.mark.parametrize("key", ["(1,2)", "(p,q)"])
 def test_sums_match_the_sequential_fold(key):
     alg = algebra_for(parse_tree(key))
@@ -402,20 +443,22 @@ def gcd_calls(monkeypatch):
 
 
 def test_gcd_counts_of_sums(edge, gcd_calls):
-    """Work counts, not wall time: a sum normalizes once per output value
-    (22, 16 and 93 gcds when every term was added with its own gcd)."""
+    """Work counts, not wall time: a sum normalizes once per output value,
+    and a value whose denominator is a power of t-1 needs no gcd (22, 16
+    and 93 gcds when every term was added with its own gcd, 8, 1 and 26
+    with one gcd per output value)."""
     alg = edge.algebra
     a = edge.a[1] * Fraction(-1, 2) + edge.a[4] * ((T - 2) / (T - 1))
     b = edge.a[2] * 3 + edge.a[7] * Fraction(2, 3)
     alg.multiply(a, b)  # reads the structure constants into the table
     gcd_calls.clear()
     alg.multiply(a, b)
-    assert len(gcd_calls) == 8
+    assert len(gcd_calls) == 0
 
     trees = list(amalgamation_trees(EDGE, parse_tree("(3,4,5)")))
     gcd_calls.clear()
     mu_sum(trees)
-    assert len(trees) == 56 and len(gcd_calls) == 1
+    assert len(trees) == 56 and len(gcd_calls) == 0
 
     x = parse_tree("(p,q)")
     basis = hom_basis(x, x)
@@ -424,4 +467,39 @@ def test_gcd_counts_of_sums(edge, gcd_calls):
     set_mu_perturbation(None)  # empties the composition table
     gcd_calls.clear()
     compose(f, g)
-    assert len(gcd_calls) == 26
+    assert len(gcd_calls) == 0
+
+
+def test_gcd_count_of_an_edge_round(edge, gcd_calls):
+    """A work guard, not a timing: one seeded round of 18 associativity
+    checks on two-term elements (one coefficient a rational function) and
+    two minimal polynomials runs 3 gcds, all in the elimination of
+    ``_solve_dependence``; it ran 1,499 when every normalization took a gcd."""
+    alg = edge.algebra
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            alg.product_row(i, j)  # reads the structure constants into the table
+    rng = random.Random("edge-round")
+    rationals, ratfuns = ["1", "-1/2", "2/3", "-3"], ["1 / t-1", "t-2 / t-1"]
+
+    def element(terms):
+        out = alg.element({})
+        for n, c in terms:
+            out = out + edge.a[n] * parse_ratfun(c)
+        return out
+
+    gcd_calls.clear()
+    for _ in range(18):
+        terms = [[[n, rng.choice(rationals)] for n in rng.sample(range(1, 11), 2)] for _ in range(3)]
+        rng.choice(rng.choice(terms))[1] = rng.choice(ratfuns)
+        a, b, c = (element(t) for t in terms)
+        ab = alg.multiply(a, b)
+        assert alg.multiply(ab, c) == alg.multiply(a, alg.multiply(b, c))
+        assert alg.utr(ab) == alg.utr(alg.multiply(b, a))
+    for group in ([4, 5], [1, 2, 3, 6]):
+        e = edge.a[rng.choice(group)] * parse_ratfun(rng.choice(rationals))
+        total, power = alg.element({}), alg.identity()
+        for coeff in alg.minimal_polynomial(e):
+            total, power = total + power.scale(coeff), alg.multiply(power, e)
+        assert total.is_zero()
+    assert len(gcd_calls) == 3

@@ -8,11 +8,13 @@ Core claims:
     - polynomials live in Z[t]: int coefficients only, exact division,
       square roots in the integers; gcds are primitive
     - parsing clears fractional coefficients and keeps every value
-    - normal forms agree with sympy.cancel on random expressions, and the
-      once-normalized sum of 1 to 6 unnormalized terms agrees with sympy and
-      with the sequential fold of cross-multiplied two-term sums
-    - negation and scaling by a rational number give the normal form of
-      the general path without running a gcd
+    - normal forms agree with sympy.cancel on random expressions, also
+      where both sides carry powers of t-1 (divided out without a gcd) with
+      or without a further common factor, and the once-normalized sum of 1
+      to 6 unnormalized terms agrees with sympy and with the sequential fold
+      of cross-multiplied two-term sums
+    - negation, scaling by a rational number and division by one give the
+      normal form of the general path without running a gcd
 """
 
 import operator
@@ -355,6 +357,54 @@ def test_normal_form_agrees_with_sympy_cancel(common, n1, d1, n2, d2, op):
     assert _all_int(f.num) and _all_int(f.den)
 
 
+_ones = st.integers(0, 3)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_coeffs, _coeffs, _coeffs, _coeffs, _ones, _ones, _ones, _ones, _coeffs, st.booleans(),
+       st.sampled_from(sorted(_OPS)))
+@example([1], [2, -3], [1], [1], 2, 3, 1, 0, [-2, 1], False, "*")  # den a pure power of t-1
+@example([1], [1, 1], [1], [1], 3, 1, 0, 2, [-2, 1], True, "/")  # and a shared t-2
+@example([2], [-1, 1], [-4], [3], 0, 2, 1, 1, [3, 2], True, "+")  # num vanishing at 1
+def test_normal_form_with_powers_of_t_minus_one_agrees_with_sympy(
+    n1, d1, n2, d2, i1, j1, i2, j2, common, shared, op
+):
+    """Operands (t-1)^i1 n1 / ((t-1)^j1 d1) and (t-1)^i2 n2 / ((t-1)^j2 d2),
+    the first with a further common factor on both sides when ``shared``:
+    the constructor and every operation give sympy's normal form."""
+    one = [-1, 1]
+    extra = [common] if shared else []
+    den1, den2 = qpoly(*[one] * j1, d1, *extra), qpoly(*[one] * j2, d2)
+    if den1[0].is_zero() or den2[0].is_zero():
+        return
+    a = qratfun(qpoly(*[one] * i1, n1, *extra), den1)
+    b = qratfun(qpoly(*[one] * i2, n2), den2)
+    c = _sympy_poly(common) if shared else 1
+    sa = (_t - 1) ** i1 * _sympy_poly(n1) * c / ((_t - 1) ** j1 * _sympy_poly(d1) * c)
+    sb = (_t - 1) ** i2 * _sympy_poly(n2) / ((_t - 1) ** j2 * _sympy_poly(d2))
+    assert (a.num.coeffs, a.den.coeffs) == _sympy_normal_form(sa)
+    if op == "/" and b.is_zero():
+        return
+    f = _OPS[op](a, b)
+    assert (f.num.coeffs, f.den.coeffs) == _sympy_normal_form(_OPS[op](sa, sb))
+    assert _all_int(f.num) and _all_int(f.den)
+
+
+def test_powers_of_t_minus_one_need_no_gcd(monkeypatch):
+    """Common factors t-1 leave by synthetic division; a denominator left a
+    power of t-1 (or a constant) runs no gcd, any other still does."""
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda self, other: calls.append(1) or gcd(self, other))
+    one = Poly((-1, 1))
+    f = RatFun((one**3 * Poly((1, 1))).scale(6), (one**2).scale(-4))
+    assert (f.num, f.den) == (-(one * Poly((1, 1))).scale(3), Poly((2,))) and not calls
+    g = RatFun(one * Poly((0, 1)), one**4 * Poly((3,)))
+    assert (g.num, g.den) == (Poly((0, 1)), one**3 * Poly((3,))) and not calls
+    h = RatFun(one * Poly((-2, 1)), one**2 * Poly((-2, 1)))
+    assert (h.num, h.den) == (Poly((1,)), one) and len(calls) == 1
+
+
 def sequential_sum(pairs):
     """The sum of the fractions num/den one term at a time, each two-term
     sum cross-multiplied and normalized in full: the oracle for
@@ -433,8 +483,9 @@ def test_sum_edge_cases():
 @settings(max_examples=150, deadline=None, database=None)
 @given(_coeffs, _coeffs, _coeff)
 def test_negation_and_scalar_products_are_normal_forms(n, d, c):
-    """-f and f * c (c an int or a Fraction) equal the general path
-    RatFun(num, den) on the unnormalized product, and run no gcd."""
+    """-f, f * c and f / c (c an int or a Fraction) equal the general path
+    RatFun(num, den) on the unnormalized product or quotient, and run no
+    gcd; division by zero raises."""
     num, den = qpoly(n), qpoly(d)
     if den[0].is_zero():
         return
@@ -451,13 +502,25 @@ def test_negation_and_scalar_products_are_normal_forms(n, d, c):
     try:
         neg, scaled, scaled_int = -f, f * c, f * c.numerator
         rscaled = c * f
+        divided = f / c if c else None
+        divided_int = f / c.numerator if c else None
     finally:
         Poly.gcd = gcd
     assert not gcds
-    for got, want in (
+    cases = [
         (neg, RatFun(-f.num, f.den)),
         (scaled, RatFun(f.num.scale(c.numerator), f.den.scale(c.denominator))),
         (scaled_int, RatFun(f.num.scale(c.numerator), f.den)),
         (rscaled, scaled),
-    ):
+    ]
+    if c:
+        cases += [
+            (divided, RatFun(f.num.scale(c.denominator), f.den.scale(c.numerator))),
+            (divided_int, RatFun(f.num, f.den.scale(c.numerator))),
+        ]
+    else:
+        for zero in (c, 0):
+            with pytest.raises(ZeroDivisionError):
+                f / zero
+    for got, want in cases:
         assert (got.num, got.den) == (want.num, want.den)
