@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from arboreal.amalgam import (
     Amalgamation,
@@ -39,7 +39,7 @@ from arboreal.measure import (
     mu_symbolic,
     register_measure_cache,
 )
-from arboreal.ratfun import ZERO, FractionSum, RatFun, _over_one_denominator
+from arboreal.ratfun import ZERO, Poly, RatFun, _common_denominator
 from arboreal.trees import Tree, TreeError
 
 Coeff = Union[RatFun, Fraction, int]
@@ -246,29 +246,37 @@ def _composition_table(
 def _bilinear(
     left: Sequence[Tuple[Hashable, RatFun]],
     right: Sequence[Tuple[Hashable, RatFun]],
-    row: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, RatFun]]],
+    row: Callable[[Hashable, Hashable], Sequence[Tuple[Hashable, RatFun]]],
 ) -> Dict[Hashable, RatFun]:
     """The sum over (x, a) in left and (y, b) in right of a * b * w
     into slot k, for each (k, w) of row(x, y), by slot.
 
-    Each side is brought over one common denominator first, so a pair costs
-    one polynomial product and a term one more; each slot sums its terms by
-    the denominator of w and is normalized once, over the two common
-    denominators.
+    The left coefficients, the right coefficients and the structure
+    constants w read are each brought over one denominator, three calls of
+    ``_common_denominator`` whatever the number of slots; so a pair costs
+    one polynomial product, a term two more, and each slot keeps one integer
+    numerator, normalized once over the product of the three denominators.
     """
-    lnums, lden = _over_one_denominator([(c.num, c.den) for _, c in left])
-    rnums, rden = _over_one_denominator([(c.num, c.den) for _, c in right])
-    acc: Dict[Hashable, FractionSum] = {}
-    for (x, _), a in zip(left, lnums):
-        for (y, _), b in zip(right, rnums):
-            ab = a * b
-            for k, w in row(x, y):
-                s = acc.get(k)
-                if s is None:
-                    s = acc[k] = FractionSum()
-                s.add(w.num * ab, w.den)
-    den = lden * rden
-    return {k: s.value(den) for k, s in acc.items()}
+    lmuls, lden = _common_denominator([c.den for _, c in left])
+    rmuls, rden = _common_denominator([c.den for _, c in right])
+    lnums = [c.num * m for (_, c), m in zip(left, lmuls)]
+    rnums = [c.num * m for (_, c), m in zip(right, rmuls)]
+    rows = [
+        (a * b, row(x, y))
+        for (x, _), a in zip(left, lnums)
+        for (y, _), b in zip(right, rnums)
+    ]
+    dens = {w.den.coeffs: w.den for _, r in rows for _, w in r}
+    wmuls, wden = _common_denominator(list(dens.values()))
+    wmul = dict(zip(dens, wmuls))
+    acc: Dict[Hashable, Poly] = {}
+    for ab, r in rows:
+        for k, w in r:
+            term = w.num * wmul[w.den.coeffs] * ab
+            prev = acc.get(k)
+            acc[k] = term if prev is None else prev + term
+    den = wden * lden * rden
+    return {k: RatFun(num, den) if num else ZERO for k, num in acc.items()}
 
 
 def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement:
@@ -606,7 +614,7 @@ def _solve_dependence(
         if pivot is None:
             continue
         matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        inv = RatFun.one() / matrix[row][col]
+        inv = matrix[row][col].inverse()
         matrix[row] = [x * inv for x in matrix[row]]
         for r in range(n):
             if r != row and not matrix[r][col].is_zero():

@@ -148,7 +148,7 @@ class EdgeAlgebra:
         sol = _solve_dependence([g.vec], (g * g).vec)
         if sol is None or sol[0].is_zero():
             raise AssertionError("projector derivation degenerated")
-        return g * (RatFun.one() / sol[0])
+        return g * sol[0].inverse()
 
     def plus_idempotents(self) -> Dict[str, AlgebraElement]:
         """A complete orthogonal idempotent system for the +1 eigenspace.
@@ -175,7 +175,7 @@ class EdgeAlgebra:
         lam2 = (sigma - sd) / 2
         if lam1 == lam2:
             raise AssertionError("repeated eigenvalue in the remainder split")
-        p1 = (h - rest * lam2) * (RatFun.one() / (lam1 - lam2))
+        p1 = (h - rest * lam2) * (lam1 - lam2).inverse()
         p2 = rest - p1
         udims = {"f2": -T / (T - 1), "f4": -T * (T - 3) / (2 * (T - 1))}
         out = {"f0": f0, "f1": f1, "f3": f3}

@@ -10,8 +10,9 @@ side by side; every finite-parameter evaluation goes through the symbolic
 form first.  Both are built in normal form, so no gcd runs for them.  A sum
 of values (``mu_sum``, the embedding sums of the composition table, the
 product equation's residual) hands one unnormalized pair per tree signature
-to ``RatFun.sum``: the denominators are all (t-1)^leaves, so the whole sum
-normalizes with one gcd, and every other mode specializes that symbolic sum.
+to ``RatFun.sum``: the denominators are all c*(t-1)^leaves, so the whole sum
+normalizes once with no gcd (common factors t-1 leave by synthetic
+division), and every other mode specializes that symbolic sum.
 
 Parameter modes:
 

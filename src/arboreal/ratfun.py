@@ -17,17 +17,18 @@ TAOCP vol. 2, 4.6.1) products and exact quotients of primitive polynomials
 stay primitive, so no rational coefficient is ever needed; the parser clears
 the denominators of the ones it reads.
 
-Sums normalize once.  ``RatFun.sum`` (and ``FractionSum``, its running
-form, which algebra products and compositions keep per output slot) takes
-unnormalized num/den pairs, adds the numerators of equal denominators as it
-reads them, brings the distinct denominators over one (by an exact quotient
-where one divides another, else by cross-multiplying; algebra products bring
-each operand's coefficients over one denominator the same way) and
-normalizes once at the end; ``+`` is its two-term case.  Every tree measure
-has a denominator c*(t-1)^leaves, and so has every embedding quotient and
-every structure constant, a sum of such quotients, so these sums and
-products take no gcd unless a coefficient brings another denominator.  Negation, scaling by a
-rational number and division by one only move the sign and the integer
+Sums normalize once.  ``RatFun.sum`` takes unnormalized num/den pairs,
+adds the numerators of equal denominators as it reads them, brings the
+distinct denominators over one with ``_common_denominator`` (by an exact
+quotient where one divides another, else by cross-multiplying) and
+normalizes once at the end; ``+`` is its two-term case.  Algebra products
+and compositions bring their left coefficients, their right coefficients
+and their structure constants over one denominator each with the same
+helper.  Every tree measure has a denominator c*(t-1)^leaves, and so has
+every embedding quotient and every structure constant, a sum of such
+quotients, so these sums and products take no gcd unless a coefficient
+brings another denominator.  Negation, the inverse, scaling by a rational
+number and division by one only move the sign, the sides and the integer
 content of a normal form and run no gcd either.
 
 The serialized form is ``num_poly + " / " + den_poly`` with polynomials
@@ -455,11 +456,22 @@ class RatFun:
     @staticmethod
     def sum(pairs: Iterable[Tuple[Poly, Poly]]) -> "RatFun":
         """The sum of the fractions num/den over (num, den) pairs of integer
-        polynomials in any form, normalized once (see ``FractionSum``)."""
-        acc = FractionSum()
+        polynomials in any form, normalized once; the shared ``ZERO`` when
+        it vanishes.  Numerators of equal denominators are added as they
+        come, so a repeated denominator costs one polynomial addition."""
+        by_den: Dict[Tuple[int, ...], Tuple[Poly, Poly]] = {}
         for num, den in pairs:
-            acc.add(num, den)
-        return acc.value()
+            if not den:
+                raise ZeroDivisionError("rational function with zero denominator")
+            if num:
+                prev = by_den.get(den.coeffs)
+                by_den[den.coeffs] = (den, num if prev is None else prev[1] + num)
+        terms = [(den, num) for den, num in by_den.values() if num]
+        if not terms:
+            return ZERO
+        muls, den = _common_denominator([d for d, _ in terms])
+        total = sum((num * m for (_, num), m in zip(terms, muls)), Poly._of(()))
+        return RatFun(total, den) if total else ZERO
 
     @staticmethod
     def zero() -> "RatFun":
@@ -533,20 +545,25 @@ class RatFun:
         return RatFun._normal(num, den)
 
     def __truediv__(self, other) -> "RatFun":
-        if not isinstance(other, RatFun):
-            c = _as_fraction(other)
-            if not c:
-                raise ZeroDivisionError("rational function division by zero")
-            return self._scaled(1 / c)
-        if other.is_zero():
+        if isinstance(other, RatFun):
+            return self * other.inverse()
+        c = _as_fraction(other)
+        if not c:
             raise ZeroDivisionError("rational function division by zero")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return self._scaled(1 / c)
 
     def __rtruediv__(self, other) -> "RatFun":
-        return self._coerce(other) / self
+        return self.inverse()._scaled(_as_fraction(other))
 
     def inverse(self) -> "RatFun":
-        return RatFun.one() / self
+        """1 / self: the coprime sides swap, with the sign moved so that the
+        leading denominator coefficient stays positive; no gcd runs."""
+        num, den = self.num, self.den
+        if not num:
+            raise ZeroDivisionError("rational function division by zero")
+        if num.coeffs[-1] < 0:
+            num, den = -num, -den
+        return RatFun._normal(den, num)
 
     def __pow__(self, n: int) -> "RatFun":
         if n < 0:
@@ -606,20 +623,18 @@ def _exact_quotient(a: Poly, b: Poly) -> Optional[Poly]:
     return None if r else q
 
 
-def _over_one_denominator(
-    pairs: Sequence[Tuple[Poly, Poly]]
-) -> Tuple[List[Poly], Poly]:
-    """(nums, den) with nums[i] / den = num / d for the i-th (num, d) pair
-    of integer polynomials (d nonzero), found without a gcd: den is the lcm
-    of the contents of the d times a product of their primitive parts.
-    Taken highest degree first, a primitive part that divides the product
-    adds nothing (by Gauss's lemma the exact quotient lies in Z[t]), any
-    other is multiplied in; so powers of t-1 meet at the highest one.
+def _common_denominator(dens: Sequence[Poly]) -> Tuple[List[Poly], Poly]:
+    """(muls, den) with muls[i] * dens[i] == den for nonzero integer
+    polynomials dens, found without a gcd: den is the lcm of their contents
+    times a product of their primitive parts.  Taken highest degree first, a
+    primitive part that divides the product adds nothing (by Gauss's lemma
+    the exact quotient lies in Z[t]), any other is multiplied in; so powers
+    of t-1 meet at the highest one.
     """
-    if len(pairs) == 1:
-        return [pairs[0][0]], pairs[0][1]
+    if len(dens) == 1:
+        return [Poly._of((1,))], dens[0]
     parts = []
-    for _, d in pairs:
+    for d in dens:
         c, p = _split(d.coeffs)
         if p[-1] < 0:
             c, p = -c, [-x for x in p]
@@ -632,45 +647,8 @@ def _over_one_denominator(
             q, prim = prim, prim * p
         quotient[p] = q
     content = lcm(*[c for c, _ in parts])
-    nums = []
-    for (num, _), (c, p) in zip(pairs, parts):
-        k = content // c
-        nums.append((num if k == 1 else num.scale(k)) * quotient[p])
-    return nums, prim.scale(content)
-
-
-class FractionSum:
-    """A running sum of fractions num/den of integer polynomials.
-
-    ``add`` folds each term into a map from denominator to summed numerator,
-    so a repeated denominator costs one polynomial addition and no term is
-    kept.  ``value`` brings the distinct denominators over one
-    (``_over_one_denominator``), adds the numerators and normalizes once.
-    """
-
-    __slots__ = ("_by_den",)
-
-    def __init__(self):
-        self._by_den: Dict[Poly, Poly] = {}
-
-    def add(self, num: Poly, den: Poly) -> None:
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            prev = self._by_den.get(den)
-            self._by_den[den] = num if prev is None else prev + num
-
-    def value(self, over: Optional[Poly] = None) -> RatFun:
-        """The sum, divided by the nonzero polynomial ``over`` when one is
-        given, normalized once; the shared ``ZERO`` when it vanishes."""
-        terms = [(num, den) for den, num in self._by_den.items() if num]
-        if not terms:
-            return ZERO
-        nums, den = _over_one_denominator(terms)
-        total = sum(nums[1:], nums[0])
-        if not total:
-            return ZERO
-        return RatFun(total, den if over is None else den * over)
+    muls = [quotient[p] if content == c else quotient[p].scale(content // c) for c, p in parts]
+    return muls, prim.scale(content)
 
 
 def _factored_poly_str(p: Poly, bound: int) -> str:

@@ -15,8 +15,8 @@ Core claims:
     - minimal polynomials and idempotent reports behave on easy elements
     - products and compositions, summed once per output slot, equal the
       sequential fold of fully normalized two-term sums, and products over
-      one common denominator per operand equal the per-term sum of the
-      previous multiply; fixed products, measure sums, compositions and a
+      one common denominator per operand and one for the structure
+      constants equal the per-term sum of the previous multiply; fixed products, measure sums, compositions and a
       round of edge-algebra ops run an exact number of gcds
 """
 
@@ -44,7 +44,7 @@ from arboreal.category import (
 )
 from arboreal.edge_algebra import edge_algebra
 from arboreal.measure import ParamSpec, mu_sum, mu_symbolic, set_mu_perturbation
-from arboreal.ratfun import ONE, FractionSum, Poly, RatFun, parse_ratfun
+from arboreal.ratfun import ONE, Poly, RatFun, parse_ratfun
 from arboreal.trees import EMPTY_TREE, TreeError, parse_tree
 
 T = RatFun.t()
@@ -368,16 +368,16 @@ _COEFFICIENTS = ["1", "-1/2", "2/3", "-3", "1 / t-1", "t-2 / t-1", "2*t / 3*t-9"
 def _per_term_multiply(alg, a, b):
     """The product with one unnormalized term per (i, j, k), over the
     product of the two coefficients' denominators and the constant's, and
-    one running sum per slot: the oracle for multiply over one common
-    denominator per operand."""
-    out = [FractionSum() for _ in range(alg.dim)]
+    one ``RatFun.sum`` per slot: the oracle for multiply over one common
+    denominator per operand and one for the structure constants."""
+    out = [[] for _ in range(alg.dim)]
     for i, ca in enumerate(a.vec):
         for j, cb in enumerate(b.vec):
             if not (ca.is_zero() or cb.is_zero()):
                 num, den = ca.num * cb.num, ca.den * cb.den
                 for k, w in alg.product_row(i, j):
-                    out[k].add(w.num * num, w.den * den)
-    return tuple(s.value() for s in out)
+                    out[k].append((w.num * num, w.den * den))
+    return tuple(RatFun.sum(pairs) for pairs in out)
 
 
 @pytest.mark.parametrize("scale", [None, Fraction(2), Fraction(-1, 2)])
@@ -470,11 +470,21 @@ def test_gcd_counts_of_sums(edge, gcd_calls):
     assert len(gcd_calls) == 0
 
 
-def test_gcd_count_of_an_edge_round(edge, gcd_calls):
+def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
     """A work guard, not a timing: one seeded round of 18 associativity
     checks on two-term elements (one coefficient a rational function) and
-    two minimal polynomials runs 3 gcds, all in the elimination of
-    ``_solve_dependence``; it ran 1,499 when every normalization took a gcd."""
+    two minimal polynomials, 106 products in all, runs 2 gcds, both in the
+    products ``x * inv`` of the elimination in ``_solve_dependence``; it ran
+    1,499 when every normalization took a gcd, and 3 while the inverse took
+    one.  Every product brings its two operands and its structure constants
+    over one denominator each: 3 common-denominator calls, whatever its
+    number of slots."""
+    helper_calls, products = [], []
+    helper, multiply = category._common_denominator, ArborealAlgebra.multiply
+    monkeypatch.setattr(category, "_common_denominator",
+                        lambda dens: helper_calls.append(1) or helper(dens))
+    monkeypatch.setattr(ArborealAlgebra, "multiply",
+                        lambda self, a, b: products.append(1) or multiply(self, a, b))
     alg = edge.algebra
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -502,4 +512,5 @@ def test_gcd_count_of_an_edge_round(edge, gcd_calls):
         for coeff in alg.minimal_polynomial(e):
             total, power = total + power.scale(coeff), alg.multiply(power, e)
         assert total.is_zero()
-    assert len(gcd_calls) == 3
+    assert len(gcd_calls) == 2
+    assert len(products) == 106 and len(helper_calls) == 3 * 106

@@ -13,8 +13,9 @@ Core claims:
       or without a further common factor, and the once-normalized sum of 1
       to 6 unnormalized terms agrees with sympy and with the sequential fold
       of cross-multiplied two-term sums
-    - negation, scaling by a rational number and division by one give the
-      normal form of the general path without running a gcd
+    - negation, the inverse, scaling by a rational number and division by
+      one or of one give the normal form of the general path without
+      running a gcd
 """
 
 import operator
@@ -28,7 +29,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arboreal.ratfun import (
-    FractionSum,
     PoleError,
     Poly,
     RatFun,
@@ -463,10 +463,6 @@ def test_sum_normal_form_agrees_with_sympy_and_sequential_fold(terms, cancel):
     if cancel:
         assert f.is_zero()
     assert _all_int(f.num) and _all_int(f.den)
-    acc = FractionSum()
-    for num, den in pairs:
-        acc.add(num, den)
-    assert acc.value() == f
 
 
 def test_sum_edge_cases():
@@ -482,10 +478,11 @@ def test_sum_edge_cases():
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(_coeffs, _coeffs, _coeff)
+@example([0], [1, 1], Fraction(3, 2))
 def test_negation_and_scalar_products_are_normal_forms(n, d, c):
-    """-f, f * c and f / c (c an int or a Fraction) equal the general path
-    RatFun(num, den) on the unnormalized product or quotient, and run no
-    gcd; division by zero raises."""
+    """-f, f * c, f / c, c / f (c an int or a Fraction) and f.inverse()
+    equal the general path RatFun(num, den) on the unnormalized product or
+    quotient, and run no gcd; division by zero raises."""
     num, den = qpoly(n), qpoly(d)
     if den[0].is_zero():
         return
@@ -504,6 +501,8 @@ def test_negation_and_scalar_products_are_normal_forms(n, d, c):
         rscaled = c * f
         divided = f / c if c else None
         divided_int = f / c.numerator if c else None
+        inverse = None if f.is_zero() else f.inverse()
+        rdivided = None if f.is_zero() else c / f
     finally:
         Poly.gcd = gcd
     assert not gcds
@@ -522,5 +521,14 @@ def test_negation_and_scalar_products_are_normal_forms(n, d, c):
         for zero in (c, 0):
             with pytest.raises(ZeroDivisionError):
                 f / zero
+    if not f.is_zero():
+        cases += [
+            (inverse, RatFun(f.den, f.num)),
+            (rdivided, RatFun(f.den.scale(c.numerator), f.num.scale(c.denominator))),
+        ]
+    else:
+        for divide in (f.inverse, lambda: c / f, lambda: 1 / f, lambda: T / f):
+            with pytest.raises(ZeroDivisionError):
+                divide()
     for got, want in cases:
         assert (got.num, got.den) == (want.num, want.den)
