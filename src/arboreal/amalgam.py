@@ -122,17 +122,37 @@ def trees_with_restrictions(
     back ``t`` and its site.  The last frontier is returned as it stands, in
     no promised order.
     """
+    _check_classes(classes, constraints)
+    return _trees_with_restrictions(classes, constraints, max_level)
+
+
+def _check_classes(
+    classes: Sequence[Tuple[str, ...]], constraints: Sequence[Tuple[FrozenSet[str], Tree]]
+) -> None:
+    """The checks of :func:`trees_with_restrictions`: at most MAX_CLASSES
+    classes, well-formed labels used once, and no constrained label unknown
+    to its tree.  Merging classes keeps their labels, so a check of the
+    unmerged classes covers every matching."""
     if len(classes) > MAX_CLASSES:
         raise AmalgamError("quotient label set has %d classes (cap %d)" % (len(classes), MAX_CLASSES))
-    if not classes:
-        return [EMPTY_TREE] if all(e.is_empty() for _, e in constraints) else []
-    order = sorted((tuple(sorted(c)) for c in classes), key=min)
-    labels = [l for cls in order for l in cls]
+    labels = [l for cls in sorted((tuple(sorted(c)) for c in classes), key=min) for l in cls]
     _check_labels(labels)
     for (subset, expected) in constraints:
         unknown = subset.intersection(labels) - expected.label_set
         if unknown:
             raise TreeError("unknown labels %s" % sorted(unknown))
+
+
+def _trees_with_restrictions(
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int],
+) -> List[Tree]:
+    """:func:`trees_with_restrictions` for classes and constraints that
+    passed :func:`_check_classes` (not checked again)."""
+    if not classes:
+        return [EMPTY_TREE] if all(e.is_empty() for _, e in constraints) else []
+    order = sorted((tuple(sorted(c)) for c in classes), key=min)
     inserted: FrozenSet[str] = frozenset()
     current: List[Tree] = [EMPTY_TREE]
     for cls in order:
@@ -268,8 +288,9 @@ def _amalgamation_trees(
         raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
+    _check_classes(classes, constraints)
     for merged in _matched_classes(classes, i1 - shared, i2 - shared):
-        yield from trees_with_restrictions(merged, constraints, max_level)
+        yield from _trees_with_restrictions(merged, constraints, max_level)
 
 
 def amalgamations(
@@ -352,6 +373,7 @@ def _triple_trees(
         raise AmalgamError("triple blocks must be disjoint")
     classes = _leaf_classes(b1 | b2 | b3, (x.whole, y.whole))
     constraints = ((b1 | b2, x.whole), (b2 | b3, y.whole))
+    _check_classes(classes, constraints)
     for merged in _matched_classes(classes, b1, b3):
-        for z in trees_with_restrictions(merged, constraints, max_level):
+        for z in _trees_with_restrictions(merged, constraints, max_level):
             yield z, z.restrict(b1 | b3)

@@ -253,30 +253,42 @@ def _bilinear(
 
     The left coefficients, the right coefficients and the structure
     constants w read are each brought over one denominator, three calls of
-    ``_common_denominator`` whatever the number of slots; so a pair costs
-    one polynomial product, a term two more, and each slot keeps one integer
-    numerator, normalized once over the product of the three denominators.
+    ``_common_denominator`` whatever the number of slots, and each slot's
+    numerator is normalized once over the product of the three denominators.
+
+    The numerators are summed as integers, by Kronecker substitution: each
+    left and right numerator l, r and each distinct constant numerator w'
+    is packed once, as its value at t = 2^b, so a pair costs one integer
+    product, a term one more and one addition, and a slot is one ``int``.
+    With n terms in all, b = bit_length(n * max|l|_1 * max|r|_1 *
+    max|w'|_1) + 1: every coefficient of l*r*w' is at most |l|_1 |r|_1
+    |w'|_1 in absolute value, so every coefficient c of a slot has |c| <
+    2^(b-1), and the balanced base-2^b digits of the slot's value are
+    exactly its coefficients (``Poly._unpack``).
     """
     lmuls, lden = _common_denominator([c.den for _, c in left])
     rmuls, rden = _common_denominator([c.den for _, c in right])
     lnums = [c.num * m for (_, c), m in zip(left, lmuls)]
     rnums = [c.num * m for (_, c), m in zip(right, rmuls)]
-    rows = [
-        (a * b, row(x, y))
-        for (x, _), a in zip(left, lnums)
-        for (y, _), b in zip(right, rnums)
-    ]
-    dens = {w.den.coeffs: w.den for _, r in rows for _, w in r}
+    rows = [row(x, y) for x, _ in left for y, _ in right]
+    consts = {(w.num.coeffs, w.den.coeffs): w for r in rows for _, w in r}
+    dens = {w.den.coeffs: w.den for w in consts.values()}
     wmuls, wden = _common_denominator(list(dens.values()))
     wmul = dict(zip(dens, wmuls))
-    acc: Dict[Hashable, Poly] = {}
-    for ab, r in rows:
+    wnums = {key: w.num * wmul[w.den.coeffs] for key, w in consts.items()}
+    bound = sum(map(len, rows))
+    for nums in (lnums, rnums, wnums.values()):
+        bound *= max((sum(map(abs, p.coeffs)) for p in nums), default=0)
+    b = bound.bit_length() + 1
+    packed = {key: p._pack(b) for key, p in wnums.items()}
+    rpacked = [p._pack(b) for p in rnums]
+    pairs = (x * y for x in (p._pack(b) for p in lnums) for y in rpacked)
+    acc: Dict[Hashable, int] = {}
+    for xy, r in zip(pairs, rows):
         for k, w in r:
-            term = w.num * wmul[w.den.coeffs] * ab
-            prev = acc.get(k)
-            acc[k] = term if prev is None else prev + term
+            acc[k] = acc.get(k, 0) + xy * packed[w.num.coeffs, w.den.coeffs]
     den = wden * lden * rden
-    return {k: RatFun(num, den) if num else ZERO for k, num in acc.items()}
+    return {k: RatFun(Poly._unpack(n, b), den) if n else ZERO for k, n in acc.items()}
 
 
 def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement:

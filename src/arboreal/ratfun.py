@@ -31,6 +31,15 @@ brings another denominator.  Negation, the inverse, scaling by a rational
 number and division by one only move the sign, the sides and the integer
 content of a normal form and run no gcd either.
 
+Algebra products sum their slots by Kronecker substitution (Kronecker
+1882; D. Harvey, J. Symb. Comput. 44(10), 2009).  ``Poly._pack(b)`` is the
+value at t = 2^b, so polynomial products and sums become integer ones;
+``Poly._unpack(n, b)`` reads n back as balanced base-2^b digits, each in
+[-2^(b-1), 2^(b-1)).  The digits of a value are unique, so reading them
+back is exact whenever every coefficient lies below 2^(b-1) in absolute
+value; the caller picks b from a bound on the coefficients, such as
+|pq|_inf <= |p|_1 |q|_1.
+
 The serialized form is ``num_poly + " / " + den_poly`` with polynomials
 written highest degree first, e.g. ``t^3-4*t^2+4*t / t^4-4*t^3+6*t^2-4*t+1``.
 A denominator equal to 1 is omitted.
@@ -137,6 +146,27 @@ class Poly:
         out = _new(Poly)
         _set_coeffs(out, tuple(cs))
         return out
+
+    def _pack(self, b: int) -> int:
+        """The value at t = 2^b: the coefficients as base-2^b digits."""
+        n = 0
+        for c in reversed(self.coeffs):
+            n = (n << b) + c
+        return n
+
+    @staticmethod
+    def _unpack(n: int, b: int) -> "Poly":
+        """The polynomial p with p(2^b) = n, read as balanced base-2^b
+        digits: exact when every coefficient of p is below 2^(b-1) in
+        absolute value (see the module docstring)."""
+        mask, half, cs = (1 << b) - 1, 1 << (b - 1), []
+        while n:
+            c = n & mask
+            if c >= half:
+                c -= mask + 1
+            cs.append(c)
+            n = (n >> b) + (c < 0)
+        return Poly._of(cs)
 
     @staticmethod
     def t() -> "Poly":

@@ -13,6 +13,8 @@ Core claims:
     - triple extensions restrict correctly on all three block pairs
     - guided site selection keeps exactly what filtering every insertion
       candidate keeps, and builds no tree it does not keep
+    - the constrained search checks its cap and labels; the enumerators
+      check their classes once per enumeration, not once per matching
     - the stream yields each amalgamation once and keys none of them; the
       consumers that count, group by shape or sum measures key no whole tree
 """
@@ -38,7 +40,7 @@ from arboreal.amalgam import (
 from arboreal.cli import run
 from arboreal.measure import verify_amalgamation_equation
 from arboreal.theta import separated, separated_bruteforce
-from arboreal.trees import EMPTY_TREE, Tree, enumerate_trees, parse_tree
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, enumerate_trees, parse_tree
 
 
 def oracle_amalgamations(t1: Tree, t2: Tree):
@@ -273,16 +275,52 @@ def test_constrained_search_empty_cases():
     assert trees_with_restrictions((), ((frozenset("a"), parse_tree("a")),)) == []
 
 
+def test_constrained_search_checks(monkeypatch):
+    """The public search keeps its cap and label checks; the enumerators
+    run them once per enumeration, on the classes before any matching, and
+    raise the cap error when the stream is first read."""
+    e = parse_tree("(a,b,c)")
+    cases = [
+        ([("a",), ("b",), ("a",)], r"duplicate label 'a'"),
+        ([("a",), ("b c",)], r"malformed label 'b c'"),
+        ([("a",), ("b",), ("z",)], r"unknown labels \['z'\]"),
+    ]
+    for classes, message in cases:
+        with pytest.raises(TreeError, match=message):
+            trees_with_restrictions(classes, ((frozenset("abz"), e),))
+    with pytest.raises(AmalgamError, match=r"16 classes \(cap 15\)"):
+        trees_with_restrictions([("x%d" % i,) for i in range(16)], ())
+    stars = [parse_tree("(%s)" % ",".join("%s%d" % (side, i) for i in range(8))) for side in "ab"]
+    stream = amalgamation_trees(*stars)
+    with pytest.raises(AmalgamError, match=r"16 classes \(cap 15\)"):
+        next(stream)
+
+    checks, matchings = [], []
+    check, search = amalgam._check_classes, amalgam._trees_with_restrictions
+    monkeypatch.setattr(amalgam, "_check_classes",
+                        lambda classes, constraints: checks.append(1) or check(classes, constraints))
+    monkeypatch.setattr(amalgam, "_trees_with_restrictions",
+                        lambda *args: matchings.append(1) or search(*args))
+    t1, t2 = parse_tree("(a1,a2,a3)"), parse_tree("(b1,b2,b3)")
+    assert len(list(amalgamation_trees(t1, t2))) == 548
+    assert (len(checks), len(matchings)) == (1, 34)
+    x = amalgamations(t1, fresh_copy(t1, "b:"))[0]
+    y = amalgamations(fresh_copy(t1, "b:"), t2)[0]
+    checks.clear(), matchings.clear()
+    assert len(triple_amalgamations(x, y)) == 437
+    assert (len(checks), len(matchings)) == (1, 34)
+
+
 def test_guided_insertion_matches_filtered_candidates(monkeypatch):
     """Site selection keeps exactly the candidates the restriction filter
     keeps, each once, on every call the enumerators make.  A level bound
     keeps the unbounded results within it, since inserting a leaf never
     lowers a valence."""
-    guided = amalgam.trees_with_restrictions
+    guided = amalgam._trees_with_restrictions
     unbounded = {}
     calls = []
 
-    def checked(classes, constraints, max_level=None):
+    def checked(classes, constraints, max_level):
         got = guided(classes, constraints, max_level)
         key = (tuple(classes), tuple((s, t.canonical_key()) for s, t in constraints))
         if key not in unbounded:
@@ -295,7 +333,7 @@ def test_guided_insertion_matches_filtered_candidates(monkeypatch):
         calls.append(len(got))
         return got
 
-    monkeypatch.setattr(amalgam, "trees_with_restrictions", checked)
+    monkeypatch.setattr(amalgam, "_trees_with_restrictions", checked)
     rng = random.Random(17)
     for n in range(1, 7):
         for tree in enumerate_trees("abcdef"[:n]):

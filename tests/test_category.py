@@ -16,8 +16,11 @@ Core claims:
     - products and compositions, summed once per output slot, equal the
       sequential fold of fully normalized two-term sums, and products over
       one common denominator per operand and one for the structure
-      constants equal the per-term sum of the previous multiply; fixed products, measure sums, compositions and a
-      round of edge-algebra ops run an exact number of gcds
+      constants equal the per-term sum of the previous multiply, also with
+      wide coefficients packed past 64 bits per digit; fixed products,
+      measure sums, compositions and a round of edge-algebra ops run an
+      exact number of gcds, and the round's products an exact number of
+      polynomial products, none per structure-constant term
 """
 
 import random
@@ -44,7 +47,7 @@ from arboreal.category import (
 )
 from arboreal.edge_algebra import edge_algebra
 from arboreal.measure import ParamSpec, mu_sum, mu_symbolic, set_mu_perturbation
-from arboreal.ratfun import ONE, Poly, RatFun, parse_ratfun
+from arboreal.ratfun import ONE, ZERO, Poly, RatFun, parse_ratfun
 from arboreal.trees import EMPTY_TREE, TreeError, parse_tree
 
 T = RatFun.t()
@@ -404,6 +407,53 @@ def test_products_match_the_per_term_sum(edge, scale):
         set_mu_perturbation(None)
 
 
+# wide and high-degree coefficients, for slot digits far past 64 bits
+_WIDE_COEFFICIENTS = [
+    "t^5-40*t+999999999999 / 3*t-9",
+    "-123456789012345678901234567*t^7+t^2-1 / t^3+2",
+    "99999999999999999999*t^4-t / t-1",
+    "-1/1000000000000000000000007",
+    "t^9+88888888888888 / t^2-2*t+1",
+    "7*t^6-300000000000000000001*t^3+5 / 11*t^4-t",
+]
+
+
+def test_wide_products_match_the_per_term_sum(edge, monkeypatch):
+    """Products of elements with wide, high-degree coefficients, packed at
+    widths past 64 bits, equal the per-term oracle; a slot whose terms
+    cancel is the shared ``ZERO``, and a slot whose coefficient reaches the
+    width bound reads back exactly."""
+    widths = []
+    unpack = Poly._unpack
+    monkeypatch.setattr(Poly, "_unpack", staticmethod(lambda n, b: widths.append(b) or unpack(n, b)))
+    alg = edge.algebra
+    rng = random.Random("wide")
+
+    def element(picks):
+        return alg.element({i: parse_ratfun(rng.choice(_WIDE_COEFFICIENTS)) for i in picks})
+
+    for _ in range(10):
+        a, b = (element(rng.sample(range(alg.dim), rng.randint(1, 4))) for _ in range(2))
+        assert alg.multiply(a, b).vec == _per_term_multiply(alg, a, b)
+    # basis[i] * basis[j] and basis[i2] * basis[j] both reach slot k, with
+    # constants w and w2: (w2*c) basis[i] - (w*c) basis[i2], times d basis[j],
+    # cancels in slot k
+    rows = {(i, j): dict(alg.product_row(i, j)) for i in range(alg.dim) for j in range(alg.dim)}
+    i, i2, j, k = next((i, i2, j, k) for (i, j), row in rows.items() for i2 in range(i + 1, alg.dim)
+                       for k in row if k in rows[i2, j])
+    c, d = (parse_ratfun(x) for x in _WIDE_COEFFICIENTS[:2])
+    a = alg.element({i: rows[i2, j][k] * c, i2: -(rows[i, j][k] * c)})
+    product = alg.multiply(a, alg.element({j: d}))
+    assert product.vec == _per_term_multiply(alg, a, alg.element({j: d}))
+    assert product.vec[k] is ZERO
+    # one term of numerator -(2^100 + 1) times itself meets the width bound
+    # exactly: the slot coefficient is the bound itself
+    x = alg.identity().scale(Fraction(-(2**100) - 1, 3))
+    assert alg.multiply(x, x) == x.scale(Fraction(-(2**100) - 1, 3))
+    assert widths[-1] == ((2**100 + 1) ** 2).bit_length() + 1
+    assert min(widths) > 64
+
+
 @pytest.mark.parametrize("key", ["(1,2)", "(p,q)"])
 def test_sums_match_the_sequential_fold(key):
     alg = algebra_for(parse_tree(key))
@@ -470,21 +520,11 @@ def test_gcd_counts_of_sums(edge, gcd_calls):
     assert len(gcd_calls) == 0
 
 
-def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
-    """A work guard, not a timing: one seeded round of 18 associativity
-    checks on two-term elements (one coefficient a rational function) and
-    two minimal polynomials, 106 products in all, runs 2 gcds, both in the
-    products ``x * inv`` of the elimination in ``_solve_dependence``; it ran
-    1,499 when every normalization took a gcd, and 3 while the inverse took
-    one.  Every product brings its two operands and its structure constants
-    over one denominator each: 3 common-denominator calls, whatever its
-    number of slots."""
-    helper_calls, products = [], []
-    helper, multiply = category._common_denominator, ArborealAlgebra.multiply
-    monkeypatch.setattr(category, "_common_denominator",
-                        lambda dens: helper_calls.append(1) or helper(dens))
-    monkeypatch.setattr(ArborealAlgebra, "multiply",
-                        lambda self, a, b: products.append(1) or multiply(self, a, b))
+def _edge_round(edge, before):
+    """One seeded round of 18 associativity checks on two-term elements (one
+    coefficient a rational function) and two minimal polynomials, 106
+    products in all.  It first reads every structure constant into the
+    table, then calls ``before()``, then runs the ops."""
     alg = edge.algebra
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -498,7 +538,7 @@ def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
             out = out + edge.a[n] * parse_ratfun(c)
         return out
 
-    gcd_calls.clear()
+    before()
     for _ in range(18):
         terms = [[[n, rng.choice(rationals)] for n in rng.sample(range(1, 11), 2)] for _ in range(3)]
         rng.choice(rng.choice(terms))[1] = rng.choice(ratfuns)
@@ -512,5 +552,54 @@ def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
         for coeff in alg.minimal_polynomial(e):
             total, power = total + power.scale(coeff), alg.multiply(power, e)
         assert total.is_zero()
+
+
+def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
+    """A work guard, not a timing: the round of ``_edge_round`` runs 2 gcds,
+    both in the products ``x * inv`` of the elimination in
+    ``_solve_dependence``; it ran 1,499 when every normalization took a gcd,
+    and 3 while the inverse took one.  Every product brings its two operands
+    and its structure constants over one denominator each: 3
+    common-denominator calls, whatever its number of slots."""
+    helper_calls, products = [], []
+    helper, multiply = category._common_denominator, ArborealAlgebra.multiply
+    monkeypatch.setattr(category, "_common_denominator",
+                        lambda dens: helper_calls.append(1) or helper(dens))
+    monkeypatch.setattr(ArborealAlgebra, "multiply",
+                        lambda self, a, b: products.append(1) or multiply(self, a, b))
+    _edge_round(edge, gcd_calls.clear)
     assert len(gcd_calls) == 2
     assert len(products) == 106 and len(helper_calls) == 3 * 106
+
+
+def test_poly_products_of_an_edge_round(edge, monkeypatch):
+    """A work guard, not a timing: products sum their slots as packed
+    integers, with no ``Poly`` product per structure-constant term.  The
+    106 products of ``_edge_round`` read 3,815 terms and make 1,703
+    ``Poly`` products (per operand coefficient, per distinct constant, and
+    in the common denominators); they made 9,539 when each term took two."""
+    poly_products, terms, inside = [], [], []
+    mul, multiply, product_row = Poly.__mul__, ArborealAlgebra.multiply, ArborealAlgebra.product_row
+
+    def counted_mul(p, q):
+        if inside:
+            poly_products.append(1)
+        return mul(p, q)
+
+    def counted_multiply(self, a, b):
+        inside.append(1)
+        try:
+            return multiply(self, a, b)
+        finally:
+            inside.pop()
+
+    def row(self, i, j):
+        out = product_row(self, i, j)
+        terms.append(len(out))
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(ArborealAlgebra, "multiply", counted_multiply)
+    monkeypatch.setattr(ArborealAlgebra, "product_row", row)
+    _edge_round(edge, lambda: (poly_products.clear(), terms.clear()))
+    assert (len(poly_products), sum(terms)) == (1703, 3815)

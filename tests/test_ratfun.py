@@ -7,6 +7,9 @@ Core claims:
     - serialization round-trips and matches the documented format
     - polynomials live in Z[t]: int coefficients only, exact division,
       square roots in the integers; gcds are primitive
+    - packing at t = 2^b and reading balanced base-2^b digits back is exact
+      for every coefficient below 2^(b-1) in absolute value, so sums of
+      packed products within the width bound unpack to the polynomial sums
     - parsing clears fractional coefficients and keeps every value
     - normal forms agree with sympy.cancel on random expressions, also
       where both sides carry powers of t-1 (divided out without a gcd) with
@@ -309,6 +312,46 @@ def test_divmod_is_exact_in_z():
         Poly((1, 0, 1)).divmod(Poly((1, 2)))  # quotient t/2-1/4 over Q
     q, r = Poly((1, 2)).divmod(Poly((0, 0, 1)))
     assert q.is_zero() and r == Poly((1, 2))
+
+
+def test_pack_unpack_round_trips():
+    """``Poly._pack(b)`` is the value at t = 2^b, and ``Poly._unpack`` reads
+    it back as balanced base-2^b digits: negative top coefficients, interior
+    zeros and the zero polynomial survive, up to the widest coefficients the
+    width allows, +-(2^(b-1) - 1)."""
+    cases = [(), (5,), (-5,), (1, -1), (3, 0, 0, -7), (0, 0, 1), (-1, 0, 2, 0, -1), (0, -4)]
+    for b in (2, 3, 8, 63, 64, 65, 200):
+        top = (1 << (b - 1)) - 1
+        widest = [(top,), (-top,), (top, -top, 0, top), (-top, top, -top), (0, top, 0, -top), (1, -top)]
+        for cs in cases + widest:
+            if max(map(abs, cs), default=0) > top:
+                continue
+            p = Poly(cs)
+            n = p._pack(b)
+            assert n == p.evaluate(1 << b)
+            assert Poly._unpack(n, b) == p
+
+
+_wide = st.lists(st.integers(-(2**200), 2**200), max_size=5)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(_wide, _wide, _wide), min_size=1, max_size=6))
+@example([([2**200], [-(2**200)], [2**200])] * 6)
+@example([([2**200, 0, -(2**200)], [2**200, 2**200], [-(2**200)])] * 2)
+@example([([1, 0, -1], [], [3]), ([7], [1, 1], [-1])])
+def test_packed_sums_of_products_are_the_poly_sums(terms):
+    """The width of ``category._bilinear``: for n products l*r*w, b =
+    bit_length(n * max|l|_1 * max|r|_1 * max|w|_1) + 1 bounds every
+    coefficient of their sum below 2^(b-1), so the sum of the packed
+    products unpacks to the sum of the ``Poly`` products."""
+    polys = [tuple(map(Poly, factors)) for factors in terms]
+    bound = len(polys)
+    for i in range(3):
+        bound *= max(sum(map(abs, factors[i].coeffs)) for factors in polys)
+    b = bound.bit_length() + 1
+    packed = sum(l._pack(b) * r._pack(b) * w._pack(b) for l, r, w in polys)
+    assert Poly._unpack(packed, b) == sum((l * r * w for l, r, w in polys), Poly())
 
 
 _t = sympy.Symbol("t")
