@@ -20,20 +20,27 @@ listing every tree that displays the given subtrees.  Pruning partial trees
 is sound because restriction commutes with taking sub-label-sets, so a
 mismatch can never be repaired by later insertions.
 
-The enumerators stream whole trees, each built once, unkeyed and in no
-promised order: different matchings give different leaf label classes, so
-no tree arises twice.  Only the listings :func:`amalgamations` and
-:func:`triple_amalgamations` key their results and sort them.
+The search runs every level but the last, then hands each tree of the
+penultimate frontier with its admissible sites for the last class to its
+consumer, which decides what to build.  The enumerators graft every site and
+stream whole trees, each built once, unkeyed and in no promised order:
+different matchings give different leaf label classes, so no tree arises
+twice.  Only the listings :func:`amalgamations` and
+:func:`triple_amalgamations` key their results and sort them.  A count is
+the number of sites, and the signatures (leaf count, sorted node valences)
+that a measure sum needs follow from each parent tree and site, so neither
+builds a last-level tree.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from arboreal.trees import EMPTY_TREE, Tree, TreeError, _check_labels
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, _check_labels, _signature
 
 MAX_CLASSES = 15
 FRONTIER_CAP = 200_000
@@ -152,10 +159,70 @@ def _trees_with_restrictions(
     passed :func:`_check_classes` (not checked again)."""
     if not classes:
         return [EMPTY_TREE] if all(e.is_empty() for _, e in constraints) else []
+    frontier = _frontier_sites(classes, constraints, max_level)
+    return [t._graft(s, cls) for t, sites, cls in frontier for s in sites]
+
+
+def _site_signatures(
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int],
+) -> Counter:
+    """The signatures (leaf count, sorted node valences) of the trees of
+    :func:`_trees_with_restrictions`, with multiplicity, read from the last
+    level's sites without building those trees.
+
+    A graft at node u raises the valence of u by one; a graft on an edge
+    adds a node of valence three (a new valence-two vertex, raised by one);
+    either adds one leaf, and no other valence changes.
+    """
+    if not classes:
+        return Counter(_signature(t) for t in _trees_with_restrictions(classes, constraints, max_level))
+    tally: Counter = Counter()
+    for t, sites, _ in _frontier_sites(classes, constraints, max_level):
+        leaves, valences = _signature(t)
+        if len(t.adj) < 2:
+            tally[leaves + 1, ()] += len(sites)
+            continue
+        adj = t.adj
+        for d, n in Counter(len(adj[u]) if v < 0 else 2 for u, v in sites).items():
+            vals = list(valences)
+            if d > 2:
+                vals.remove(d)
+            insort(vals, d + 1)
+            tally[leaves + 1, tuple(vals)] += n
+    return tally
+
+
+def _site_count(
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int],
+) -> int:
+    """The number of trees of :func:`_trees_with_restrictions`: the last
+    level's sites, none of them grafted."""
+    if not classes:
+        return len(_trees_with_restrictions(classes, constraints, max_level))
+    return sum(len(sites) for _, sites, _ in _frontier_sites(classes, constraints, max_level))
+
+
+def _frontier_sites(
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int],
+) -> Iterator[Tuple[Tree, List[Tuple[int, int]], Tuple[str, ...]]]:
+    """The search of :func:`_trees_with_restrictions` up to its last level:
+    for each tree of the penultimate frontier, its admissible sites and the
+    last class.  Grafting the class at each site gives every tree of the
+    search once.  ``classes`` must be nonempty.
+
+    FRONTIER_CAP bounds each level's site count, which is the next level's
+    tree count; the last level is checked before anything is yielded.
+    """
     order = sorted((tuple(sorted(c)) for c in classes), key=min)
     inserted: FrozenSet[str] = frozenset()
     current: List[Tree] = [EMPTY_TREE]
-    for cls in order:
+    for depth, cls in enumerate(order):
         new = frozenset(cls)
         checks = []
         for (subset, expected) in constraints:
@@ -165,14 +232,14 @@ def _trees_with_restrictions(
             old = subset & inserted
             leaf = expected.leaf_of(min(seen))
             if {l for l in expected.labels[leaf] if l in old or l in seen} != seen:
-                return []
+                return
             if len({expected.leaf_of(l) for l in old}) >= 2:
                 # only a t|V_old with two leaves or more constrains the site
                 bit = {l: 1 << i for i, l in enumerate(sorted(old))}
                 _, _, above = _clades(expected, bit, expected.leaf_of(min(old)))
                 checks.append((bit, min(old), above[leaf]))
         inserted |= new
-        nxt: List[Tree] = []
+        frontier = []
         for t in current:
             sites = t.sites()
             for bit, root, want in checks:
@@ -187,13 +254,16 @@ def _trees_with_restrictions(
                     (u, v) for (u, v) in sites
                     if max(level, 3 if v >= 0 else len(adj[u]) + 1) <= max_level
                 ]
-            nxt.extend(t._graft(s, cls) for s in sites)
-        if len(nxt) > FRONTIER_CAP:
+            frontier.append((t, sites))
+        if sum(len(sites) for _, sites in frontier) > FRONTIER_CAP:
             raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
-        current = nxt
+        if depth == len(order) - 1:
+            for t, sites in frontier:
+                yield t, sites, cls
+            return
+        current = [t._graft(s, cls) for t, sites in frontier for s in sites]
         if not current:
-            return []
-    return current
+            return
 
 
 def _clades(
@@ -282,6 +352,36 @@ def _amalgamation_trees(
 ) -> Iterator[Tree]:
     """``amalgamation_trees`` for a caller that already holds base, t1
     restricted to the shared labels (not checked)."""
+    constraints, matchings = _amalgamation_classes(base, t1, t2)
+    for merged in matchings:
+        yield from _trees_with_restrictions(merged, constraints, max_level)
+
+
+def _amalgamation_signatures(
+    base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
+) -> Counter:
+    """The signatures of the whole trees of ``_amalgamation_trees``, with
+    multiplicity, none of them built (see :func:`_site_signatures`)."""
+    constraints, matchings = _amalgamation_classes(base, t1, t2)
+    tally: Counter = Counter()
+    for merged in matchings:
+        tally.update(_site_signatures(merged, constraints, max_level))
+    return tally
+
+
+def _amalgamation_count(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> int:
+    """The number of amalgamations of t1 and t2, none of them built."""
+    base = t1.restrict(t1.label_set & t2.label_set)
+    constraints, matchings = _amalgamation_classes(base, t1, t2)
+    return sum(_site_count(merged, constraints, max_level) for merged in matchings)
+
+
+def _amalgamation_classes(
+    base: Tree, t1: Tree, t2: Tree
+) -> Tuple[Tuple[Tuple[FrozenSet[str], Tree], ...], Iterator[List[Tuple[str, ...]]]]:
+    """The constraints of an amalgamation of t1 and t2 and the leaf classes
+    of each matching, after checking the base (t1 restricted to the shared
+    labels, not checked) against t2 and the classes once."""
     i1, i2 = t1.label_set, t2.label_set
     shared = i1 & i2
     if base != t2.restrict(shared):
@@ -289,8 +389,7 @@ def _amalgamation_trees(
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
     _check_classes(classes, constraints)
-    for merged in _matched_classes(classes, i1 - shared, i2 - shared):
-        yield from _trees_with_restrictions(merged, constraints, max_level)
+    return constraints, _matched_classes(classes, i1 - shared, i2 - shared)
 
 
 def amalgamations(

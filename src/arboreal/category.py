@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from arboreal.amalgam import (
     Amalgamation,
+    _check_classes,
     _leaf_classes,
+    _site_signatures,
     _triple_trees,
     amalgamations,
     trees_with_restrictions,
@@ -35,7 +37,7 @@ from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
     _embedding_sum,
-    mu_sum,
+    _measure_sum,
     mu_symbolic,
     register_measure_cache,
 )
@@ -354,6 +356,15 @@ def triple_trace_trees(
     blocks are forced by the three patterns, so no free matchings arise.
     The trees come in no promised order.
     """
+    search = _trace_search(u, v, w)
+    return trees_with_restrictions(*search) if search else []
+
+
+def _trace_search(
+    u: Amalgamation, v: Amalgamation, w: Amalgamation
+) -> Optional[Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...]]]:
+    """The leaf classes and constraints of :func:`triple_trace_trees`, or
+    None when a class holds two labels of one block (no tree then)."""
     wholes = {
         "u": retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
         "v": retag(v.whole, {SOURCE_TAG: "3:", TARGET_TAG: "1:"}),
@@ -366,19 +377,23 @@ def triple_trace_trees(
     for cls in classes:
         per_block = [sum(1 for l in cls if l.startswith(tag)) for tag in ("1:", "2:", "3:")]
         if max(per_block) > 1:
-            return []
-    constraints = ((b1 | b2, wholes["u"]), (b1 | b3, wholes["v"]), (b2 | b3, wholes["w"]))
-    return trees_with_restrictions(classes, constraints)
+            return None
+    return classes, ((b1 | b2, wholes["u"]), (b1 | b3, wholes["v"]), (b2 | b3, wholes["w"]))
 
 
 def triple_trace(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> RatFun:
-    """Sum of the measures of the three-block trees for the pattern triple.
+    """Sum of the measures of the three-block trees for the pattern triple,
+    read from their signatures without building the trees.
 
     Equals the trace of the corresponding triple product of basis
     endomorphisms; the agreement with compose-then-trace is part of the
     verification suite.
     """
-    return mu_sum(triple_trace_trees(u, v, w))
+    search = _trace_search(u, v, w)
+    if not search:
+        return ZERO
+    _check_classes(*search)
+    return _measure_sum(_site_signatures(*search, None))
 
 
 # -- endomorphism algebras ---------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from arboreal import checks as checks_mod
-from arboreal.amalgam import AmalgamError, amalgamation_trees, amalgamations, count_by_shape
+from arboreal.amalgam import AmalgamError, _amalgamation_count, amalgamations, count_by_shape
 from arboreal.category import algebra_for, triple_trace, triple_trace_trees
 from arboreal.measure import (
     LevelError,
@@ -140,7 +140,7 @@ def _cmd_amalgamate(args) -> Tuple[int, Dict]:
         payload["count"] = sum(shapes.values())
         return 0, payload
     if args.count:
-        payload["count"] = sum(1 for _ in amalgamation_trees(t1, t2, args.max_level))
+        payload["count"] = _amalgamation_count(t1, t2, args.max_level)
         return 0, payload
     ams = amalgamations(t1, t2, max_level=args.max_level)
     payload["count"] = len(ams)

@@ -9,10 +9,13 @@ the ratio value(super)/value(sub), an exact quotient of the closed forms
 side by side; every finite-parameter evaluation goes through the symbolic
 form first.  Both are built in normal form, so no gcd runs for them.  A sum
 of values (``mu_sum``, the embedding sums of the composition table, the
-product equation's residual) hands one unnormalized pair per tree signature
-to ``RatFun.sum``: the denominators are all c*(t-1)^leaves, so the whole sum
-normalizes once with no gcd (common factors t-1 leave by synthetic
-division), and every other mode specializes that symbolic sum.
+product equation's residual, the trace over three-block trees) counts its
+trees by signature, the pair (leaf count, sorted node valences), and hands
+one unnormalized pair per signature to ``RatFun.sum``: the denominators are
+all c*(t-1)^leaves, so the whole sum normalizes once with no gcd (common
+factors t-1 leave by synthetic division), and every other mode specializes
+that symbolic sum.  The residual and the trace take their counts from the
+enumerator's last-level sites and build none of the trees they sum over.
 
 Parameter modes:
 
@@ -31,17 +34,19 @@ Parameter modes:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from arboreal.amalgam import _amalgamation_trees
+from arboreal.amalgam import _amalgamation_signatures
 from arboreal.ratfun import ONE, Poly, RatFun
-from arboreal.trees import Tree, TreeError, TreeStats, build_tree, parse_tree
+from arboreal.trees import Tree, TreeError, _signature, build_tree, parse_tree
 
 Value = Union[RatFun, Fraction, int]
+Signature = Tuple[int, Tuple[int, ...]]  # leaf count, sorted node valences
 
 
 class LevelError(ValueError):
@@ -158,8 +163,7 @@ def set_mu_perturbation(scale_per_leaf: Optional[Fraction]) -> None:
 
 def mu_symbolic(tree: Tree) -> RatFun:
     """The measure of a tree as an exact rational function of t."""
-    s = tree.stats()
-    return _mu_symbolic_key(s.leaf_count, s.valences)
+    return _mu_symbolic_key(*_signature(tree))
 
 
 def _check_levels(trees: Iterable[Tree], p: ParamSpec) -> None:
@@ -205,27 +209,28 @@ def mu_sum(trees: Iterable[Tree], p: ParamSpec = SYMBOLIC) -> Value:
     degree than its numerator, so specializing the sum agrees with summing
     the specialized terms in every mode.
     """
-    signatures = _signatures(trees)
-    _check_levels((tree for tree, _ in signatures), p)
-    return _specialize(RatFun.sum(_signature_terms(signatures, mu_symbolic)), p)
-
-
-def _signatures(trees: Iterable[Tree]) -> List[Tuple[Tree, int]]:
-    """One tree per signature (leaf count, level and valences), with the
-    number of trees that share it."""
-    reps: Dict[TreeStats, list] = {}
+    reps: Dict[Signature, Tree] = {}
+    tally: Counter = Counter()
     for tree in trees:
-        reps.setdefault(tree.stats(), [tree, 0])[1] += 1
-    return list(reps.values())
+        sig = _signature(tree)
+        reps.setdefault(sig, tree)
+        tally[sig] += 1
+    _check_levels(reps.values(), p)
+    return _specialize(_measure_sum(tally), p)
+
+
+def _measure_sum(tally: Dict[Signature, int]) -> RatFun:
+    """The symbolic sum of the measures of trees counted by signature."""
+    return RatFun.sum(_signature_terms(tally, _mu_symbolic_key))
 
 
 def _signature_terms(
-    signatures: Iterable[Tuple[Tree, int]], measure: Callable[[Tree], RatFun]
+    tally: Dict[Signature, int], measure: Callable[..., RatFun]
 ) -> Iterator[Tuple[Poly, Poly]]:
-    """Unnormalized (num, den) pairs, one per signature, of the measure of
-    its tree times the number of trees that share it."""
-    for tree, n in signatures:
-        value = measure(tree)
+    """Unnormalized (num, den) pairs, one per signature, of ``measure`` of
+    the signature times the number of trees that share it."""
+    for sig, n in tally.items():
+        value = measure(*sig)
         yield value.num.scale(n), value.den
 
 
@@ -246,7 +251,11 @@ def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
 def _embedding_quotient(sub: Tree, super_tree: Tree) -> RatFun:
     """The symbolic measure of sub -> super, for sub the restriction of
     super to its labels (not checked)."""
-    small, big = mu_symbolic(sub), mu_symbolic(super_tree)
+    return _quotient(mu_symbolic(sub), mu_symbolic(super_tree))
+
+
+def _quotient(small: RatFun, big: RatFun) -> RatFun:
+    """The measure of a tree over that of one of its restrictions."""
     # Exact quotients in normal form: restriction keeps fewer leaves and maps
     # the nodes of sub injectively to nodes of super of no lower valence, so
     # each factor of sub's closed form divides the like side of super's.
@@ -259,7 +268,9 @@ def _embedding_sum(sub: Tree, supers: Iterable[Tree]) -> RatFun:
     """The summed symbolic measure of the embeddings sub -> z over the trees
     z, each of which restricts to sub (not checked): one exact quotient per
     signature, normalized once."""
-    return RatFun.sum(_signature_terms(_signatures(supers), lambda z: _embedding_quotient(sub, z)))
+    small = mu_symbolic(sub)
+    tally = Counter(map(_signature, supers))
+    return RatFun.sum(_signature_terms(tally, lambda *sig: _quotient(small, _mu_symbolic_key(*sig))))
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:
@@ -339,10 +350,10 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    trees = _amalgamation_trees(base, t1, t2, max_level)
+    tally = _amalgamation_signatures(base, t1, t2, max_level)
     embedding, value = _embedding_quotient(base, t1), mu_symbolic(t2)
     # the negated residual: the amalgamations minus the left side
     lhs = (-(embedding.num * value.num), embedding.den * value.den)
-    residual = -RatFun.sum(chain((lhs,), _signature_terms(_signatures(trees), mu_symbolic)))
+    residual = -RatFun.sum(chain((lhs,), _signature_terms(tally, _mu_symbolic_key)))
     _check_levels((base, t1, t2), p)
     return _specialize(residual, p)

@@ -339,13 +339,8 @@ class Tree:
     # -- statistics ------------------------------------------------------------
 
     def stats(self) -> "TreeStats":
-        vals = sorted(len(self.adj[v]) for v in self.nodes())
-        return TreeStats(
-            leaf_count=self.leaf_count,
-            node_count=len(vals),
-            level=vals[-1] if vals else 0,
-            valences=tuple(vals),
-        )
+        leaves, vals = _signature(self)
+        return TreeStats(leaves, len(vals), vals[-1] if vals else 0, vals)
 
     def aut_order(self) -> int:
         """Order of the label-forgetting automorphism group of the graph: by
@@ -374,6 +369,13 @@ class TreeStats:
 
 
 EMPTY_TREE = Tree((), ())
+
+
+def _signature(tree: Tree) -> Tuple[int, Tuple[int, ...]]:
+    """The leaf count and the sorted node valences, in one pass over the
+    vertices: all that the measure of a tree depends on."""
+    vals = sorted(len(nbrs) for nbrs in tree.adj if len(nbrs) >= 2)
+    return len(tree.adj) - len(vals), tuple(vals)
 
 
 def build_tree(

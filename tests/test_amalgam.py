@@ -17,6 +17,9 @@ Core claims:
       check their classes once per enumeration, not once per matching
     - the stream yields each amalgamation once and keys none of them; the
       consumers that count, group by shape or sum measures key no whole tree
+    - the count and the product equation read the last level from its sites:
+      the signatures and the count equal those of the built trees, the
+      frontier cap raises alike, and no last-level tree is built
 """
 
 import random
@@ -24,6 +27,8 @@ from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal import amalgam
 from arboreal.amalgam import (
@@ -414,3 +419,84 @@ def test_stream_consumers_key_no_whole_tree(monkeypatch, keyed_sizes):
     assert separated_bruteforce(parse_tree("(a,b,(c,d,e,f,g))"), "a", "b") is False
     assert len(drawn) == 2
     assert keyed_sizes and max(keyed_sizes) < 7
+
+
+# -- the last level counted from its sites ---------------------------------------
+
+
+def built_signatures(t1, t2, max_level=None):
+    """The oracle: the signature of every whole tree the stream builds."""
+    stats = (whole.stats() for whole in amalgamation_trees(t1, t2, max_level))
+    return Counter((s.leaf_count, s.valences) for s in stats)
+
+
+def site_signatures(t1, t2, max_level=None):
+    base = t1.restrict(t1.label_set & t2.label_set)
+    return amalgam._amalgamation_signatures(base, t1, t2, max_level)
+
+
+def test_site_signatures_and_count_match_the_built_trees():
+    cases = [(EDGE, STAR), (EDGE, parse_tree("(1,4,5)")), (STAR4_A, STAR4_B),
+             (EMPTY_TREE, EMPTY_TREE), (parse_tree("a"), parse_tree("b")),
+             (parse_tree("((a,b),(c,d))"), parse_tree("(a,e,f)"))]
+    for t1, t2 in cases:
+        for max_level in (None, 3, 4):
+            want = built_signatures(t1, t2, max_level)
+            assert site_signatures(t1, t2, max_level) == want, (t1, t2, max_level)
+            count = amalgam._amalgamation_count(t1, t2, max_level)
+            assert count == len(amalgamations(t1, t2, max_level)) == sum(want.values())
+    assert amalgam._amalgamation_count(EDGE, STAR) == 56
+    assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 6), st.randoms(use_true_random=False), st.sampled_from([None, 3, 4]))
+def test_site_signatures_match_on_random_pairs(n, rng, max_level):
+    """Both sides restrict one random tree, each label going left, right or
+    to the shared base."""
+    labels = "abcdef"[:n]
+    tree = rng.choice(enumerate_trees(labels)) if n else EMPTY_TREE
+    sides = [rng.choice("LRB") for _ in labels]
+    t1 = tree.restrict([l for l, s in zip(labels, sides) if s in "LB"])
+    t2 = tree.restrict([l for l, s in zip(labels, sides) if s in "RB"])
+    want = built_signatures(t1, t2, max_level)
+    assert site_signatures(t1, t2, max_level) == want
+    assert amalgam._amalgamation_count(t1, t2, max_level) == len(amalgamations(t1, t2, max_level))
+
+
+def test_frontier_cap_counts_the_last_level_sites(monkeypatch):
+    """The unmatched 4-stars reach 388 trees one level before the last and
+    706 at the last; the stream, the count and the equation raise the same
+    error at the same cap, whether the last level or an earlier one is over
+    it."""
+    for cap in (387, 705):
+        monkeypatch.setattr(amalgam, "FRONTIER_CAP", cap)
+        message = r"enumeration frontier exceeded %d trees" % cap
+        with pytest.raises(AmalgamError, match=message):
+            list(amalgamation_trees(STAR4_A, STAR4_B))
+        with pytest.raises(AmalgamError, match=message):
+            amalgam._amalgamation_count(STAR4_A, STAR4_B)
+        with pytest.raises(AmalgamError, match=message):
+            verify_amalgamation_equation(STAR4_A, STAR4_B)
+    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 706)
+    assert len(list(amalgamation_trees(STAR4_A, STAR4_B))) == 2642
+    assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
+    assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
+
+
+def test_equation_grafts_only_below_the_last_level(monkeypatch):
+    """Of the 4,933 trees the stream builds for two 4-stars, the 2,642 of
+    the last level are counted from their sites, not built."""
+    built = []
+    graft = Tree._graft
+
+    def counted(self, site, labels):
+        built.append(labels)
+        return graft(self, site, labels)
+
+    monkeypatch.setattr(Tree, "_graft", counted)
+    assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
+    assert len(built) == 4933 - 2642
+    built.clear()
+    assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
+    assert len(built) == 4933 - 2642

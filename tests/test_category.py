@@ -24,12 +24,14 @@ Core claims:
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from arboreal import category
-from arboreal.amalgam import amalgamation_trees
+from arboreal.amalgam import _site_signatures, amalgamation_trees
 from arboreal.category import (
     ArborealAlgebra,
     HomElement,
@@ -43,6 +45,7 @@ from arboreal.category import (
     tensor_summands,
     transpose,
     triple_trace,
+    triple_trace_trees,
     truncate_level,
 )
 from arboreal.edge_algebra import edge_algebra
@@ -289,6 +292,19 @@ def test_triple_trace_matches_composition(edge):
             edge.basis_amalgamation(k),
         )
         assert via_compose == via_trees
+
+
+def test_triple_trace_counts_the_trees_it_does_not_build():
+    """On every basis triple of the edge algebra and of the point's, the
+    site signatures equal those of the built trace trees, and the trace is
+    their summed measure."""
+    for alg in (algebra_for(EDGE), algebra_for(POINT)):
+        for u, v, w in product(alg.basis, repeat=3):
+            trees = triple_trace_trees(u, v, w)
+            search = category._trace_search(u, v, w)
+            sites = _site_signatures(*search, None) if search else Counter()
+            assert sites == Counter((s.leaf_count, s.valences) for s in (z.stats() for z in trees))
+            assert triple_trace(u, v, w) == mu_sum(trees)
 
 
 def test_hom_element_arithmetic(edge):

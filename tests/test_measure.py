@@ -407,7 +407,7 @@ def test_equation_restricts_once(monkeypatch):
     for p in (SYMBOLIC, ParamSpec.numeric(Fraction(7, 2)), ParamSpec.finite_level(4), ParamSpec.infinity()):
         calls.clear()
         assert verify_amalgamation_equation(t1, t2, p) == 0
-        assert calls == ["verify_amalgamation_equation", "_amalgamation_trees"], p
+        assert calls == ["verify_amalgamation_equation", "_amalgamation_classes"], p
 
 
 def test_perturbation_breaks_the_equation():

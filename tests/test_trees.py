@@ -643,6 +643,16 @@ def test_stats_examples():
     assert canonical_key(EMPTY_TREE) == "()"
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(graph_trees())
+def test_stats_count_leaves_and_nodes(data):
+    n, edges, labels = data
+    t = build_tree(range(n), edges, labels)
+    s = t.stats()
+    assert s.leaf_count == len(t.leaves()) and s.node_count == len(t.nodes())
+    assert s.valences == tuple(sorted(len(t.adj[v]) for v in t.nodes())) and s.level == t.level
+
+
 def test_aut_examples():
     assert parse_tree("(a,b,c)").aut_order() == 6
     assert parse_tree("(a,b)").aut_order() == 2
