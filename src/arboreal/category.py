@@ -19,6 +19,7 @@ with respect to transposition, which is what the Gram machinery exploits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,18 +32,19 @@ from arboreal.amalgam import (
     _site_signatures,
     _triple_trees,
     amalgamations,
-    trees_with_restrictions,
 )
 from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
     _embedding_sum,
     _measure_sum,
+    _product,
+    _product_at,
     mu_symbolic,
     register_measure_cache,
 )
 from arboreal.ratfun import ZERO, Poly, RatFun, _common_denominator
-from arboreal.trees import Tree, TreeError
+from arboreal.trees import Tree, TreeError, _signature
 
 Coeff = Union[RatFun, Fraction, int]
 
@@ -344,27 +346,19 @@ def evaluate_coefficients(f: HomElement, t) -> HomElement:
     )
 
 
-def triple_trace_trees(
+def _trace_search(
     u: Amalgamation, v: Amalgamation, w: Amalgamation
-) -> List[Tree]:
-    """The three-block trees computing the trace of the product u * v * w.
+) -> Optional[Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...]]]:
+    """The leaf classes and constraints of the three-block trees computing
+    the trace of the product u * v * w, or None when a class holds two
+    labels of one block (no tree then).
 
     The whole tree restricts to u on blocks (1,2), to the transpose of v on
     blocks (1,3), and to w on blocks (2,3); the transpose in the middle slot
     is what makes the enumeration match trace-of-composition for every
     pattern, not only the transpose-symmetric ones.  Identifications across
     blocks are forced by the three patterns, so no free matchings arise.
-    The trees come in no promised order.
     """
-    search = _trace_search(u, v, w)
-    return trees_with_restrictions(*search) if search else []
-
-
-def _trace_search(
-    u: Amalgamation, v: Amalgamation, w: Amalgamation
-) -> Optional[Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...]]]:
-    """The leaf classes and constraints of :func:`triple_trace_trees`, or
-    None when a class holds two labels of one block (no tree then)."""
     wholes = {
         "u": retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
         "v": retag(v.whole, {SOURCE_TAG: "3:", TARGET_TAG: "1:"}),
@@ -381,19 +375,23 @@ def _trace_search(
     return classes, ((b1 | b2, wholes["u"]), (b1 | b3, wholes["v"]), (b2 | b3, wholes["w"]))
 
 
-def triple_trace(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> RatFun:
-    """Sum of the measures of the three-block trees for the pattern triple,
-    read from their signatures without building the trees.
-
-    Equals the trace of the corresponding triple product of basis
-    endomorphisms; the agreement with compose-then-trace is part of the
-    verification suite.
-    """
+def _trace_and_count(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> Tuple[RatFun, int]:
+    """The trace of the pattern triple and the number of its three-block
+    trees, both from one tally of their signatures, read from the
+    enumerator's last-level sites without building the trees."""
     search = _trace_search(u, v, w)
     if not search:
-        return ZERO
+        return ZERO, 0
     _check_classes(*search)
-    return _measure_sum(_site_signatures(*search, None))
+    tally = _site_signatures(*search, None)
+    return _measure_sum(tally), sum(tally.values())
+
+
+def triple_trace(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> RatFun:
+    """Sum of the measures of the three-block trees for the pattern triple:
+    the trace of the corresponding triple product of basis endomorphisms,
+    an agreement the verification suite checks."""
+    return _trace_and_count(u, v, w)[0]
 
 
 # -- endomorphism algebras ---------------------------------------------------
@@ -496,24 +494,17 @@ class ArborealAlgebra:
         return g
 
     def gram_det(self) -> RatFun:
-        """Determinant of the trace pairing: a signed product of basis measures."""
-        sign = 1
-        seen = [False] * self.dim
-        for i in range(self.dim):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.transpose_index(j)
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        det = RatFun.from_scalar(sign)
-        for am in self.basis:
-            det = det * self._mu(am.whole)
-        return det
+        """Determinant of the trace pairing: the product of the basis
+        measures from their signatures (at t = n under a level bound n,
+        never expanded), with sign (-1)^((dim - fixed points)/2), since
+        transposing twice gives the identity."""
+        fixed = sum(self.transpose_index(i) == i for i in range(self.dim))
+        factors = Counter(_signature(am.whole) for am in self.basis).items()
+        if self.max_level is None:
+            det = _product(factors)
+        else:
+            det = RatFun.from_scalar(_product_at(factors, self.max_level))
+        return -det if (self.dim - fixed) // 2 % 2 else det
 
     def is_semisimple_at(self, t) -> Tuple[bool, Optional[str], Optional[str]]:
         """Whether the trace pairing stays nondegenerate at t.

@@ -24,13 +24,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from arboreal.amalgam import Amalgamation, amalgamations, count_by_shape, self_amalgamations, triple_amalgamations
 from arboreal.category import (
     HomElement,
+    _trace_and_count,
     algebra_for,
     compose,
     evaluate_coefficients,
     hom_basis,
     transpose,
     triple_trace,
-    triple_trace_trees,
     truncate_level,
 )
 from arboreal.edge_algebra import EDGE, POINT, edge_algebra
@@ -425,8 +425,7 @@ def _trace_check(u: int, v: int, w: int, expected: RatFun, expected_count: Optio
     ea = edge_algebra()
     alg = ea.algebra
     au, av, aw = (ea.basis_amalgamation(i) for i in (u, v, w))
-    via_trees = triple_trace(au, av, aw)
-    count = len(triple_trace_trees(au, av, aw))
+    via_trees, count = _trace_and_count(au, av, aw)
     via_compose = alg.utr((ea.a[u] * ea.a[v]) * ea.a[w])
     ok = via_trees == expected and via_compose == expected
     if expected_count is not None:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from arboreal import checks as checks_mod
 from arboreal.amalgam import AmalgamError, _amalgamation_count, amalgamations, count_by_shape
-from arboreal.category import algebra_for, triple_trace, triple_trace_trees
+from arboreal.category import _trace_and_count, algebra_for
 from arboreal.measure import (
     LevelError,
     ParamSpec,
@@ -205,9 +205,9 @@ def _cmd_algebra(args) -> Tuple[int, Dict]:
     if op == "trace":
         if args.u and args.v and args.w:
             ams = [alg.basis[_basis_index(alg, text)] for text in (args.u, args.v, args.w)]
-            trees = triple_trace_trees(*ams)
-            payload["triple_trees"] = len(trees)
-            payload["utr"] = str(triple_trace(*ams))
+            utr, count = _trace_and_count(*ams)
+            payload["triple_trees"] = count
+            payload["utr"] = str(utr)
             return 0, payload
         if not args.e:
             raise TreeError("trace needs --e, or --u/--v/--w")

@@ -4,18 +4,18 @@ The value on a nonempty tree T is
 
     (-1)^nodes * t * prod_over_nodes (t-2)(t-3)...(t-v+1) / (t-1)^leaves
 
-with the empty tree assigned 1.  The value on an embedding sub -> super is
-the ratio value(super)/value(sub), an exact quotient of the closed forms
-side by side; every finite-parameter evaluation goes through the symbolic
-form first.  Both are built in normal form, so no gcd runs for them.  A sum
-of values (``mu_sum``, the embedding sums of the composition table, the
-product equation's residual, the trace over three-block trees) counts its
-trees by signature, the pair (leaf count, sorted node valences), and hands
-one unnormalized pair per signature to ``RatFun.sum``: the denominators are
-all c*(t-1)^leaves, so the whole sum normalizes once with no gcd (common
-factors t-1 leave by synthetic division), and every other mode specializes
-that symbolic sum.  The residual and the trace take their counts from the
-enumerator's last-level sites and build none of the trees they sum over.
+with the empty tree assigned 1, and on an embedding sub -> super it is
+value(super)/value(sub).  Every product or quotient of values (of a tree,
+an embedding, the product equation's left side, a Gram determinant) is one
+sum of exponent vectors over signatures, the pairs (leaf count, sorted node
+valences), expanded once in normal form with no gcd or division; a Gram
+determinant under a level bound n is evaluated at t = n instead.  A sum of
+values (``mu_sum``, the embedding sums of the composition table, the
+product equation's residual, the trace over three-block trees) hands one
+term per signature to ``RatFun.sum``, which normalizes it once with no gcd:
+the denominators are all c*(t-1)^leaves.  The residual and the trace count
+their trees at the enumerator's last-level sites and build none of them.
+Every other evaluation specializes the symbolic value.
 
 Parameter modes:
 
@@ -33,7 +33,6 @@ Parameter modes:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,7 @@ from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from arboreal.amalgam import _amalgamation_signatures
-from arboreal.ratfun import ONE, Poly, RatFun
+from arboreal.ratfun import ZERO, Poly, RatFun
 from arboreal.trees import Tree, TreeError, _signature, build_tree, parse_tree
 
 Value = Union[RatFun, Fraction, int]
@@ -116,25 +115,57 @@ def _power(k: int, e: int) -> Poly:
     return Poly._of(coeffs)
 
 
+def _exponents(factors: Iterable[Tuple[Signature, int]]) -> Tuple[Union[int, Fraction], List[int]]:
+    """The product of the measures of the signatures, each to its integer
+    power: a constant (-1)^nodes c^leaves, for the perturbation scale c, and
+    exponents e, e[k] the power of t-k: e[0] counts the trees, -e[1] is
+    their leaves and e[k], k >= 2, their nodes of valence above k."""
+    nodes, e = 0, [0, 0]
+    for (leaf_count, valences), m in factors:
+        if leaf_count:  # the empty tree measures 1
+            nodes += m * len(valences)
+            e[0] += m
+            e[1] -= m * leaf_count
+            e.extend([0] * ((valences[-1] if valences else 0) - len(e)))
+            for v in valences:
+                for k in range(2, v):
+                    e[k] += m
+    c = -1 if nodes % 2 else 1
+    return (c if _PERTURB_PER_LEAF is None else c * _PERTURB_PER_LEAF ** -e[1]), e
+
+
+def _product(factors: Iterable[Tuple[Signature, int]]) -> RatFun:
+    """The normal form of :func:`_exponents`: each factor (t-k)^e on the
+    side of its exponent's sign, expanded once by ``_power``, times the
+    constant's numerator or denominator.  Distinct monic factors and a
+    constant in lowest terms are already a normal form: no gcd or division."""
+    c, e = _exponents(factors)
+    if not c:
+        return ZERO
+    sides = [Poly._of((c.numerator,)), Poly._of((c.denominator,))]
+    for k, x in enumerate(e[1:], 1):
+        if x:
+            sides[x < 0] = sides[x < 0] * _power(k, abs(x))
+    # t^e is a shift, cheaper than a product with its zero coefficients
+    num, den = (Poly._of((0,) * max(x, 0) + p.coeffs) for p, x in zip(sides, (e[0], -e[0])))
+    return RatFun._normal(num, den)
+
+
+def _product_at(factors: Iterable[Tuple[Signature, int]], t) -> Fraction:
+    """The value of :func:`_product` at t, from integer powers of the t-k
+    with nothing expanded."""
+    value, e = _exponents(factors)
+    for k, x in enumerate(e):
+        value *= Fraction(t - k) ** x
+    return value
+
+
 @lru_cache(maxsize=4096)
 def _mu_symbolic_key(leaf_count: int, valences: Tuple[int, ...]) -> RatFun:
     """The closed form from the leaf count and the sorted node valences:
     (-1)^nodes * t * prod over k >= 2 of (t-k)^(nodes of valence above k),
     over (t-1)^leaves."""
-    if not leaf_count:
-        return ONE
-    num = Poly((0, -1 if len(valences) % 2 else 1))
-    for k in range(2, valences[-1] if valences else 2):
-        num = num * _power(k, len(valences) - bisect_right(valences, k))
-    den = _power(1, leaf_count)
-    if _PERTURB_PER_LEAF is not None:
-        c = _PERTURB_PER_LEAF**leaf_count
-        if not c:
-            return RatFun.zero()
-        num, den = num.scale(c.numerator), den.scale(c.denominator)
-    # t and the t-k, k >= 2, against t-1: coprime monic polynomials up to
-    # sign, scaled by c^leaves = a/b in lowest terms: already a normal form
-    return RatFun._normal(num, den)
+    return _product((((leaf_count, valences), 1),))
 
 
 # Clear functions of every cache whose values derive from the measure.
@@ -234,43 +265,23 @@ def _signature_terms(
         yield value.num.scale(n), value.den
 
 
-def _check_embedding(sub: Tree, super_tree: Tree) -> None:
+def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
+    """The measure of the embedding sub -> super under the parameter mode."""
     if not sub.label_set <= super_tree.label_set:
         raise TreeError("sub labels are not contained in super labels")
     if super_tree.restrict(sub.label_set) != sub:
         raise TreeError("sub is not the restriction of super to its labels")
-
-
-def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
-    """The measure of the embedding sub -> super under the parameter mode."""
-    _check_embedding(sub, super_tree)
     _check_levels((sub, super_tree), p)
-    return _specialize(_embedding_quotient(sub, super_tree), p)
-
-
-def _embedding_quotient(sub: Tree, super_tree: Tree) -> RatFun:
-    """The symbolic measure of sub -> super, for sub the restriction of
-    super to its labels (not checked)."""
-    return _quotient(mu_symbolic(sub), mu_symbolic(super_tree))
-
-
-def _quotient(small: RatFun, big: RatFun) -> RatFun:
-    """The measure of a tree over that of one of its restrictions."""
-    # Exact quotients in normal form: restriction keeps fewer leaves and maps
-    # the nodes of sub injectively to nodes of super of no lower valence, so
-    # each factor of sub's closed form divides the like side of super's.
-    num = big.num.divmod(small.num)[0]
-    den = big.den.divmod(small.den)[0]
-    return RatFun._normal(num, den)
+    return _specialize(_product(((_signature(super_tree), 1), (_signature(sub), -1))), p)
 
 
 def _embedding_sum(sub: Tree, supers: Iterable[Tree]) -> RatFun:
     """The summed symbolic measure of the embeddings sub -> z over the trees
-    z, each of which restricts to sub (not checked): one exact quotient per
-    signature, normalized once."""
-    small = mu_symbolic(sub)
+    z, each of which restricts to sub (not checked): one quotient of closed
+    forms per signature, normalized once."""
+    small = _signature(sub)
     tally = Counter(map(_signature, supers))
-    return RatFun.sum(_signature_terms(tally, lambda *sig: _quotient(small, _mu_symbolic_key(*sig))))
+    return RatFun.sum(_signature_terms(tally, lambda *sig: _product(((sig, 1), (small, -1)))))
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:
@@ -351,9 +362,8 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
     tally = _amalgamation_signatures(base, t1, t2, max_level)
-    embedding, value = _embedding_quotient(base, t1), mu_symbolic(t2)
+    lhs = _product(((_signature(t1), 1), (_signature(t2), 1), (_signature(base), -1)))
     # the negated residual: the amalgamations minus the left side
-    lhs = (-(embedding.num * value.num), embedding.den * value.den)
-    residual = -RatFun.sum(chain((lhs,), _signature_terms(tally, _mu_symbolic_key)))
+    residual = -RatFun.sum(chain(((-lhs.num, lhs.den),), _signature_terms(tally, _mu_symbolic_key)))
     _check_levels((base, t1, t2), p)
     return _specialize(residual, p)

@@ -31,7 +31,7 @@ from itertools import product
 import pytest
 
 from arboreal import category
-from arboreal.amalgam import _site_signatures, amalgamation_trees
+from arboreal.amalgam import _site_signatures, amalgamation_trees, trees_with_restrictions
 from arboreal.category import (
     ArborealAlgebra,
     HomElement,
@@ -45,7 +45,6 @@ from arboreal.category import (
     tensor_summands,
     transpose,
     triple_trace,
-    triple_trace_trees,
     truncate_level,
 )
 from arboreal.edge_algebra import edge_algebra
@@ -177,6 +176,44 @@ def test_gram_structure(edge):
     assert det in (prod, -prod)
 
 
+def cycle_sign(alg):
+    """The sign of the transposition permutation of the basis, by walking
+    its cycles: each cycle of even length flips it."""
+    sign, seen = 1, [False] * alg.dim
+    for i in range(alg.dim):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = alg.transpose_index(j)
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize(
+    "scale", [None, Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1)]
+)
+def test_gram_det_is_the_signed_product_of_basis_measures(scale):
+    """The determinant read from the basis signatures equals the sequential
+    product of the basis measures times the cycle walk's sign: on the point,
+    on the edge unbounded and at levels 3 and 4, and on (1,2,3) at levels 3
+    and 4, where it is evaluated without expanding."""
+    tri = parse_tree("(1,2,3)")
+    algebras = [algebra_for(POINT), algebra_for(EDGE), algebra_for(EDGE, 3),
+                algebra_for(EDGE, 4), algebra_for(tri, 3), algebra_for(tri, 4)]
+    assert [alg.dim for alg in algebras[-2:]] == [300, 523]
+    set_mu_perturbation(scale)
+    try:
+        for alg in algebras:
+            prod = ONE
+            for am in alg.basis:
+                prod = prod * alg._mu(am.whole)
+            assert alg.gram_det() == cycle_sign(alg) * prod, (alg.tree, alg.max_level)
+    finally:
+        set_mu_perturbation(None)
+
+
 def test_semisimplicity_verdicts():
     alg = algebra_for(EDGE)
     ok, witness, factor = alg.is_semisimple_at(Fraction(7, 2))
@@ -294,16 +331,25 @@ def test_triple_trace_matches_composition(edge):
         assert via_compose == via_trees
 
 
+def triple_trace_trees(u, v, w):
+    """The oracle: the three-block trees of the trace of u * v * w, built
+    one by one from the same search the trace tallies."""
+    search = category._trace_search(u, v, w)
+    return trees_with_restrictions(*search) if search else []
+
+
 def test_triple_trace_counts_the_trees_it_does_not_build():
     """On every basis triple of the edge algebra and of the point's, the
-    site signatures equal those of the built trace trees, and the trace is
-    their summed measure."""
+    site signatures equal those of the built trace trees, and the trace and
+    the tree count read from them are the trees' summed measure and their
+    number."""
     for alg in (algebra_for(EDGE), algebra_for(POINT)):
         for u, v, w in product(alg.basis, repeat=3):
             trees = triple_trace_trees(u, v, w)
             search = category._trace_search(u, v, w)
             sites = _site_signatures(*search, None) if search else Counter()
             assert sites == Counter((s.leaf_count, s.valences) for s in (z.stats() for z in trees))
+            assert category._trace_and_count(u, v, w) == (mu_sum(trees), len(trees))
             assert triple_trace(u, v, w) == mu_sum(trees)
 
 

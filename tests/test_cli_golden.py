@@ -3,8 +3,10 @@
 ``tests/data/cli_golden.json`` holds the exact stdout and exit code of every
 invocation in ``CASES``: the README examples (all but the full
 ``paper-check``), full amalgamation listings, level-bounded algebra
-operations, the ``sec5`` report and two operations in the 548-dimensional
-algebra of ``(1,2,3)``.  A change that reorders a listing,
+operations, the ``sec5`` report, two operations in the 548-dimensional
+algebra of ``(1,2,3)`` and the embedding of a 17-leaf restriction in a
+31-leaf tree with node valences up to 5, symbolic, at t = 7/3 and at
+level 5.  A change that reorders a listing,
 renames a key or reformats a value fails here.
 
 Regenerate the file (only when an output change is deliberate) with
@@ -28,6 +30,10 @@ _B3 = json.dumps(
     ]
 )
 _QUARTET = "((s:1,t:1),(s:2,t:2))"
+# 31 leaves, node valences 3 to 5, and its restriction to 17 labels
+_SUPER = ("((a1,a2,a3,(a4,a5)),(b1,b2,(b3,b4,b5),b6),((c1,c2),c3,c4,(c5,c6,c7)),"
+          "(d1,(d2,d3,d4,d5)),((e1,e2,e3),(e4,e5),e6,(f1,f2)))")
+_SUB = "(((((b3,b5),b1),((c5,c7),c1,c3),((d3,d5),d1),(a1,a3,a5)),e5,f1),e1,e3)"
 
 
 def _algebra(level):
@@ -70,6 +76,8 @@ CASES = [
     ["algebra", "compose", "--tree", "(1,2,3)", "--f", "((s:1,t:1),s:2/t:2,s:3/t:3)",
      "--g", "((s:1,s:2),s:3/t:3,(t:1,t:2))", "--max-level", "4"],
     ["algebra", "minpoly", "--tree", "(1,2,3)", "--e", "((s:1,s:2),s:3/t:3,(t:1,t:2))"],
+    *(["measure", "--sub", _SUB, "--super", _SUPER] + mode
+      for mode in (["--symbolic"], ["--t", "7/3"], ["--level", "5"])),
 ]
 
 

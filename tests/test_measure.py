@@ -6,8 +6,9 @@ Core claims:
     - the closed form equals the product of the falling factors of the
       node valences over (t-1)^leaves
     - embedding values are the symbolic ratios, in normal form, under every
-      parameter mode and perturbation, with numeric evaluation agreeing with
-      symbolic-then-substitute on random parameters
+      parameter mode and perturbation, computed with no polynomial division,
+      with numeric evaluation agreeing with symbolic-then-substitute on
+      random parameters
     - multiplicativity: deleting any leaf splits the value by the generator
       of the leaf's marked type (exhaustive at small size)
     - the limit measure is a chain product independent of deletion order
@@ -105,7 +106,7 @@ def test_closed_form_is_the_bracket_product():
 def quotient_oracle(sub, sup):
     """The embedding measure by general RatFun division of the two tree
     measures, with its PRS gcd: the definition, computed independently of
-    the side-by-side quotient of closed forms."""
+    the difference of the two exponent vectors."""
     return mu_symbolic(sup) / mu_symbolic(sub)
 
 
@@ -150,7 +151,13 @@ def embedding_cases():
 @pytest.mark.parametrize(
     "scale", [None, Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1)]
 )
-def test_embedding_is_the_quotient_of_measures(scale):
+def test_embedding_is_the_quotient_of_measures(scale, monkeypatch):
+    """Against the oracle's RatFun division, with no polynomial division
+    on the embedding's own path: Poly.divmod raises while it runs."""
+
+    def no_division(self, other):
+        raise AssertionError("the embedding measure divided polynomials")
+
     set_mu_perturbation(scale)
     try:
         for sub, sup in embedding_cases():
@@ -163,9 +170,12 @@ def test_embedding_is_the_quotient_of_measures(scale):
                 ParamSpec.finite_level(max(3, sup.level)),
                 ParamSpec.infinity(),
             ]
-            for p in modes:
-                assert mu_embedding(sub, sup, p) == specialized(expected, p), (sub, sup, p)
-            e = mu_embedding(sub, sup)
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "divmod", no_division)
+                values = [mu_embedding(sub, sup, p) for p in modes]
+            for p, value in zip(modes, values):
+                assert value == specialized(expected, p), (sub, sup, p)
+            e = values[0]
             again = RatFun(e.num, e.den)
             assert (again.num, again.den) == (e.num, e.den)
     finally:
