@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from arboreal.amalgam import (
@@ -38,8 +39,8 @@ from arboreal.measure import (
     ParamSpec,
     _embedding_sum,
     _measure_sum,
+    _mu_symbolic_key,
     _product,
-    _product_at,
     mu_symbolic,
     register_measure_cache,
 )
@@ -495,7 +496,8 @@ class ArborealAlgebra:
 
     def gram_det(self) -> RatFun:
         """Determinant of the trace pairing: the product of the basis
-        measures from their signatures (at t = n under a level bound n,
+        measures from their signatures (under a level bound n, the product
+        of each distinct signature's value at t = n to its multiplicity,
         never expanded), with sign (-1)^((dim - fixed points)/2), since
         transposing twice gives the identity."""
         fixed = sum(self.transpose_index(i) == i for i in range(self.dim))
@@ -503,7 +505,8 @@ class ArborealAlgebra:
         if self.max_level is None:
             det = _product(factors)
         else:
-            det = RatFun.from_scalar(_product_at(factors, self.max_level))
+            n = self.max_level
+            det = RatFun.from_scalar(prod(_mu_symbolic_key(*sig).evaluate(n) ** m for sig, m in factors))
         return -det if (self.dim - fixed) // 2 % 2 else det
 
     def is_semisimple_at(self, t) -> Tuple[bool, Optional[str], Optional[str]]:

@@ -8,8 +8,9 @@ with the empty tree assigned 1, and on an embedding sub -> super it is
 value(super)/value(sub).  Every product or quotient of values (of a tree,
 an embedding, the product equation's left side, a Gram determinant) is one
 sum of exponent vectors over signatures, the pairs (leaf count, sorted node
-valences), expanded once in normal form with no gcd or division; a Gram
-determinant under a level bound n is evaluated at t = n instead.  A sum of
+valences), expanded once in normal form with no gcd or division; under a
+level bound n a Gram determinant is the product of each distinct
+signature's cached value at t = n to its multiplicity instead.  A sum of
 values (``mu_sum``, the embedding sums of the composition table, the
 product equation's residual, the trace over three-block trees) hands one
 term per signature to ``RatFun.sum``, which normalizes it once with no gcd:
@@ -149,15 +150,6 @@ def _product(factors: Iterable[Tuple[Signature, int]]) -> RatFun:
     # t^e is a shift, cheaper than a product with its zero coefficients
     num, den = (Poly._of((0,) * max(x, 0) + p.coeffs) for p, x in zip(sides, (e[0], -e[0])))
     return RatFun._normal(num, den)
-
-
-def _product_at(factors: Iterable[Tuple[Signature, int]], t) -> Fraction:
-    """The value of :func:`_product` at t, from integer powers of the t-k
-    with nothing expanded."""
-    value, e = _exponents(factors)
-    for k, x in enumerate(e):
-        value *= Fraction(t - k) ** x
-    return value
 
 
 @lru_cache(maxsize=4096)
