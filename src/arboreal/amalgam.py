@@ -129,17 +129,21 @@ def trees_with_restrictions(
     back ``t`` and its site.  The last frontier is returned as it stands, in
     no promised order.
     """
-    _check_classes(classes, constraints)
+    _check_classes(classes, constraints, max_level)
     return _trees_with_restrictions(classes, constraints, max_level)
 
 
 def _check_classes(
-    classes: Sequence[Tuple[str, ...]], constraints: Sequence[Tuple[FrozenSet[str], Tree]]
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int] = None,
 ) -> None:
-    """The checks of :func:`trees_with_restrictions`: at most MAX_CLASSES
-    classes, well-formed labels used once, and no constrained label unknown
-    to its tree.  Merging classes keeps their labels, so a check of the
-    unmerged classes covers every matching."""
+    """The checks of :func:`trees_with_restrictions`: a level bound of at
+    least 3, at most MAX_CLASSES classes, well-formed labels used once, and
+    no constrained label unknown to its tree.  Merging classes keeps their
+    labels, so a check of the unmerged classes covers every matching."""
+    if max_level is not None and max_level < 3:
+        raise TreeError("max_level must be at least 3")
     if len(classes) > MAX_CLASSES:
         raise AmalgamError("quotient label set has %d classes (cap %d)" % (len(classes), MAX_CLASSES))
     labels = [l for cls in sorted((tuple(sorted(c)) for c in classes), key=min) for l in cls]
@@ -352,7 +356,7 @@ def _amalgamation_trees(
 ) -> Iterator[Tree]:
     """``amalgamation_trees`` for a caller that already holds base, t1
     restricted to the shared labels (not checked)."""
-    constraints, matchings = _amalgamation_classes(base, t1, t2)
+    constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
     for merged in matchings:
         yield from _trees_with_restrictions(merged, constraints, max_level)
 
@@ -362,7 +366,7 @@ def _amalgamation_signatures(
 ) -> Counter:
     """The signatures of the whole trees of ``_amalgamation_trees``, with
     multiplicity, none of them built (see :func:`_site_signatures`)."""
-    constraints, matchings = _amalgamation_classes(base, t1, t2)
+    constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
     tally: Counter = Counter()
     for merged in matchings:
         tally.update(_site_signatures(merged, constraints, max_level))
@@ -372,23 +376,24 @@ def _amalgamation_signatures(
 def _amalgamation_count(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> int:
     """The number of amalgamations of t1 and t2, none of them built."""
     base = t1.restrict(t1.label_set & t2.label_set)
-    constraints, matchings = _amalgamation_classes(base, t1, t2)
+    constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
     return sum(_site_count(merged, constraints, max_level) for merged in matchings)
 
 
 def _amalgamation_classes(
-    base: Tree, t1: Tree, t2: Tree
+    base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
 ) -> Tuple[Tuple[Tuple[FrozenSet[str], Tree], ...], Iterator[List[Tuple[str, ...]]]]:
     """The constraints of an amalgamation of t1 and t2 and the leaf classes
     of each matching, after checking the base (t1 restricted to the shared
-    labels, not checked) against t2 and the classes once."""
+    labels, not checked) against t2, and the classes and the level bound
+    once."""
     i1, i2 = t1.label_set, t2.label_set
     shared = i1 & i2
     if base != t2.restrict(shared):
         raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
-    _check_classes(classes, constraints)
+    _check_classes(classes, constraints, max_level)
     return constraints, _matched_classes(classes, i1 - shared, i2 - shared)
 
 
@@ -472,7 +477,7 @@ def _triple_trees(
         raise AmalgamError("triple blocks must be disjoint")
     classes = _leaf_classes(b1 | b2 | b3, (x.whole, y.whole))
     constraints = ((b1 | b2, x.whole), (b2 | b3, y.whole))
-    _check_classes(classes, constraints)
+    _check_classes(classes, constraints, max_level)
     for merged in _matched_classes(classes, b1, b3):
         for z in _trees_with_restrictions(merged, constraints, max_level):
             yield z, z.restrict(b1 | b3)

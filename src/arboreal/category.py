@@ -62,16 +62,18 @@ def tag_labels(tree: Tree, tag: str) -> Tree:
 
 
 def retag(tree: Tree, mapping: Dict[str, str]) -> Tree:
-    """Swap label prefixes, e.g. {"s:": "1:"}; unmatched labels error out."""
-    sub = {}
-    for l in tree.label_set:
+    """Swap label prefixes, e.g. {"s:": "1:"}; unmatched labels error out.
+
+    The new prefixes are distinct block tags, so swapping them keeps every
+    label well-formed and distinct, and the graph is kept as it is."""
+
+    def swap(l: str) -> str:
         for old, new in mapping.items():
             if l.startswith(old):
-                sub[l] = new + l[len(old):]
-                break
-        else:
-            raise TreeError("label %r carries no expected block tag" % (l,))
-    return tree.relabel(sub)
+                return new + l[len(old):]
+        raise TreeError("label %r carries no expected block tag" % (l,))
+
+    return Tree(tree.adj, tuple(tuple(sorted(map(swap, ls))) for ls in tree.labels))
 
 
 def _block(tree: Tree, tag: str) -> frozenset:

@@ -129,6 +129,7 @@ def _cmd_enumerate(args) -> Tuple[int, Dict]:
         payload["trees"] = [t.canonical_key() for t in trees]
     return 0, payload
 
+
 def _cmd_amalgamate(args) -> Tuple[int, Dict]:
     t1, t2 = parse_tree(args.t1), parse_tree(args.t2)
     payload: Dict = {"schema": SCHEMA, "t1": t1.canonical_key(), "t2": t2.canonical_key()}

@@ -109,40 +109,38 @@ class Tree:
 
     def canonical_key(self) -> str:
         if self._key is None:
-            object.__setattr__(self, "_key", self._min_serial("/".join))
+            # lists of parts compare as their serials do, since every label
+            # character and "/" sort above "," and ")"
+            object.__setattr__(self, "_key", self._min_serial("/".join, None))
         return self._key
 
     def shape_key(self) -> str:
         if self._shape is None:
-            object.__setattr__(self, "_shape", self._min_serial(lambda ls: "*" * len(ls)))
+            # "*" sorts below ",", so shape serials are compared as strings
+            object.__setattr__(self, "_shape", self._min_serial(lambda ls: "*" * len(ls), _serial))
         return self._shape
 
-    def _min_serial(self, leaf: Callable[[Sequence[str]], str]) -> str:
-        """The least serialization of the tree rooted at an internal vertex."""
+    def _min_serial(self, leaf: Callable[[Sequence[str]], str], key: Optional[Callable]) -> str:
+        """The serialization of the tree rooted at an internal vertex whose
+        parts are least by ``key`` (in list order for None)."""
         n = len(self.adj)
         if n == 0:
             return "()"
         if n == 1:
             return leaf(self.labels[0])
         if n == 2:
-            return "(%s)" % ",".join(sorted(leaf(ls) for ls in self.labels))
-        return min(self._rerooted(leaf)[1])
+            return _serial(sorted(leaf(ls) for ls in self.labels))
+        return _serial(min(self._rerooted(leaf)[1], key=key))
 
-    def _rerooted(self, leaf: Callable[[Sequence[str]], str]) -> Tuple[List[List[str]], Iterator[str]]:
+    def _rerooted(self, leaf: Callable[[Sequence[str]], str]) -> Tuple[List[List[str]], Iterator[List[str]]]:
         """Root the tree at its first internal vertex; return the sorted child
-        serials of every vertex and an iterator over the serials of the tree
-        rerooted at each internal vertex, root first (Aho, Hopcroft and
+        serials of every vertex and an iterator over the sorted parts of the
+        tree rerooted at each internal vertex, root first (Aho, Hopcroft and
         Ullman, 1974, §3.2).  A serial is ``leaf(labels)`` or the sorted child
         serials in parentheses.  Needs at least three vertices."""
         adj = self.adj
         root = next(v for v in range(len(adj)) if len(adj[v]) > 1)
-        parent = [-1] * len(adj)
-        order = [root]  # breadth first
-        for v in order:
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
+        parent, order = _breadth_first(adj, root)
         down = [""] * len(adj)  # the serial away from the parent, children first
         kids: List[List[str]] = [[] for _ in adj]
         for v in reversed(order):
@@ -152,19 +150,19 @@ class Tree:
                 kids[v] = sorted(down[w] for w in adj[v] if w != parent[v])
                 down[v] = "(%s)" % ",".join(kids[v])
 
-        def rooted_serials() -> Iterator[str]:
+        def rooted_parts() -> Iterator[List[str]]:
             up = {}  # the serial of the parent's side, parents first
             for v in order:
                 if len(adj[v]) > 1:
                     parts = sorted(kids[v] + [up.pop(v)]) if v != root else kids[v]
-                    yield "(%s)" % ",".join(parts)
+                    yield parts
                     for w in adj[v]:
                         if w != parent[v] and len(adj[w]) > 1:
                             rest = parts[:]
                             rest.remove(down[w])
                             up[w] = "(%s)" % ",".join(rest)
 
-        return kids, rooted_serials()
+        return kids, rooted_parts()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self.canonical_key() == other.canonical_key()
@@ -196,26 +194,20 @@ class Tree:
             raise TreeError("unknown labels %s" % sorted(unknown))
         if len(keep) == len(present):
             return self
-        kept_leaves = [v for v, ls in enumerate(self.labels) if any(l in keep for l in ls)]
+        kept_leaves = [v for v, ls in enumerate(self.labels) if not keep.isdisjoint(ls)]
         if not kept_leaves:
             return EMPTY_TREE
-        kept = set(kept_leaves)
-        deg = {v: len(self.adj[v]) for v in range(len(self.adj))}
-        alive = set(range(len(self.adj)))
-        frontier = [v for v in alive if deg[v] <= 1 and v not in kept]
-        while frontier:
-            v = frontier.pop()
-            if v not in alive:
-                continue
-            alive.discard(v)
-            for w in self.adj[v]:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] <= 1 and w not in kept:
-                        frontier.append(w)
-        adj = {v: [w for w in self.adj[v] if w in alive] for v in alive}
-        labels = {v: tuple(l for l in self.labels[v] if l in keep) for v in kept}
-        return _reduced(adj, labels)
+        # root at a kept leaf: a vertex stays when a kept leaf lies below it
+        adj = self.adj
+        parent, order = _breadth_first(adj, kept_leaves[0])
+        alive = [False] * len(adj)
+        for v in kept_leaves:
+            alive[v] = True
+        for v in order[:0:-1]:
+            if alive[v]:
+                alive[parent[v]] = True
+        labels = {v: tuple(l for l in self.labels[v] if l in keep) for v in kept_leaves}
+        return _reduced({v: [w for w in adj[v] if alive[w]] for v in order if alive[v]}, labels)
 
     def drop_leaf(self, label: str) -> "Tree":
         """Delete the leaf carrying ``label`` (with all its labels)."""
@@ -349,9 +341,9 @@ class Tree:
         n = len(self.adj)
         if n <= 2:
             return max(n, 1)
-        kids, serials = self._rerooted(lambda ls: "*")
-        root = next(serials)
-        order = 1 + sum(1 for s in serials if s == root)
+        kids, rootings = self._rerooted(lambda ls: "*")
+        root = next(rootings)
+        order = 1 + sum(1 for parts in rootings if parts == root)
         for ks in kids:
             for _, group in groupby(ks):
                 order *= factorial(sum(1 for _ in group))
@@ -369,6 +361,23 @@ class TreeStats:
 
 
 EMPTY_TREE = Tree((), ())
+
+
+def _serial(parts: Sequence[str]) -> str:
+    return "(%s)" % ",".join(parts)
+
+
+def _breadth_first(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[int]]:
+    """The parent of every vertex (-1 for the root) and the vertices in
+    breadth-first order from the root."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    return parent, order
 
 
 def _signature(tree: Tree) -> Tuple[int, Tuple[int, ...]]:
@@ -468,27 +477,43 @@ def _reduced(adj: Dict[int, Sequence[int]], labels: Dict[int, Tuple[str, ...]]) 
 
 
 def parse_tree(text: str) -> Tree:
-    """Parse the tree grammar; see the module docstring."""
+    """Parse the tree grammar; see the module docstring.
+
+    The scan numbers the vertices in pre-order and lists each vertex's
+    parent, then its children, so every neighbour list comes out sorted.
+    Every group has at least two parts, so only a root of exactly two parts
+    has valence two; it is suppressed by joining its parts.  The grammar
+    admits only well-formed labels on leaves, so only repeats are checked.
+    """
     s = "".join(text.split())
     if s == "()":
         return EMPTY_TREE
-    pos, count = 0, 0  # vertices are numbered in pre-order
-    edges: List[Tuple[int, int]] = []
-    labels: Dict[int, Tuple[str, ...]] = {}
+    pos = 0
+    adj: List[List[int]] = []
+    labels: List[Tuple[str, ...]] = []
+    names: List[str] = []  # the labels in text order
     groups: List[List[int]] = []  # the open groups: [vertex, parts so far]
     while True:
+        v = len(adj)
         if groups:
-            edges.append((groups[-1][0], count))
-            groups[-1][1] += 1
+            group = groups[-1]
+            group[1] += 1
+            adj[group[0]].append(v)
+            adj.append([group[0]])
+        else:
+            adj.append([])
         if s.startswith("(", pos):
-            groups.append([count, 0])
-            count, pos = count + 1, pos + 1
+            groups.append([v, 0])
+            labels.append(())
+            pos += 1
             continue
         m = _LABEL_SET_RE.match(s, pos)
         if not m:
             raise TreeError("expected a label at position %d in %r" % (pos, text))
-        labels[count] = tuple(m.group(0).split("/"))
-        count, pos = count + 1, m.end()
+        leaf = m.group(0).split("/")
+        names += leaf
+        labels.append(tuple(sorted(leaf)))
+        pos = m.end()
         while groups and not s.startswith(",", pos):
             if not s.startswith(")", pos):
                 raise TreeError("expected ')' at position %d in %r" % (pos, text))
@@ -500,7 +525,15 @@ def parse_tree(text: str) -> Tree:
         pos += 1  # the comma before the next part
     if pos != len(s):
         raise TreeError("trailing input at position %d in %r" % (pos, text))
-    return build_tree(range(count), edges, labels)
+    if len(set(names)) < len(names):
+        _check_labels(names)  # names the first repeated label
+    if len(adj[0]) == 2:
+        a, b = adj[0]  # a's subtree comes before b in pre-order
+        adj[a] = adj[a][1:] + [b]
+        adj[b][0] = a
+        adj = [[w - 1 for w in nbrs] for nbrs in adj[1:]]
+        labels = labels[1:]
+    return Tree(tuple(map(tuple, adj)), tuple(labels))
 
 
 # -- module-level operation wrappers ----------------------------------------
@@ -539,7 +572,7 @@ def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree,
         return (EMPTY_TREE,)
     # each tree with the new leaf arises from exactly one tree without it,
     # at one site, so no candidate repeats and only the result is keyed
-    current = [build_tree([0], [], {0: (labels[0],)})]
+    current = [Tree(((),), ((labels[0],),))]
     for l in labels[1:]:
         current = [
             cand

@@ -14,7 +14,8 @@ Core claims:
     - guided site selection keeps exactly what filtering every insertion
       candidate keeps, and builds no tree it does not keep
     - the constrained search checks its cap and labels; the enumerators
-      check their classes once per enumeration, not once per matching
+      check their classes once per enumeration, not once per matching, and
+      reject level bounds below 3
     - the stream yields each amalgamation once and keys none of them; the
       consumers that count, group by shape or sum measures key no whole tree
     - the count and the product equation read the last level from its sites:
@@ -193,6 +194,20 @@ def test_max_level_filter():
     assert {a.key for a in capped} == {a.key for a in full if a.whole.level <= 3}
 
 
+def test_level_bounds_below_three_are_rejected():
+    x = amalgamations(EDGE, fresh_copy(EDGE, "b:"))[0]
+    y = amalgamations(fresh_copy(EDGE, "b:"), STAR)[0]
+    for level in (2, 0, -1):
+        for enumerate_with in (
+            lambda: amalgamations(EDGE, STAR, level),
+            lambda: amalgam._amalgamation_count(EDGE, STAR, level),
+            lambda: triple_amalgamations(x, y, level),
+            lambda: trees_with_restrictions([("a",), ("b",), ("c",)], (), level),
+        ):
+            with pytest.raises(TreeError, match="max_level must be at least 3"):
+                enumerate_with()
+
+
 def test_amalgamation_property_small_diagrams():
     letters = "abcde"
     for total in range(0, 6):
@@ -303,7 +318,7 @@ def test_constrained_search_checks(monkeypatch):
     checks, matchings = [], []
     check, search = amalgam._check_classes, amalgam._trees_with_restrictions
     monkeypatch.setattr(amalgam, "_check_classes",
-                        lambda classes, constraints: checks.append(1) or check(classes, constraints))
+                        lambda *args: checks.append(1) or check(*args))
     monkeypatch.setattr(amalgam, "_trees_with_restrictions",
                         lambda *args: matchings.append(1) or search(*args))
     t1, t2 = parse_tree("(a1,a2,a3)"), parse_tree("(b1,b2,b3)")

@@ -378,6 +378,12 @@ def test_algebra_cache():
     assert algebra_for(EDGE) is algebra_for(parse_tree("(2,1)"))
 
 
+def test_algebras_need_a_level_bound_of_at_least_three():
+    for level in (2, 0, -1):
+        with pytest.raises(TreeError, match="max_level must be at least 3"):
+            algebra_for(EDGE, level)
+
+
 def test_perturbation_leaves_no_cached_values_behind():
     """Values cached under one measure perturbation are never read under
     another: a clean run after a perturbed one matches a fresh process."""

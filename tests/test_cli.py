@@ -2,7 +2,8 @@
 
 Core claims:
     - the documented invocations produce the documented JSON
-    - exit codes: 0 on success, 1 on verification failure, 2 on bad input
+    - exit codes: 0 on success, 1 on verification failure, 2 on bad input,
+      among it a level bound below 3
     - output bytes are identical across repeated runs
     - the measure-perturbation hook makes the product-equation check fail,
       which is how the harness proves the reference suite can fail
@@ -215,6 +216,16 @@ def test_element_specs_are_checked(capsys):
     for spec in ('[1]', '[{}]', '[{"amalgamation": 5}]', '[[[]]]'):
         assert run(["algebra", "minpoly", "--tree", "(1,2)", "--e", spec]) == (2, "")
         assert '"amalgamation"' in capsys.readouterr().err
+
+
+def test_level_bounds_below_three_are_rejected(capsys):
+    for level in ("2", "0", "-1"):
+        for argv in (["algebra", "gram", "--tree", "(1,2)"],
+                     ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)"],
+                     ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--count"],
+                     ["amalgamate", "--t1", "(1,2)", "--t2", "(3,4,5)", "--by-shape"]):
+            assert run(argv + ["--max-level", level]) == (2, ""), (argv, level)
+            assert "max_level must be at least 3" in capsys.readouterr().err
 
 
 def test_measure_of_large_trees():

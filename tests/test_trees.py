@@ -14,12 +14,16 @@ Core claims:
     - automorphism orders match brute force over leaf permutations, and their
       prime factors stay below the level
     - restriction and single-site insertion build exactly the packed form
-      build_tree gives the same graph data; relabeling still validates labels
+      build_tree gives the same graph data; relabeling still validates labels,
+      and retagging block prefixes gives what relabeling gives
     - the one rerooting pass gives the canonical key, the shape key and the
       automorphism order the earlier recursive walkers gave, and the
       explicit-stack parser the same graph data and errors as recursive
-      descent, on every tree with at most seven labels, on multi-label trees
-      and on random trees and caterpillars of up to 400 leaves
+      descent, on every tree with at most seven labels, on multi-label trees,
+      on labels that are prefixes of one another and on random trees and
+      caterpillars of up to 400 leaves; the parser calls no build_tree
+    - every label character and "/" sort above "," and ")", which makes the
+      least list of parts the least serial
     - keys survive a parse round trip and any renumbering of the vertices
 """
 
@@ -32,8 +36,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arboreal.category import algebra_for, retag
 from arboreal.trees import (
     EMPTY_TREE,
+    LABEL_RE,
     Tree,
     TreeError,
     build_tree,
@@ -315,6 +321,44 @@ def test_parser_matches_recursive_descent():
             assert (t.adj, t.labels) == want, text
 
 
+def test_parser_builds_no_graph(monkeypatch):
+    """The parser assembles the reduced tree from its own scan: with
+    build_tree refusing every call, each text of the parser and
+    recursive-walker tests still parses to the graph data, or raises the
+    error, that recursive descent through build_tree gives."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_tree called")
+
+    monkeypatch.setattr("arboreal.trees.build_tree", refuse)
+    test_parser_matches_recursive_descent()
+    test_all_small_trees_match_recursive_walkers()
+    test_multilabel_and_renumbered_trees_match_recursive_walkers()
+    test_large_trees_match_recursive_walkers()
+
+
+def test_prefix_labels_match_recursive_walkers():
+    """Leaves whose serials are prefixes of one another, with every kind of
+    label character after the common prefix: the key compares lists of
+    parts where the walker compared strings."""
+    labels = ["a", "a.", "a:", "a_", "a0", "aA"]
+    for t in enumerate_trees(labels):
+        assert_matches_recursive(t)
+        assert_matches_recursive(t.merge_labels({"a": ["b"]}))  # a leaf "a/b"
+
+
+def test_label_characters_sort_above_the_separators():
+    """The canonical key takes the least list of parts for the least serial.
+    That holds because no serial is a proper prefix of another unless it is
+    a label set, and whatever continues a label set (a label character or
+    "/") sorts above the "," or ")" that ends it; ")" below "," orders a
+    shorter list first."""
+    admitted = [c for c in map(chr, range(0x110000)) if LABEL_RE.match(c)]
+    assert len(admitted) == 65
+    assert min(admitted + ["/"]) > max(",", ")")
+    assert ")" < ","
+
+
 @st.composite
 def graph_trees(draw):
     """Graph data of a random tree: vertex i > 0 hangs off an earlier vertex,
@@ -549,6 +593,20 @@ def test_trusted_construction_matches_build_tree():
     # a multi-label leaf keeps the sorted tuple of its remaining labels
     r = parse_tree("((a/x/z,b),c,d)").restrict("abdz")
     assert ("a", "z") in r.labels
+    # retag swaps block prefixes without a label check; every prefix map the
+    # morphism layer uses gives what relabel gives, on every basis whole
+    maps = [{"s:": "t:", "t:": "s:"}, {"s:": "1:", "t:": "2:"}, {"s:": "2:", "t:": "3:"},
+            {"s:": "3:", "t:": "1:"}, {"1:": "s:", "3:": "t:"}]
+    for alg in (algebra_for(parse_tree("(1,2)")), algebra_for(parse_tree("(1,2,3)"))):
+        for am in alg.basis:
+            for mapping in maps:
+                whole = am.whole
+                if "1:" in mapping:  # it maps the (1,3)-restriction of a composite back
+                    whole = whole.relabel({l: ("1:" if l[0] == "s" else "3:") + l[2:]
+                                           for l in whole.label_set})
+                r = retag(whole, mapping)
+                o = whole.relabel({l: mapping[l[:2]] + l[2:] for l in whole.label_set})
+                assert (r.adj, r.labels) == (o.adj, o.labels), (am.key, mapping)
 
 
 def test_insertion_validates_new_labels():
