@@ -25,11 +25,12 @@ penultimate frontier with its admissible sites for the last class to its
 consumer, which decides what to build.  The enumerators graft every site and
 stream whole trees, each built once, unkeyed and in no promised order:
 different matchings give different leaf label classes, so no tree arises
-twice.  Only the listings :func:`amalgamations` and
-:func:`triple_amalgamations` key their results and sort them.  A count is
-the number of sites, and the signatures (leaf count, sorted node valences)
-that a measure sum needs follow from each parent tree and site, so neither
-builds a last-level tree.
+twice.  A three-block tree extending two amalgamations is an amalgamation
+of their two wholes over the middle block, drawn from the same stream.
+Only the listings :func:`amalgamations` and :func:`triple_amalgamations`
+key their results and sort them.  A count is the number of sites, and the
+signatures (leaf count, sorted node valences) that a measure sum needs
+follow from each parent tree and site, so neither builds a last-level tree.
 """
 
 from __future__ import annotations
@@ -348,14 +349,7 @@ def amalgamation_trees(
     of t2.  ``max_level`` restricts to amalgamations whose every node
     valence stays within the bound.
     """
-    yield from _amalgamation_trees(t1.restrict(t1.label_set & t2.label_set), t1, t2, max_level)
-
-
-def _amalgamation_trees(
-    base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
-) -> Iterator[Tree]:
-    """``amalgamation_trees`` for a caller that already holds base, t1
-    restricted to the shared labels (not checked)."""
+    base = t1.restrict(t1.label_set & t2.label_set)
     constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
     for merged in matchings:
         yield from _trees_with_restrictions(merged, constraints, max_level)
@@ -364,8 +358,10 @@ def _amalgamation_trees(
 def _amalgamation_signatures(
     base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
 ) -> Counter:
-    """The signatures of the whole trees of ``_amalgamation_trees``, with
-    multiplicity, none of them built (see :func:`_site_signatures`)."""
+    """The signatures of the whole trees of :func:`amalgamation_trees`, for
+    a caller that already holds base, t1 restricted to the shared labels
+    (not checked), with multiplicity, none of them built (see
+    :func:`_site_signatures`)."""
     constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
     tally: Counter = Counter()
     for merged in matchings:
@@ -448,36 +444,16 @@ def triple_amalgamations(
 ) -> List[Tuple[TripleAmalgamation, Amalgamation]]:
     """All three-block trees extending x on blocks (1,2) and y on (2,3),
     each with its restriction to blocks (1,3), sorted by the key of the
-    whole (see :func:`_triple_trees`)."""
-    blocks = (x.left, x.right, y.right)
-    out = [
-        (TripleAmalgamation(z, blocks), Amalgamation(y3, x.left, y.right))
-        for z, y3 in _triple_trees(x, y, max_level)
-    ]
-    return sorted(out, key=lambda pair: pair[0].key)
-
-
-def _triple_trees(
-    x: Amalgamation, y: Amalgamation, max_level: Optional[int] = None
-) -> Iterator[Tuple[Tree, Tree]]:
-    """Every three-block tree z extending x on blocks (1,2) and y on (2,3),
-    with its restriction y3 to blocks (1,3); each z is built once, in no
-    promised order and with no canonical key.
-
-    Identifications between blocks 1 and 2 are forced by x, between 2 and 3
-    by y (with transitive closure); the free choices are extra matchings
-    between still-untouched labels of blocks 1 and 3.
-    """
+    whole: the amalgamations of x.whole and y.whole over block 2, whose free
+    choices match untouched labels of blocks 1 and 3 (see
+    :func:`amalgamation_trees`)."""
     b1, b2, b3 = x.left, x.right, y.right
     if y.left != b2:
         raise AmalgamError("middle blocks disagree")
-    if x.whole.restrict(b2) != y.whole.restrict(b2):
-        raise AmalgamError("middle trees disagree")
     if b1 & b3 or b1 & b2 or b2 & b3:
         raise AmalgamError("triple blocks must be disjoint")
-    classes = _leaf_classes(b1 | b2 | b3, (x.whole, y.whole))
-    constraints = ((b1 | b2, x.whole), (b2 | b3, y.whole))
-    _check_classes(classes, constraints, max_level)
-    for merged in _matched_classes(classes, b1, b3):
-        for z in _trees_with_restrictions(merged, constraints, max_level):
-            yield z, z.restrict(b1 | b3)
+    out = [
+        (TripleAmalgamation(z, (b1, b2, b3)), Amalgamation(z.restrict(b1 | b3), b1, b3))
+        for z in amalgamation_trees(x.whole, y.whole, max_level)
+    ]
+    return sorted(out, key=lambda pair: pair[0].key)

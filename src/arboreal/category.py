@@ -31,7 +31,7 @@ from arboreal.amalgam import (
     _check_classes,
     _leaf_classes,
     _site_signatures,
-    _triple_trees,
+    amalgamation_trees,
     amalgamations,
 )
 from arboreal.measure import (
@@ -51,6 +51,7 @@ Coeff = Union[RatFun, Fraction, int]
 
 SOURCE_TAG = "s:"
 TARGET_TAG = "t:"
+_SWAP = {SOURCE_TAG: TARGET_TAG, TARGET_TAG: SOURCE_TAG}
 
 
 def _coeff(c: Coeff) -> RatFun:
@@ -78,10 +79,6 @@ def retag(tree: Tree, mapping: Dict[str, str]) -> Tree:
 
 def _block(tree: Tree, tag: str) -> frozenset:
     return frozenset(tag + l for l in tree.label_set)
-
-
-def _retag_block(block: frozenset, old: str, new: str) -> frozenset:
-    return frozenset(new + l[len(old):] for l in block)
 
 
 def hom_basis(source: Tree, target: Tree, max_level: Optional[int] = None) -> List[Amalgamation]:
@@ -167,10 +164,8 @@ def identity_hom(tree: Tree) -> HomElement:
 
 def transpose(f: HomElement) -> HomElement:
     """Swap the two blocks of every term; reverses source and target."""
-    out: Dict[Amalgamation, RatFun] = {}
-    for am, c in f.terms:
-        whole = retag(am.whole, {SOURCE_TAG: TARGET_TAG, TARGET_TAG: SOURCE_TAG})
-        out[Amalgamation(whole, _block(f.target, SOURCE_TAG), _block(f.source, TARGET_TAG))] = c
+    left, right = _block(f.target, SOURCE_TAG), _block(f.source, TARGET_TAG)
+    out = {Amalgamation(retag(am.whole, _SWAP), left, right): c for am, c in f.terms}
     return HomElement.make(f.target, f.source, out)
 
 
@@ -218,26 +213,21 @@ def _composition_table(
     y3.
 
     The three blocks carry the tags "1:", "2:", "3:" while the extensions
-    are enumerated; the extensions are grouped by the key of y3 and summed
-    by signature, and no extension gets a key of its own.  The stored
-    restrictions are tagged "s:"/"t:" again, in key order.
+    are enumerated, as the amalgamations of the two wholes over block 2;
+    the extensions are grouped by the key of y3 and summed by signature,
+    and no extension gets a key of its own.  The stored restrictions are
+    tagged "s:"/"t:" again, in key order.
     """
     key = (gu.key, fv.key, max_level)
     hit = _TRIPLE_CACHE.get(key)
     if hit is not None:
         return hit
-    u = Amalgamation(
-        retag(gu.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
-        _retag_block(gu.left, SOURCE_TAG, "1:"),
-        _retag_block(gu.right, TARGET_TAG, "2:"),
-    )
-    v = Amalgamation(
-        retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
-        _retag_block(fv.left, SOURCE_TAG, "2:"),
-        _retag_block(fv.right, TARGET_TAG, "3:"),
-    )
+    u = retag(gu.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"})
+    v = retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"})
+    outer = u.label_set ^ v.label_set
     extensions: Dict[str, Tuple[Tree, List[Tree]]] = {}
-    for z, y3 in _triple_trees(u, v, max_level):
+    for z in amalgamation_trees(u, v, max_level):
+        y3 = z.restrict(outer)
         extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
         (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
@@ -362,20 +352,17 @@ def _trace_search(
     pattern, not only the transpose-symmetric ones.  Identifications across
     blocks are forced by the three patterns, so no free matchings arise.
     """
-    wholes = {
-        "u": retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
-        "v": retag(v.whole, {SOURCE_TAG: "3:", TARGET_TAG: "1:"}),
-        "w": retag(w.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
-    }
-    b1 = _retag_block(u.left, SOURCE_TAG, "1:")
-    b2 = _retag_block(u.right, TARGET_TAG, "2:")
-    b3 = _retag_block(w.right, TARGET_TAG, "3:")
-    classes = _leaf_classes(b1 | b2 | b3, wholes.values())
+    wholes = (
+        retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
+        retag(v.whole, {SOURCE_TAG: "3:", TARGET_TAG: "1:"}),
+        retag(w.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
+    )
+    classes = _leaf_classes(frozenset().union(*(t.label_set for t in wholes)), wholes)
     for cls in classes:
         per_block = [sum(1 for l in cls if l.startswith(tag)) for tag in ("1:", "2:", "3:")]
         if max(per_block) > 1:
             return None
-    return classes, ((b1 | b2, wholes["u"]), (b1 | b3, wholes["v"]), (b2 | b3, wholes["w"]))
+    return classes, tuple((t.label_set, t) for t in wholes)
 
 
 def _trace_and_count(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> Tuple[RatFun, int]:
@@ -405,6 +392,7 @@ class ArborealAlgebra:
 
     The basis is the sorted list of self-amalgamations (within the level
     bound, when one is given); elements are coefficient vectors over it.
+    ``transposes`` holds the basis index of each basis element's transpose.
     """
 
     def __init__(self, tree: Tree, max_level: Optional[int] = None):
@@ -415,6 +403,8 @@ class ArborealAlgebra:
         self.dim = len(self.basis)
         ident = diagonal_amalgamation(tree)
         self.identity_index = self.index[ident.key]
+        swapped = (retag(am.whole, _SWAP) for am in self.basis)
+        self.transposes = tuple(self.index[whole.canonical_key()] for whole in swapped)
 
     # -- element plumbing --------------------------------------------------
 
@@ -479,12 +469,7 @@ class ArborealAlgebra:
         return e.vec[self.identity_index] * self._mu(self.tree)
 
     def transpose_vector(self, e: "AlgebraElement") -> "AlgebraElement":
-        return self.element({self.transpose_index(i): c for i, c in enumerate(e.vec) if not c.is_zero()})
-
-    def transpose_index(self, i: int) -> int:
-        am = self.basis[i]
-        whole = retag(am.whole, {SOURCE_TAG: TARGET_TAG, TARGET_TAG: SOURCE_TAG})
-        return self.index[whole.canonical_key()]
+        return self.element({self.transposes[i]: c for i, c in enumerate(e.vec) if not c.is_zero()})
 
     # -- trace form ----------------------------------------------------------
 
@@ -493,7 +478,7 @@ class ArborealAlgebra:
         when basis[j] is its transpose, else zero."""
         g = [[RatFun.zero()] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
-            g[i][self.transpose_index(i)] = self._mu(self.basis[i].whole)
+            g[i][self.transposes[i]] = self._mu(self.basis[i].whole)
         return g
 
     def gram_det(self) -> RatFun:
@@ -502,7 +487,7 @@ class ArborealAlgebra:
         of each distinct signature's value at t = n to its multiplicity,
         never expanded), with sign (-1)^((dim - fixed points)/2), since
         transposing twice gives the identity."""
-        fixed = sum(self.transpose_index(i) == i for i in range(self.dim))
+        fixed = sum(j == i for i, j in enumerate(self.transposes))
         factors = Counter(_signature(am.whole) for am in self.basis).items()
         if self.max_level is None:
             det = _product(factors)

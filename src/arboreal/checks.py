@@ -733,7 +733,7 @@ def check_dual_path_constants() -> CheckResult:
         for j in range(alg.dim):
             row = dict(alg.product_row(i, j))
             for k in range(alg.dim):
-                ut = alg.basis[alg.transpose_index(k)]
+                ut = alg.basis[alg.transposes[k]]
                 alpha = triple_trace(ut, alg.basis[i], alg.basis[j]) / mu_symbolic(alg.basis[k].whole)
                 if alpha != row.get(k, RatFun.zero()):
                     failures += 1

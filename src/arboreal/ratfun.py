@@ -682,20 +682,23 @@ def _common_denominator(dens: Sequence[Poly]) -> Tuple[List[Poly], Poly]:
 
 
 def _factored_poly_str(p: Poly, bound: int) -> str:
+    """p with each t-k, |k| <= bound, pulled out by synthetic division:
+    Horner's partial values at k are the quotient, then the remainder p(k)."""
     if p.is_zero():
         return "0"
     factors = []
+    cs = p.coeffs[::-1]
     for k in range(-bound, bound + 1):
-        root = Poly((-k, 1))
         e = 0
-        while True:
-            q, r = p.divmod(root)
-            if not r.is_zero():
+        while len(cs) > 1:
+            *q, r = accumulate(cs, lambda a, c: a * k + c)
+            if r:
                 break
-            p, e = q, e + 1
+            cs, e = q, e + 1
         if e:
-            base = "t" if k == 0 else "(%s)" % poly_to_str(root)
+            base = "t" if k == 0 else "(%s)" % poly_to_str(Poly((-k, 1)))
             factors.append(base if e == 1 else "%s^%d" % (base, e))
+    p = Poly._of(cs[::-1])
     lead = ""
     if p.degree == 0:
         c = p.coeffs[0]

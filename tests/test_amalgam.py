@@ -10,7 +10,8 @@ Core claims:
     - node valences of an amalgamation are bounded by the sum of the sides'
       caps (level when nodes exist, leaf count otherwise)
     - every base diagram on at most five labels has at least one amalgamation
-    - triple extensions restrict correctly on all three block pairs
+    - triple extensions restrict correctly on all three block pairs, and a
+      triple listing is the naive oracle's amalgamations of the two wholes
     - guided site selection keeps exactly what filtering every insertion
       candidate keeps, and builds no tree it does not keep
     - the constrained search checks its cap and labels; the enumerators
@@ -25,7 +26,7 @@ Core claims:
 
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -53,22 +54,31 @@ def oracle_amalgamations(t1: Tree, t2: Tree):
     """Enumerate every tree on each quotient label set, then filter.
 
     Independent of the production path: no pruning, plain enumeration over
-    representative labels with the merged label sets attached afterwards.
+    one representative label per leaf class, with the class's other labels
+    attached afterwards.  Labels sharing a leaf of either tree form one
+    forced class; the free choices match classes of t1's private labels
+    with classes of t2's.
     """
     i1, i2 = t1.label_set, t2.label_set
     base = i1 & i2
     assert t1.restrict(base) == t2.restrict(base)
-    private1, private2 = sorted(i1 - base), sorted(i2 - base)
+    forced = {l: {l} for l in i1 | i2}
+    for tree in (t1, t2):
+        for ls in tree.labels:
+            joined = set().union(*(forced[l] for l in ls))
+            for l in joined:
+                forced[l] = joined
+    classes = sorted({tuple(sorted(c)) for c in forced.values()})
+    free1 = [c for c in classes if (i1 - base).issuperset(c)]
+    free2 = [c for c in classes if (i2 - base).issuperset(c)]
     found = {}
-    for k in range(min(len(private1), len(private2)) + 1):
-        for asub in combinations(private1, k):
-            for bperm in permutations(private2, k):
-                merged = dict(zip(asub, bperm))
-                reps = sorted(base) + sorted(set(private1) - set(asub)) + sorted(
-                    set(private2) - set(bperm)
-                ) + sorted(asub)
-                for tree in enumerate_trees(reps):
-                    whole = tree.merge_labels({a: (merged[a],) for a in asub}) if merged else tree
+    for k in range(min(len(free1), len(free2)) + 1):
+        for asub in combinations(free1, k):
+            for bperm in permutations(free2, k):
+                matched = set(asub) | set(bperm)
+                leaves = [c for c in classes if c not in matched] + [a + b for a, b in zip(asub, bperm)]
+                for tree in enumerate_trees(c[0] for c in leaves):
+                    whole = tree.merge_labels({c[0]: c[1:] for c in leaves})
                     if whole.restrict(i1) == t1 and whole.restrict(i2) == t2:
                         found[whole.canonical_key()] = whole
     return found
@@ -253,6 +263,21 @@ def test_triple_amalgamations_consistency():
         assert y13.whole == z.whole.restrict(z.blocks[0] | z.blocks[2])
 
 
+def test_triple_listing_is_the_oracle_on_the_two_wholes():
+    """Every chain of point and edge basis amalgamations, on blocks 1:/2:
+    and 2:/3:, lists exactly the naive oracle's amalgamations of its two
+    wholes, within each level bound."""
+    objects = [parse_tree("p"), parse_tree("(p,q)")]
+    for chain in product(objects, repeat=3):
+        b1, b2, b3 = (fresh_copy(o, "%d:" % (n + 1)) for n, o in enumerate(chain))
+        for x in amalgamations(b1, b2):
+            for y in amalgamations(b2, b3):
+                want = oracle_amalgamations(x.whole, y.whole)
+                for max_level in (None, 3):
+                    got = [z.key for z, _ in triple_amalgamations(x, y, max_level)]
+                    assert got == sorted(k for k, z in want.items() if max_level is None or z.level <= max_level)
+
+
 def test_triple_contains_the_diagonal():
     tree = parse_tree("(a,b)")
     diag12 = Amalgamation(
@@ -270,6 +295,12 @@ def test_triple_block_mismatch():
     x = Amalgamation(parse_tree("(1:a/2:a,1:b/2:b)"), frozenset(("1:a", "1:b")), frozenset(("2:a", "2:b")))
     with pytest.raises(AmalgamError):
         triple_amalgamations(x, x)
+    # the middle trees disagree: the base check of the pair stream refuses
+    middle = frozenset(("2:a", "2:b", "2:c", "2:d"))
+    x = Amalgamation(parse_tree("((2:a,2:b),(2:c,2:d),1:x)"), frozenset(("1:x",)), middle)
+    y = Amalgamation(parse_tree("((2:a,2:c),(2:b,2:d),3:y)"), middle, frozenset(("3:y",)))
+    with pytest.raises(AmalgamError, match="base restrictions disagree"):
+        triple_amalgamations(x, y)
 
 
 def test_multi_label_leaf_amalgamates_as_one_leaf():
@@ -409,10 +440,11 @@ def test_stream_yields_each_amalgamation_once_unkeyed():
         assert len(set(keys)) == len(keys)
         assert sorted(keys) == [a.key for a in amalgamations(t1, t2, max_level)]
     x, y = self_amalgamations(EDGE)[3], self_amalgamations(fresh_copy(EDGE))[7]
-    pairs = list(amalgam._triple_trees(x, y))
-    assert all(z._key is None for z, _ in pairs)
-    assert sorted(z.canonical_key() for z, _ in pairs) == [z.key for z, _ in triple_amalgamations(x, y)]
-    assert all(y3 == z.restrict(x.left | y.right) for z, y3 in pairs)
+    wholes = list(amalgamation_trees(x.whole, y.whole))
+    assert all(z._key is None for z in wholes)
+    triples = triple_amalgamations(x, y)
+    assert sorted(z.canonical_key() for z in wholes) == [z.key for z, _ in triples]
+    assert all(y3.whole == z.whole.restrict(x.left | y.right) for z, y3 in triples)
 
 
 def test_stream_consumers_key_no_whole_tree(monkeypatch, keyed_sizes):

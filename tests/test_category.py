@@ -8,7 +8,9 @@ Core claims:
     - composition is associative with two-sided units; transpose is an
       involutive anti-automorphism; traces are symmetric
     - the trace pairing is diagonal under transposition and its determinant
-      is the signed product of basis measures
+      is the signed product of basis measures; the transpose permutation an
+      algebra stores is the retag-and-key oracle's, and nothing retags it
+      again
     - numeric composition equals symbolic composition then substitution
     - truncation keeps low-level terms, is multiplicative at the level
       parameter, and is the identity when nothing exceeds the bound
@@ -160,7 +162,7 @@ def test_gram_structure(edge):
         for j in range(alg.dim):
             expected = (
                 mu_symbolic(alg.basis[i].whole)
-                if j == alg.transpose_index(i)
+                if j == transpose_index(alg, i)
                 else RatFun.zero()
             )
             assert gram[i][j] == expected
@@ -176,6 +178,36 @@ def test_gram_structure(edge):
     assert det in (prod, -prod)
 
 
+def transpose_index(alg, i):
+    """The oracle: the basis index of basis[i]'s transpose, found by
+    swapping the two block tags of its whole and keying the result."""
+    whole = category.retag(alg.basis[i].whole, {"s:": "t:", "t:": "s:"})
+    return alg.index[whole.canonical_key()]
+
+
+def test_transposes_are_the_basis_involution(monkeypatch):
+    """The transposes an algebra stores equal the per-index oracle and form
+    an involution; once the algebra is built, transposing a vector, the Gram
+    matrix and its determinant retag nothing."""
+    algebras = [algebra_for(POINT), algebra_for(EDGE), algebra_for(EDGE, 3),
+                algebra_for(EDGE, 4), algebra_for(parse_tree("(1,2,3)"), 3)]
+    for alg in algebras:
+        assert list(alg.transposes) == [transpose_index(alg, i) for i in range(alg.dim)]
+        assert all(alg.transposes[j] == i for i, j in enumerate(alg.transposes))
+    edge = ArborealAlgebra(EDGE)
+    gram, det = edge.gram_matrix(), edge.gram_det()
+
+    def refuse(*args):
+        raise AssertionError("retagged after the algebra was built")
+
+    monkeypatch.setattr(category, "retag", refuse)
+    e = edge.element({i: i + 1 for i in range(edge.dim)})
+    assert edge.transpose_vector(e).vec == tuple(
+        RatFun.from_scalar(edge.transposes[i] + 1) for i in range(edge.dim)
+    )
+    assert edge.gram_matrix() == gram and edge.gram_det() == det
+
+
 def cycle_sign(alg):
     """The sign of the transposition permutation of the basis, by walking
     its cycles: each cycle of even length flips it."""
@@ -184,7 +216,7 @@ def cycle_sign(alg):
         length, j = 0, i
         while not seen[j]:
             seen[j] = True
-            j = alg.transpose_index(j)
+            j = transpose_index(alg, j)
             length += 1
         if length and length % 2 == 0:
             sign = -sign

@@ -4,7 +4,9 @@ Core claims:
     - normalization is canonical (coprime, integer, positive denominator lead)
     - field axioms hold on randomized inputs
     - evaluation is a ring homomorphism away from poles, with poles reported
-    - serialization round-trips and matches the documented format
+    - serialization round-trips and matches the documented format; the
+      factored display pulls out each t-k by synthetic division exactly as
+      dividing by t-k once per power does
     - polynomials live in Z[t]: int coefficients only, exact division,
       square roots in the integers; gcds are primitive
     - packing at t = 2^b and reading balanced base-2^b digits back is exact
@@ -35,6 +37,7 @@ from arboreal.ratfun import (
     PoleError,
     Poly,
     RatFun,
+    _factored_poly_str,
     parse_poly,
     parse_ratfun,
     poly_to_str,
@@ -144,6 +147,57 @@ def test_serialization_format():
     assert str(RatFun.zero()) == "0"
     assert parse_ratfun("-3/4") == RatFun.from_scalar(Fraction(-3, 4))
     assert mu5.factored() == "t*(t-2)^2 / (t-1)^4"
+
+
+def divmod_factored_poly_str(p, bound):
+    """The oracle: each t-k pulled out by one ``Poly.divmod`` per power."""
+    if p.is_zero():
+        return "0"
+    factors = []
+    for k in range(-bound, bound + 1):
+        root = Poly((-k, 1))
+        e = 0
+        while True:
+            q, r = p.divmod(root)
+            if not r.is_zero():
+                break
+            p, e = q, e + 1
+        if e:
+            base = "t" if k == 0 else "(%s)" % poly_to_str(root)
+            factors.append(base if e == 1 else "%s^%d" % (base, e))
+    lead = ""
+    if p.degree == 0:
+        c = p.coeffs[0]
+        if not factors:
+            return str(c)
+        if c == -1:
+            lead = "-"
+        elif c != 1:
+            lead = "%d*" % c
+    else:
+        factors.append("(%s)" % poly_to_str(p))
+    return lead + "*".join(factors)
+
+
+def test_factored_display_matches_division_per_power():
+    """Products of (t-k)^e for k in {-20, -3, 0, 1, 2, 20}, times a
+    constant (negative ones included) or a factor with no integer root,
+    with either sign of the leading coefficient, and constants."""
+    rng = random.Random(19)
+    roots = (-20, -3, 0, 1, 2, 20)
+    rests = [Poly((c,)) for c in (1, -1, 3, -12)] + [Poly((1, 0, 1)), Poly((-5, -1, -2)), Poly((7, 0, 0, 2))]
+    cases = [Poly(), Poly((5,)), Poly((-1,)), Poly((1,))]
+    for _ in range(150):
+        p = rng.choice(rests)
+        for k in roots:
+            p = p * Poly((-k, 1)) ** rng.randint(0, 4)
+        cases.append(p)
+    cases.append(Poly((1,)).scale(-2) * Poly((-1, 1)) ** 30 * Poly((-20, 1)) ** 7)
+    for p in cases:
+        for bound in (20, 3, 0):
+            assert _factored_poly_str(p, bound) == divmod_factored_poly_str(p, bound), (p, bound)
+    mu = -(T - 20) ** 3 * (T + 3) / ((T - 1) ** 5 * (T * T + 1))
+    assert mu.factored() == "-(t+3)*(t-20)^3 / (t-1)^5*(t^2+1)"
 
 
 def test_poly_parse_roundtrip_randomized():
