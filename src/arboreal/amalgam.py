@@ -7,14 +7,20 @@ labels act as a base: both restrictions to the shared set must agree, and
 those leaves are identified throughout.
 
 Enumeration works over one identification pattern at a time: choose a
-partial injective matching between the two private label sets, quotient the
-labels into leaf classes, and insert the classes one leaf at a time.  Each
-class goes only to the sites where every partial tree still restricts to each
-required side: the new leaf must land at the same place of the tree on the
+partial injective matching between the two private label sets and quotient
+the labels into leaf classes.  Every amalgamation displays both sides, so
+the search starts from a seed: the side that leaves fewer classes over, each
+of its leaves carrying its whole class and its matched class.  A matching
+whose seed disagrees with the other side on the labels it carries is skipped
+before any graft.  The other side's unmatched classes are then inserted one
+leaf at a time, and only that side's constraint is active, since inserting
+labels of one side never changes the restriction to the other.  Each class
+goes only to the sites where every partial tree still restricts to the
+other side: the new leaf must land at the same place of the tree on the
 side's labels inserted so far (a node or an edge, named by the clade below
 it) as the class's labels hold in that side's tree.  One clade-labeling pass
-per tree and side finds those sites, so only kept trees are built; this is
-the supertree problem of BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J.
+per tree finds those sites, so only kept trees are built; this is the
+supertree problem of BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J.
 Comput. 10(3), 1981) and of Ng and Wormald (Discrete Appl. Math. 69, 1996),
 listing every tree that displays the given subtrees.  Pruning partial trees
 is sound because restriction commutes with taking sub-label-sets, so a
@@ -159,12 +165,16 @@ def _trees_with_restrictions(
     classes: Sequence[Tuple[str, ...]],
     constraints: Sequence[Tuple[FrozenSet[str], Tree]],
     max_level: Optional[int],
+    seed: Tree = EMPTY_TREE,
 ) -> List[Tree]:
     """:func:`trees_with_restrictions` for classes and constraints that
-    passed :func:`_check_classes` (not checked again)."""
+    passed :func:`_check_classes` (not checked again), each tree grown from
+    ``seed`` (see :func:`_frontier_sites`); with no class left, a nonempty
+    seed is the one tree, and the empty one fits only empty constraints."""
     if not classes:
-        return [EMPTY_TREE] if all(e.is_empty() for _, e in constraints) else []
-    frontier = _frontier_sites(classes, constraints, max_level)
+        fits = max_level is None or seed.level <= max_level
+        return [seed] if fits and (seed.adj or all(e.is_empty() for _, e in constraints)) else []
+    frontier = _frontier_sites(classes, constraints, max_level, seed)
     return [t._graft(s, cls) for t, sites, cls in frontier for s in sites]
 
 
@@ -172,6 +182,7 @@ def _site_signatures(
     classes: Sequence[Tuple[str, ...]],
     constraints: Sequence[Tuple[FrozenSet[str], Tree]],
     max_level: Optional[int],
+    seed: Tree = EMPTY_TREE,
 ) -> Counter:
     """The signatures (leaf count, sorted node valences) of the trees of
     :func:`_trees_with_restrictions`, with multiplicity, read from the last
@@ -182,9 +193,9 @@ def _site_signatures(
     either adds one leaf, and no other valence changes.
     """
     if not classes:
-        return Counter(_signature(t) for t in _trees_with_restrictions(classes, constraints, max_level))
+        return Counter(_signature(t) for t in _trees_with_restrictions(classes, constraints, max_level, seed))
     tally: Counter = Counter()
-    for t, sites, _ in _frontier_sites(classes, constraints, max_level):
+    for t, sites, _ in _frontier_sites(classes, constraints, max_level, seed):
         leaves, valences = _signature(t)
         if len(t.adj) < 2:
             tally[leaves + 1, ()] += len(sites)
@@ -203,30 +214,35 @@ def _site_count(
     classes: Sequence[Tuple[str, ...]],
     constraints: Sequence[Tuple[FrozenSet[str], Tree]],
     max_level: Optional[int],
+    seed: Tree = EMPTY_TREE,
 ) -> int:
     """The number of trees of :func:`_trees_with_restrictions`: the last
     level's sites, none of them grafted."""
     if not classes:
-        return len(_trees_with_restrictions(classes, constraints, max_level))
-    return sum(len(sites) for _, sites, _ in _frontier_sites(classes, constraints, max_level))
+        return len(_trees_with_restrictions(classes, constraints, max_level, seed))
+    return sum(len(sites) for _, sites, _ in _frontier_sites(classes, constraints, max_level, seed))
 
 
 def _frontier_sites(
     classes: Sequence[Tuple[str, ...]],
     constraints: Sequence[Tuple[FrozenSet[str], Tree]],
     max_level: Optional[int],
+    seed: Tree = EMPTY_TREE,
 ) -> Iterator[Tuple[Tree, List[Tuple[int, int]], Tuple[str, ...]]]:
     """The search of :func:`_trees_with_restrictions` up to its last level:
     for each tree of the penultimate frontier, its admissible sites and the
     last class.  Grafting the class at each site gives every tree of the
     search once.  ``classes`` must be nonempty.
 
+    It grows ``seed``, which must satisfy every constraint on its own
+    labels; a constraint with no label left to insert is never consulted.
+
     FRONTIER_CAP bounds each level's site count, which is the next level's
     tree count; the last level is checked before anything is yielded.
     """
     order = sorted((tuple(sorted(c)) for c in classes), key=min)
-    inserted: FrozenSet[str] = frozenset()
-    current: List[Tree] = [EMPTY_TREE]
+    inserted = seed.label_set
+    current = [seed]
     for depth, cls in enumerate(order):
         new = frozenset(cls)
         checks = []
@@ -324,19 +340,6 @@ def _partial_matchings(a: Sequence, b: Sequence) -> Iterable[Tuple[tuple, ...]]:
                 yield tuple(zip(asub, bperm))
 
 
-def _matched_classes(
-    classes: Sequence[Tuple[str, ...]], own1: FrozenSet[str], own2: FrozenSet[str]
-) -> Iterator[List[Tuple[str, ...]]]:
-    """For every partial matching between the classes lying inside ``own1``
-    and those lying inside ``own2``, the classes with each matched pair
-    merged into one leaf class."""
-    free1 = [c for c in classes if own1.issuperset(c)]
-    free2 = [c for c in classes if own2.issuperset(c)]
-    for matching in _partial_matchings(free1, free2):
-        matched = {c for pair in matching for c in pair}
-        yield [c for c in classes if c not in matched] + [a + b for a, b in matching]
-
-
 def amalgamation_trees(
     t1: Tree, t2: Tree, max_level: Optional[int] = None
 ) -> Iterator[Tree]:
@@ -350,9 +353,9 @@ def amalgamation_trees(
     valence stays within the bound.
     """
     base = t1.restrict(t1.label_set & t2.label_set)
-    constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
-    for merged in matchings:
-        yield from _trees_with_restrictions(merged, constraints, max_level)
+    constraints, searches = _amalgamation_classes(base, t1, t2, max_level)
+    for seed, rest in searches:
+        yield from _trees_with_restrictions(rest, constraints, max_level, seed)
 
 
 def _amalgamation_signatures(
@@ -362,27 +365,38 @@ def _amalgamation_signatures(
     a caller that already holds base, t1 restricted to the shared labels
     (not checked), with multiplicity, none of them built (see
     :func:`_site_signatures`)."""
-    constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
+    constraints, searches = _amalgamation_classes(base, t1, t2, max_level)
     tally: Counter = Counter()
-    for merged in matchings:
-        tally.update(_site_signatures(merged, constraints, max_level))
+    for seed, rest in searches:
+        tally.update(_site_signatures(rest, constraints, max_level, seed))
     return tally
 
 
 def _amalgamation_count(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> int:
     """The number of amalgamations of t1 and t2, none of them built."""
     base = t1.restrict(t1.label_set & t2.label_set)
-    constraints, matchings = _amalgamation_classes(base, t1, t2, max_level)
-    return sum(_site_count(merged, constraints, max_level) for merged in matchings)
+    constraints, searches = _amalgamation_classes(base, t1, t2, max_level)
+    return sum(_site_count(rest, constraints, max_level, seed) for seed, rest in searches)
 
 
 def _amalgamation_classes(
     base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
-) -> Tuple[Tuple[Tuple[FrozenSet[str], Tree], ...], Iterator[List[Tuple[str, ...]]]]:
-    """The constraints of an amalgamation of t1 and t2 and the leaf classes
-    of each matching, after checking the base (t1 restricted to the shared
-    labels, not checked) against t2, and the classes and the level bound
-    once."""
+) -> Tuple[Tuple[Tuple[FrozenSet[str], Tree], ...], Iterator[Tuple[Tree, List[Tuple[str, ...]]]]]:
+    """The constraints of an amalgamation of t1 and t2 and, for each
+    matching, its seed and the classes left to insert, after checking the
+    base (t1 restricted to the shared labels, not checked) against t2, and
+    the classes and the level bound once.
+
+    The seed is the side with fewer free classes left over (t1 on a tie),
+    each leaf carrying its class and its matched class: every class meeting
+    a side is the label set of one of its leaves, as the base check keeps
+    shared labels of different leaves apart.  Only the other side's
+    unmatched free classes remain, so only its constraint is active.  A
+    seed that disagrees with the other side on the labels of that side it
+    carries is skipped.  One with no matched leaf, or whose labels of that
+    side span at most three leaves, cannot disagree: its leaves group them
+    as the other side does, which fixes a tree on at most three leaves.
+    """
     i1, i2 = t1.label_set, t2.label_set
     shared = i1 & i2
     if base != t2.restrict(shared):
@@ -390,7 +404,24 @@ def _amalgamation_classes(
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
     _check_classes(classes, constraints, max_level)
-    return constraints, _matched_classes(classes, i1 - shared, i2 - shared)
+    free1 = [c for c in classes if (i1 - shared).issuperset(c)]
+    free2 = [c for c in classes if (i2 - shared).issuperset(c)]
+    if len(free2) > len(free1):
+        t1, t2, i2, free1, free2 = t2, t1, i1, free2, free1
+    class_of = {l: c for c in classes for l in c}
+    leaf_classes = [class_of[ls[0]] if ls else () for ls in t1.labels]
+
+    def searches() -> Iterator[Tuple[Tree, List[Tuple[str, ...]]]]:
+        for matching in _partial_matchings(free1, free2):
+            match = dict(matching)
+            seed = Tree(t1.adj, tuple(tuple(sorted(c + match[c])) if c in match else c for c in leaf_classes))
+            if matching and base.leaf_count + len(matching) > 3:
+                seen = i2 & seed.label_set
+                if seed.restrict(seen) != t2.restrict(seen):
+                    continue
+            yield seed, [c for c in free2 if c not in match.values()]
+
+    return constraints, searches()
 
 
 def amalgamations(

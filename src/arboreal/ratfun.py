@@ -683,15 +683,18 @@ def _common_denominator(dens: Sequence[Poly]) -> Tuple[List[Poly], Poly]:
 
 def _factored_poly_str(p: Poly, bound: int) -> str:
     """p with each t-k, |k| <= bound, pulled out by synthetic division:
-    Horner's partial values at k are the quotient, then the remainder p(k)."""
+    Horner's partial values at k are the quotient, then the remainder p(k).
+    At k = 0 they are the coefficients themselves, and at k = 1 the partial
+    sums, which ``accumulate`` adds with the built-in operator."""
     if p.is_zero():
         return "0"
     factors = []
     cs = p.coeffs[::-1]
     for k in range(-bound, bound + 1):
+        horner = None if k == 1 else lambda a, c: a * k + c
         e = 0
         while len(cs) > 1:
-            *q, r = accumulate(cs, lambda a, c: a * k + c)
+            *q, r = cs if k == 0 else accumulate(cs, horner)
             if r:
                 break
             cs, e = q, e + 1

@@ -22,6 +22,9 @@ Core claims:
     - the count and the product equation read the last level from its sites:
       the signatures and the count equal those of the built trees, the
       frontier cap raises alike, and no last-level tree is built
+    - each search starts from one side's tree as its seed: the listing, the
+      count and the signatures equal those of the unseeded search over every
+      matching, and the clade pass runs only for the other side's leaves
 """
 
 import random
@@ -50,15 +53,10 @@ from arboreal.theta import separated, separated_bruteforce
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, enumerate_trees, parse_tree
 
 
-def oracle_amalgamations(t1: Tree, t2: Tree):
-    """Enumerate every tree on each quotient label set, then filter.
-
-    Independent of the production path: no pruning, plain enumeration over
-    one representative label per leaf class, with the class's other labels
-    attached afterwards.  Labels sharing a leaf of either tree form one
-    forced class; the free choices match classes of t1's private labels
-    with classes of t2's.
-    """
+def forced_classes(t1: Tree, t2: Tree):
+    """Labels sharing a leaf of either tree form one forced class; returns
+    the sorted classes and those lying inside t1's and t2's private labels,
+    the free classes that a matching may pair up."""
     i1, i2 = t1.label_set, t2.label_set
     base = i1 & i2
     assert t1.restrict(base) == t2.restrict(base)
@@ -71,6 +69,19 @@ def oracle_amalgamations(t1: Tree, t2: Tree):
     classes = sorted({tuple(sorted(c)) for c in forced.values()})
     free1 = [c for c in classes if (i1 - base).issuperset(c)]
     free2 = [c for c in classes if (i2 - base).issuperset(c)]
+    return classes, free1, free2
+
+
+def oracle_amalgamations(t1: Tree, t2: Tree):
+    """Enumerate every tree on each quotient label set, then filter.
+
+    Independent of the production path: no pruning, plain enumeration over
+    one representative label per leaf class, with the class's other labels
+    attached afterwards.  The free choices match classes of t1's private
+    labels with classes of t2's (see :func:`forced_classes`).
+    """
+    i1, i2 = t1.label_set, t2.label_set
+    classes, free1, free2 = forced_classes(t1, t2)
     found = {}
     for k in range(min(len(free1), len(free2)) + 1):
         for asub in combinations(free1, k):
@@ -84,17 +95,18 @@ def oracle_amalgamations(t1: Tree, t2: Tree):
     return found
 
 
-def filtered_insertions(classes, constraints, frontiers=None):
-    """Insert the classes in order, building every candidate of
-    ``Tree.insertions`` and keeping those whose restrictions match.
+def filtered_insertions(classes, constraints, frontiers=None, seed=EMPTY_TREE):
+    """Insert the classes in order into ``seed``, building every candidate
+    of ``Tree.insertions`` and keeping those whose restrictions match.
 
     The unguided reference for ``trees_with_restrictions`` without a level
-    bound; appends the size of each kept frontier to ``frontiers`` when given.
+    bound; a seed is trusted to satisfy the constraints on its labels.
+    Appends the size of each kept frontier to ``frontiers`` when given.
     """
-    if not classes:
+    if not classes and seed.is_empty():
         return trees_with_restrictions(classes, constraints)
-    inserted = set()
-    current = {"()": EMPTY_TREE}
+    inserted = set(seed.label_set)
+    current = {seed.canonical_key(): seed}
     for cls in sorted(classes, key=min):
         inserted |= set(cls)
         checks = [
@@ -359,23 +371,27 @@ def test_constrained_search_checks(monkeypatch):
     y = amalgamations(fresh_copy(t1, "b:"), t2)[0]
     checks.clear(), matchings.clear()
     assert len(triple_amalgamations(x, y)) == 437
-    assert (len(checks), len(matchings)) == (1, 34)
+    # four of the 34 matchings disagree with the other whole before any graft
+    assert (len(checks), len(matchings)) == (1, 30)
 
 
 def test_guided_insertion_matches_filtered_candidates(monkeypatch):
     """Site selection keeps exactly the candidates the restriction filter
-    keeps, each once, on every call the enumerators make.  A level bound
+    keeps, each once, on every call the enumerators make: the filter grows
+    the seed's leaf classes and the rest from the empty tree.  A level bound
     keeps the unbounded results within it, since inserting a leaf never
-    lowers a valence."""
+    lowers a valence.  Matchings whose seed disagrees with the other side
+    make no call, and their filtered results would be empty."""
     guided = amalgam._trees_with_restrictions
     unbounded = {}
     calls = []
 
-    def checked(classes, constraints, max_level):
-        got = guided(classes, constraints, max_level)
-        key = (tuple(classes), tuple((s, t.canonical_key()) for s, t in constraints))
+    def checked(classes, constraints, max_level, seed=EMPTY_TREE):
+        got = guided(classes, constraints, max_level, seed)
+        every = [ls for ls in seed.labels if ls] + list(classes)
+        key = (tuple(every), tuple((s, t.canonical_key()) for s, t in constraints))
         if key not in unbounded:
-            unbounded[key] = filtered_insertions(classes, constraints)
+            unbounded[key] = filtered_insertions(every, constraints)
         want = [t for t in unbounded[key] if max_level is None or t.level <= max_level]
         keys = [t.canonical_key() for t in got]
         assert len(set(keys)) == len(keys)
@@ -402,11 +418,13 @@ def test_guided_insertion_matches_filtered_candidates(monkeypatch):
         for x, y in rng.sample([(x, y) for x in xs for y in ys], min(4, len(xs) * len(ys))):
             for max_level in (None, 3, 4):
                 triple_amalgamations(x, y, max_level)
-    assert (len(calls), sum(calls)) == (7701, 42330)
+    assert (len(calls), sum(calls)) == (6954, 42330)
 
 
 def test_guided_insertion_builds_only_kept_trees(monkeypatch):
-    """Deterministic work: every tree the guided search builds is kept."""
+    """Deterministic work: every tree the guided search builds is kept.
+    Each matching's search starts from t1 with the matched b-labels on its
+    leaves and inserts only the unmatched b-labels."""
     built = []
     graft = Tree._graft
 
@@ -417,15 +435,15 @@ def test_guided_insertion_builds_only_kept_trees(monkeypatch):
     t1, t2 = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
     monkeypatch.setattr(Tree, "_graft", counted)
     assert len(amalgamations(t1, t2)) == 2642
-    assert len(built) == 4933
+    assert len(built) == 4097
     monkeypatch.setattr(Tree, "_graft", graft)
     frontiers = []
     constraints = ((t1.label_set, t1), (t2.label_set, t2))
     for matching in amalgam._partial_matchings(sorted(t1.label_set), sorted(t2.label_set)):
-        matched = {l for pair in matching for l in pair}
-        classes = list(matching) + [(l,) for l in sorted((t1.label_set | t2.label_set) - matched)]
-        filtered_insertions(classes, constraints, frontiers=frontiers)
-    assert sum(frontiers) == 4933
+        seed = t1.merge_labels({a: [b] for a, b in matching})
+        rest = [(l,) for l in sorted(t2.label_set - seed.label_set)]
+        filtered_insertions(rest, constraints, frontiers=frontiers, seed=seed)
+    assert sum(frontiers) == 4097
 
 
 STAR4_A, STAR4_B = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
@@ -532,8 +550,10 @@ def test_frontier_cap_counts_the_last_level_sites(monkeypatch):
 
 
 def test_equation_grafts_only_below_the_last_level(monkeypatch):
-    """Of the 4,933 trees the stream builds for two 4-stars, the 2,642 of
-    the last level are counted from their sites, not built."""
+    """Of the 4,097 trees the stream builds for two 4-stars, the 2,618 of
+    the last level are counted from their sites, not built (the other 24 of
+    the 2,642 amalgamations are the seeds of the full matchings, which
+    nothing is grafted on)."""
     built = []
     graft = Tree._graft
 
@@ -543,7 +563,97 @@ def test_equation_grafts_only_below_the_last_level(monkeypatch):
 
     monkeypatch.setattr(Tree, "_graft", counted)
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
-    assert len(built) == 4933 - 2642
+    assert len(built) == 4097 - 2618
     built.clear()
     assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
-    assert len(built) == 4933 - 2642
+    assert len(built) == 4097 - 2618
+
+
+# -- the seeded search -----------------------------------------------------------
+
+
+def unseeded_wholes(t1, t2, max_level):
+    """The oracle: the public, unseeded search once for every matching of
+    the free classes, each matched pair merged into one class."""
+    classes, free1, free2 = forced_classes(t1, t2)
+    constraints = ((t1.label_set, t1), (t2.label_set, t2))
+    for matching in amalgam._partial_matchings(free1, free2):
+        matched = {c for pair in matching for c in pair}
+        merged = [c for c in classes if c not in matched] + [a + b for a, b in matching]
+        yield from trees_with_restrictions(merged, constraints, max_level)
+
+
+def assert_seeded_is_unseeded(t1, t2, max_level):
+    want = list(unseeded_wholes(t1, t2, max_level))
+    got = list(amalgamation_trees(t1, t2, max_level))
+    assert sorted(t.canonical_key() for t in got) == sorted(t.canonical_key() for t in want)
+    assert amalgam._amalgamation_count(t1, t2, max_level) == len(want)
+    stats = (t.stats() for t in want)
+    assert site_signatures(t1, t2, max_level) == Counter((s.leaf_count, s.valences) for s in stats)
+    return len(want)
+
+
+def test_seeded_search_is_the_unseeded_search():
+    """Multi-label leaves, a larger t2 (so t2 is the seed), disjoint and
+    shared bases, a matching whose seed disagrees with the other side, and
+    fully forced classes whose seed breaks the bound."""
+    cases = [
+        ("(1/3,2)", "(3,4,5)", 6),
+        ("(1,2)", "(3,4,5)", 56),
+        ("(1,4,5)", "(1,2)", 6),
+        ("(1,2)", "(1,4,5)", 6),
+        ("((a,b),(c,x/y))", "((a,b),c,(d,e))", None),
+        ("((a,b),c,d)", "((a,b),(c,e),(d,f))", 1),
+        ("((a,b),c,x)", "((a,y),b,c)", None),
+        ("(a/p,b,c,d)", "(a,b,c/q,d)", 1),
+        ("(a,b,c,d)", "(a,b)", 1),
+    ]
+    for text1, text2, unbounded in cases:
+        t1, t2 = parse_tree(text1), parse_tree(text2)
+        for max_level in (None, 3, 4):
+            n = assert_seeded_is_unseeded(t1, t2, max_level)
+            if max_level is None and unbounded is not None:
+                assert n == unbounded, (text1, text2)
+    # every class is forced: the one seed has level 4
+    for text1, text2, whole in [("(a/p,b,c,d)", "(a,b,c/q,d)", "(a/p,b,c/q,d)"),
+                                ("(a,b,c,d)", "(a,b,c,d)", "(a,b,c,d)")]:
+        t1, t2 = parse_tree(text1), parse_tree(text2)
+        assert list(amalgamation_trees(t1, t2, 3)) == []
+        assert amalgam._amalgamation_count(t1, t2, 3) == 0
+        assert site_signatures(t1, t2, 3) == Counter()
+        assert [t.canonical_key() for t in amalgamation_trees(t1, t2, 4)] == [whole]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 5), st.randoms(use_true_random=False), st.sampled_from([None, 3, 4]))
+def test_seeded_search_is_the_unseeded_search_on_random_pairs(n, rng, max_level):
+    """Both sides restrict one random tree, each label going left, right or
+    to the shared base; either side may then gain a private label on one of
+    its leaves, which joins that leaf's class."""
+    labels = "abcde"[:n]
+    tree = rng.choice(enumerate_trees(labels)) if n else EMPTY_TREE
+    sides = [rng.choice("LRB") for _ in labels]
+    t1 = tree.restrict([l for l, s in zip(labels, sides) if s in "LB"])
+    t2 = tree.restrict([l for l, s in zip(labels, sides) if s in "RB"])
+    if t1.label_set and rng.random() < 0.5:
+        t1 = t1.merge_labels({rng.choice(sorted(t1.label_set)): ["x"]})
+    if t2.label_set and rng.random() < 0.5:
+        t2 = t2.merge_labels({rng.choice(sorted(t2.label_set)): ["y"]})
+    assert_seeded_is_unseeded(t1, t2, max_level)
+
+
+def test_clade_passes_run_only_for_the_other_sides_leaves(monkeypatch):
+    """Exact work: the search labels clades only while inserting the other
+    side's leaves into the seed.  Two 4-stars' equation inserts at most
+    four b-labels into each seed; the census pair and the separation
+    verdict insert into trees whose visible part has one leaf."""
+    calls = []
+    clades = amalgam._clades
+    monkeypatch.setattr(amalgam, "_clades", lambda *args: calls.append(1) or clades(*args))
+    assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
+    assert len(calls) == 1916
+    calls.clear()
+    assert len(amalgamations(EDGE, STAR)) == 56
+    assert len(calls) == 0
+    assert separated_bruteforce(parse_tree("(a,b,(c,d,e,f,g))"), "a", "b") is False
+    assert len(calls) == 2

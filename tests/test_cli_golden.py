@@ -6,8 +6,9 @@ invocation in ``CASES``: the README examples (all but the full
 operations, the ``sec5`` report, two operations in the 548-dimensional
 algebra of ``(1,2,3)`` and the embedding of a 17-leaf restriction in a
 31-leaf tree with node valences up to 5, symbolic, at t = 7/3 and at
-level 5.  A change that reorders a listing,
-renames a key or reformats a value fails here.
+level 5, and amalgamations of a two-label leaf and of a t1 larger than t2
+(the plain listing of the former exits 2).  A change that reorders a
+listing, renames a key or reformats a value fails here.
 
 Regenerate the file (only when an output change is deliberate) with
 
@@ -78,6 +79,11 @@ CASES = [
     ["algebra", "minpoly", "--tree", "(1,2,3)", "--e", "((s:1,s:2),s:3/t:3,(t:1,t:2))"],
     *(["measure", "--sub", _SUB, "--super", _SUPER] + mode
       for mode in (["--symbolic"], ["--t", "7/3"], ["--level", "5"])),
+    ["amalgamate", "--t1", "(1/3,2)", "--t2", "(3,4,5)", "--count"],
+    ["amalgamate", "--t1", "(1/3,2)", "--t2", "(3,4,5)", "--by-shape"],
+    ["amalgamate", "--t1", "(1/3,2)", "--t2", "(3,4,5)"],
+    ["amalgamate", "--t1", "(1,4,5)", "--t2", "(1,2)"],
+    ["amalgamate", "--t1", "(1,4,5)", "--t2", "(1,2)", "--max-level", "3"],
 ]
 
 
