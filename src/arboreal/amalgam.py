@@ -2,9 +2,9 @@
 
 An amalgamation of trees T1 and T2 is a tree on the union of their label
 sets whose restrictions to each side reproduce T1 and T2; a leaf may carry
-one label from each side, meaning the two copies overlap there.  Shared
-labels act as a base: both restrictions to the shared set must agree, and
-those leaves are identified throughout.
+the labels of one leaf from each side, meaning the two copies overlap
+there.  Shared labels act as a base: both restrictions to the shared set
+must agree, and those leaves are identified throughout.
 
 Enumeration works over one identification pattern at a time: choose a
 partial injective matching between the two private label sets and quotient
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from arboreal.trees import EMPTY_TREE, Tree, TreeError, _check_labels, _signature
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, _breadth_first, _check_labels, _signature
 
 MAX_CLASSES = 15
 FRONTIER_CAP = 200_000
@@ -62,22 +62,25 @@ class Amalgamation:
     """A tree covering two label blocks, restricting correctly to each.
 
     ``whole`` carries every label of ``left`` and ``right``; shared labels
-    appear once, and a leaf carrying one private label from each side is an
-    identified leaf.
+    appear once, and a leaf carrying labels of both sides is an identified
+    leaf.  No leaf joins two leaves of one side.  ``sides``, two trees whose
+    leaves hold those of the left and right side trees, gives those leaves;
+    without it each label is a leaf of its own.  It is not kept.
     """
 
     whole: Tree
     left: FrozenSet[str]
     right: FrozenSet[str]
+    sides: InitVar[Optional[Tuple[Tree, Tree]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, sides):
         if self.whole.label_set != self.left | self.right:
             raise AmalgamError("whole tree does not cover both label blocks")
-        for ls in self.whole.labels:
-            if len([l for l in ls if l in self.left]) > 1 or len(
-                [l for l in ls if l in self.right]
-            ) > 1:
-                raise AmalgamError("leaf carries two labels from one side")
+        for block, side in zip((self.left, self.right), sides or (None, None)):
+            for ls in self.whole.labels:
+                mine = [l for l in ls if l in block] if len(ls) > 1 else ls
+                if len(mine) > 1 and (side is None or len({side.leaf_of(l) for l in mine}) > 1):
+                    raise AmalgamError("leaf carries two labels from one side")
 
     @property
     def key(self) -> str:
@@ -90,7 +93,7 @@ class Amalgamation:
         return self.whole.restrict(self.right)
 
     def swap(self) -> "Amalgamation":
-        return Amalgamation(self.whole, self.right, self.left)
+        return Amalgamation(self.whole, self.right, self.left, (self.whole, self.whole))
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -113,7 +116,7 @@ class TripleAmalgamation:
 
     def pair(self, i: int, j: int) -> Amalgamation:
         bi, bj = self.blocks[i], self.blocks[j]
-        return Amalgamation(self.whole.restrict(bi | bj), bi, bj)
+        return Amalgamation(self.whole.restrict(bi | bj), bi, bj, (self.whole, self.whole))
 
 
 def trees_with_restrictions(
@@ -301,15 +304,8 @@ def _clades(
     new leaf on the edge above it).  A site below which no ``V_old`` label
     sits maps through its nearest ancestor with a non-empty clade.
     """
-    adj, labels = tree.adj, tree.labels
-    n = len(adj)
-    parent = [-1] * n
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    labels, n = tree.labels, len(tree.adj)
+    parent, order = _breadth_first(tree.adj, root)
     mask = [0] * n
     kids = [0] * n  # children with a non-empty clade
     for v in reversed(order[1:]):
@@ -430,7 +426,7 @@ def amalgamations(
     """All amalgamations of t1 and t2 up to label-preserving isomorphism,
     sorted by canonical key (see :func:`amalgamation_trees`)."""
     left, right = t1.label_set, t2.label_set
-    ams = [Amalgamation(whole, left, right) for whole in amalgamation_trees(t1, t2, max_level)]
+    ams = [Amalgamation(whole, left, right, (t1, t2)) for whole in amalgamation_trees(t1, t2, max_level)]
     return sorted(ams, key=lambda a: a.key)
 
 
@@ -484,7 +480,7 @@ def triple_amalgamations(
     if b1 & b3 or b1 & b2 or b2 & b3:
         raise AmalgamError("triple blocks must be disjoint")
     out = [
-        (TripleAmalgamation(z, (b1, b2, b3)), Amalgamation(z.restrict(b1 | b3), b1, b3))
+        (TripleAmalgamation(z, (b1, b2, b3)), Amalgamation(z.restrict(b1 | b3), b1, b3, (x.whole, y.whole)))
         for z in amalgamation_trees(x.whole, y.whole, max_level)
     ]
     return sorted(out, key=lambda pair: pair[0].key)

@@ -40,9 +40,10 @@ class Tree:
     """An immutable reduced leaf-labeled tree.
 
     Vertices are 0..n-1; ``adj[v]`` lists neighbors, ``labels[v]`` the sorted
-    label tuple of v (empty for internal vertices).  Equality and hashing go
-    through the canonical key, so two trees compare equal exactly when they
-    are isomorphic by a label-preserving isomorphism.
+    label tuple of v (empty for internal vertices).  Two trees compare equal
+    exactly when they are isomorphic by a label-preserving isomorphism:
+    equality reads identical graph data (a restriction made twice, say) as
+    the identity, and compares canonical keys otherwise; hashing uses keys.
     """
 
     __slots__ = ("adj", "labels", "_key", "_shape", "_hash", "_leaf_of")
@@ -165,7 +166,10 @@ class Tree:
         return kids, rooted_parts()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and self.canonical_key() == other.canonical_key()
+        return isinstance(other, Tree) and (
+            (self.adj == other.adj and self.labels == other.labels)
+            or self.canonical_key() == other.canonical_key()
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -185,29 +189,23 @@ class Tree:
 
         Labels outside ``keep`` are dropped; a leaf that loses all its labels
         is deleted.  Restricting to all labels is the identity, restricting
-        to nothing gives the empty tree.
+        to nothing gives the empty tree.  One scan marks the kept leaves and
+        counts the kept labels, which finds unknown labels and the identity;
+        the pass that reduces for :func:`build_tree` does the rest.
         """
         keep = frozenset(keep)
-        present = self.label_set
-        unknown = keep - present
-        if unknown:
-            raise TreeError("unknown labels %s" % sorted(unknown))
-        if len(keep) == len(present):
+        kept: Dict[int, Tuple[str, ...]] = {}
+        found = total = 0
+        for v, ls in enumerate(self.labels):
+            total += len(ls)
+            if ls and not keep.isdisjoint(ls):
+                kept[v] = mine = ls if keep.issuperset(ls) else tuple(l for l in ls if l in keep)
+                found += len(mine)
+        if found < len(keep):
+            raise TreeError("unknown labels %s" % sorted(keep.difference(*self.labels)))
+        if found == total:
             return self
-        kept_leaves = [v for v, ls in enumerate(self.labels) if not keep.isdisjoint(ls)]
-        if not kept_leaves:
-            return EMPTY_TREE
-        # root at a kept leaf: a vertex stays when a kept leaf lies below it
-        adj = self.adj
-        parent, order = _breadth_first(adj, kept_leaves[0])
-        alive = [False] * len(adj)
-        for v in kept_leaves:
-            alive[v] = True
-        for v in order[:0:-1]:
-            if alive[v]:
-                alive[parent[v]] = True
-        labels = {v: tuple(l for l in self.labels[v] if l in keep) for v in kept_leaves}
-        return _reduced({v: [w for w in adj[v] if alive[w]] for v in order if alive[v]}, labels)
+        return _spanning_reduction(self.adj, kept)
 
     def drop_leaf(self, label: str) -> "Tree":
         """Delete the leaf carrying ``label`` (with all its labels)."""
@@ -239,23 +237,11 @@ class Tree:
 
     def path_edges(self, a: int, b: int) -> FrozenSet[FrozenSet[int]]:
         """Edges on the unique path between vertices a and b."""
-        if a == b:
-            return frozenset()
-        parent = {a: None}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            if v == b:
-                break
-            for w in self.adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    stack.append(w)
+        parent, _ = _breadth_first(self.adj, a)
         edges = set()
-        v = b
-        while parent[v] is not None:
-            edges.add(frozenset((v, parent[v])))
-            v = parent[v]
+        while b != a:
+            edges.add(frozenset((b, parent[b])))
+            b = parent[b]
         return frozenset(edges)
 
     def quaternary(self, x1: str, x2: str, y1: str, y2: str) -> bool:
@@ -427,14 +413,15 @@ def build_tree(
         if ls:
             lab[v] = ls
     _check_labels(l for ls in lab.values() for l in ls)
-    lab = {v: tuple(sorted(ls)) for v, ls in lab.items()}
     for v in adj:
         if len(adj[v]) <= 1:
             if v not in lab:
                 raise TreeError("unlabeled leaf vertex")
         elif v in lab:
             raise TreeError("labels on internal vertex")
-    return _reduced(adj, lab)
+    index = {v: i for i, v in enumerate(verts)}
+    renumbered = [[index[w] for w in adj[v]] for v in verts]
+    return _spanning_reduction(renumbered, {index[v]: tuple(sorted(ls)) for v, ls in lab.items()})
 
 
 def _check_labels(labels: Iterable[str], taken: Iterable[str] = ()) -> None:
@@ -449,28 +436,41 @@ def _check_labels(labels: Iterable[str], taken: Iterable[str] = ()) -> None:
         seen.add(l)
 
 
-def _reduced(adj: Dict[int, Sequence[int]], labels: Dict[int, Tuple[str, ...]]) -> Tree:
-    """The trusted constructor: suppress unlabeled valence-two vertices and
-    renumber the rest in increasing order.
+def _spanning_reduction(adj: Sequence[Sequence[int]], labels: Dict[int, Tuple[str, ...]]) -> Tree:
+    """The trusted constructor: the reduction of the subtree of ``adj``
+    spanning the leaves that key ``labels``, each with its sorted label
+    tuple.  Nothing is checked.
 
-    ``adj`` must describe a tree whose leaves are exactly the keys of
-    ``labels``, and every label tuple must be sorted; nothing is checked.
-    Suppressing a valence-two vertex leaves every other valence unchanged,
-    so one pass finds them all.
+    One breadth-first pass from a kept leaf counts, from the leaves up, the
+    children of each vertex with a kept leaf below, a kept leaf counting
+    two.  A vertex stays when its count is at least two: a kept leaf, or a
+    node of valence three or more in the spanning subtree.  Each links to
+    its nearest staying ancestor.  The staying vertices are numbered in
+    increasing old index with sorted neighbour tuples, so the result does
+    not depend on the leaf the pass starts from.
     """
-    order = sorted(v for v in adj if len(adj[v]) != 2 or v in labels)
-    index = {v: i for i, v in enumerate(order)}
-    packed = []
-    for v in order:
-        nbrs = []
-        for w in adj[v]:
-            prev = v
-            while w not in index:
-                a, b = adj[w]
-                prev, w = w, (b if a == prev else a)
-            nbrs.append(index[w])
-        packed.append(tuple(sorted(nbrs)))
-    return Tree(tuple(packed), tuple(labels.get(v, ()) for v in order))
+    if not labels:
+        return EMPTY_TREE
+    root = next(iter(labels))
+    parent, order = _breadth_first(adj, root)
+    alive = [0] * len(adj)
+    for v in labels:
+        alive[v] = 2
+    for v in order[:0:-1]:
+        if alive[v]:
+            alive[parent[v]] += 1
+    near = [root] * len(adj)  # the nearest staying vertex at or above
+    for v in order[1:]:
+        near[v] = v if alive[v] >= 2 else near[parent[v]]
+    stay = sorted(set(near))
+    index = {v: i for i, v in enumerate(stay)}
+    nbrs: List[List[int]] = [[] for _ in stay]
+    for i, v in enumerate(stay):
+        if v != root:
+            j = index[near[parent[v]]]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    return Tree(tuple(tuple(sorted(ns)) for ns in nbrs), tuple(labels.get(v, ()) for v in stay))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -25,8 +25,12 @@ Core claims:
     - each search starts from one side's tree as its seed: the listing, the
       count and the signatures equal those of the unseeded search over every
       matching, and the clade pass runs only for the other side's leaves
+    - listing, count and shape sum agree on every seeded case: checked
+      against the side trees, a leaf may carry a whole leaf class of one
+      side but may not join two of its leaves
 """
 
+import json
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -317,8 +321,7 @@ def test_triple_block_mismatch():
 
 def test_multi_label_leaf_amalgamates_as_one_leaf():
     """A leaf carrying a/b amalgamates like a leaf carrying a alone, with b
-    riding along; only the listing, which wants one label per side and
-    leaf, rejects it."""
+    riding along, in the stream, the count and the listing alike."""
     t1, t2 = parse_tree("(a/b,c)"), parse_tree("(d,e)")
     wholes = list(amalgamation_trees(t1, t2))
     plain = amalgamations(parse_tree("(a,c)"), t2)
@@ -330,7 +333,9 @@ def test_multi_label_leaf_amalgamates_as_one_leaf():
     assert separated(t, "a", "c") == separated_bruteforce(t, "a", "c")
     code, out = run(["amalgamate", "--t1", "(a/b,c)", "--t2", "(d,e)", "--count"])
     assert code == 0 and '"count": 10' in out
-    assert run(["amalgamate", "--t1", "(a/b,c)", "--t2", "(d,e)"])[0] == 2
+    code, out = run(["amalgamate", "--t1", "(a/b,c)", "--t2", "(d,e)"])
+    listing = json.loads(out)["amalgamations"]
+    assert code == 0 and sorted(a["whole"] for a in listing) == sorted(w.canonical_key() for w in wholes)
 
 
 def test_constrained_search_empty_cases():
@@ -483,7 +488,8 @@ def test_stream_consumers_key_no_whole_tree(monkeypatch, keyed_sizes):
     keyed_sizes.clear()
     assert separated_bruteforce(parse_tree("(a,b,(c,d,e,f,g))"), "a", "b") is False
     assert len(drawn) == 2
-    assert keyed_sizes and max(keyed_sizes) < 7
+    # its restrictions are made twice with identical graph data: none is keyed
+    assert keyed_sizes == []
 
 
 # -- the last level counted from its sites ---------------------------------------
@@ -593,22 +599,26 @@ def assert_seeded_is_unseeded(t1, t2, max_level):
     return len(want)
 
 
+# multi-label leaves, a larger t2 (so t2 is the seed), disjoint and shared
+# bases, and a matching whose seed disagrees with the other side; each with
+# its unbounded count where it is checked
+SEEDED_CASES = [
+    ("(1/3,2)", "(3,4,5)", 6),
+    ("(1,2)", "(3,4,5)", 56),
+    ("(1,4,5)", "(1,2)", 6),
+    ("(1,2)", "(1,4,5)", 6),
+    ("((a,b),(c,x/y))", "((a,b),c,(d,e))", None),
+    ("((a,b),c,d)", "((a,b),(c,e),(d,f))", 1),
+    ("((a,b),c,x)", "((a,y),b,c)", None),
+    ("(a/p,b,c,d)", "(a,b,c/q,d)", 1),
+    ("(a,b,c,d)", "(a,b)", 1),
+]
+
+
 def test_seeded_search_is_the_unseeded_search():
-    """Multi-label leaves, a larger t2 (so t2 is the seed), disjoint and
-    shared bases, a matching whose seed disagrees with the other side, and
-    fully forced classes whose seed breaks the bound."""
-    cases = [
-        ("(1/3,2)", "(3,4,5)", 6),
-        ("(1,2)", "(3,4,5)", 56),
-        ("(1,4,5)", "(1,2)", 6),
-        ("(1,2)", "(1,4,5)", 6),
-        ("((a,b),(c,x/y))", "((a,b),c,(d,e))", None),
-        ("((a,b),c,d)", "((a,b),(c,e),(d,f))", 1),
-        ("((a,b),c,x)", "((a,y),b,c)", None),
-        ("(a/p,b,c,d)", "(a,b,c/q,d)", 1),
-        ("(a,b,c,d)", "(a,b)", 1),
-    ]
-    for text1, text2, unbounded in cases:
+    """Every case of SEEDED_CASES, and fully forced classes whose seed
+    breaks the bound."""
+    for text1, text2, unbounded in SEEDED_CASES:
         t1, t2 = parse_tree(text1), parse_tree(text2)
         for max_level in (None, 3, 4):
             n = assert_seeded_is_unseeded(t1, t2, max_level)
@@ -622,6 +632,44 @@ def test_seeded_search_is_the_unseeded_search():
         assert amalgam._amalgamation_count(t1, t2, 3) == 0
         assert site_signatures(t1, t2, 3) == Counter()
         assert [t.canonical_key() for t in amalgamation_trees(t1, t2, 4)] == [whole]
+
+
+def test_listing_count_and_shapes_agree():
+    """The command line's listing, count and shape sum agree on every case
+    of SEEDED_CASES at every bound: a leaf carrying a whole leaf class of
+    one side, shared labels included, is listed."""
+    for text1, text2, _ in SEEDED_CASES:
+        for bound in ([], ["--max-level", "3"], ["--max-level", "4"]):
+            argv = ["amalgamate", "--t1", text1, "--t2", text2] + bound
+            outs = [run(argv + extra) for extra in ([], ["--count"], ["--by-shape"])]
+            assert [code for code, _ in outs] == [0, 0, 0], argv
+            listing, count, shapes = (json.loads(out) for _, out in outs)
+            n = count["count"]
+            assert len(listing["amalgamations"]) == listing["count"] == n, argv
+            assert sum(s["count"] for s in shapes["by_shape"]) == shapes["count"] == n, argv
+
+
+def test_a_leaf_may_carry_a_whole_leaf_class_of_one_side():
+    """Given the side trees, a leaf may carry every label of one leaf of
+    each side, and may not join two leaves of one side; without them every
+    label is a leaf of its own."""
+    t1, t2 = parse_tree("(1/3,2)"), parse_tree("(3,4,5)")
+    left, right = t1.label_set, t2.label_set
+    whole = parse_tree("((1/3,2),4,5)")
+    assert Amalgamation(whole, left, right, (t1, t2)).left_tree() == t1
+    with pytest.raises(AmalgamError, match="two labels from one side"):
+        Amalgamation(whole, left, right)
+    for joined in ("((1/2/3,4),5)", "((1/3,2),4/5)"):
+        with pytest.raises(AmalgamError, match="two labels from one side"):
+            Amalgamation(parse_tree(joined), left, right, (t1, t2))
+    # a triple's outer pair is checked against the two wholes
+    x = amalgamations(parse_tree("(1/2,3)"), parse_tree("(4,5)"))[0]
+    y = amalgamations(parse_tree("(4,5)"), parse_tree("(6,7)"))[0]
+    triples = triple_amalgamations(x, y)
+    assert triples and all(xz.left_tree() == x.left_tree() for _, xz in triples)
+    # a swap, and a pair of a triple, are checked against their own wholes
+    assert x.swap().right_tree() == parse_tree("(1/2,3)")
+    assert {z.pair(0, 1).key for z, _ in triples} == {x.key}
 
 
 @settings(max_examples=60, deadline=None, database=None)

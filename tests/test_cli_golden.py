@@ -6,9 +6,9 @@ invocation in ``CASES``: the README examples (all but the full
 operations, the ``sec5`` report, two operations in the 548-dimensional
 algebra of ``(1,2,3)`` and the embedding of a 17-leaf restriction in a
 31-leaf tree with node valences up to 5, symbolic, at t = 7/3 and at
-level 5, and amalgamations of a two-label leaf and of a t1 larger than t2
-(the plain listing of the former exits 2).  A change that reorders a
-listing, renames a key or reformats a value fails here.
+level 5, and amalgamations of a two-label leaf and of a t1 larger than t2.
+A change that reorders a listing, renames a key or reformats a value fails
+here.
 
 Regenerate the file (only when an output change is deliberate) with
 

@@ -17,6 +17,7 @@ Core claims:
       and fails under the testing perturbation hook; its signature-grouped
       sum equals the plain sum over the listed amalgamations in every mode,
       also where the base's measure vanishes; it restricts t1 once
+    - the embedding of a restriction keys no tree
     - finite-level mode enforces the level bound instead of dividing by zero
     - the once-normalized sum of embedding measures equals the sum of the
       embeddings' measures, under perturbations too
@@ -191,6 +192,25 @@ def test_embedding_values():
     with pytest.raises(TreeError):
         # labels match but the induced tree differs
         mu_embedding(parse_tree("(a,b,c,d)"), parse_tree("((a,b),(c,d),e)"))
+
+
+def test_embedding_of_a_restriction_keys_no_tree(keyed_sizes):
+    """Exact work: the embedding of a 32-leaf tree's restriction checks the
+    restriction by comparing graph data, and keys no tree; an embedding
+    whose sub is not a restriction of that form still keys both."""
+    rng = random.Random(32)
+    tree = parse_tree("(x0,x1,x2)")
+    for i in range(3, 32):
+        tree = rng.choice(list(tree.insertions(("x%d" % i,))))
+    half = rng.sample(sorted(tree.label_set), 16)
+    sub = tree.restrict(half)
+    assert mu_embedding(sub, tree) == mu_symbolic(tree) / mu_symbolic(sub)
+    assert keyed_sizes == []
+    renumbered = parse_tree(sub.canonical_key())
+    keyed_sizes.clear()
+    assert (renumbered.adj, renumbered.labels) != (sub.adj, sub.labels)
+    assert mu_embedding(renumbered, tree) == mu_embedding(sub, tree)
+    assert sorted(keyed_sizes) == [16, 16]
 
 
 def test_numeric_agrees_with_symbolic():

@@ -6,7 +6,10 @@ Core claims:
       and parse back to the same tree
     - shape keys forget labels but keep per-leaf multiplicity
     - restriction agrees with an independent span-and-reduce oracle and is
-      functorial for nested label sets
+      functorial for nested label sets; its one pass packs exactly what the
+      former reduction (kept here as an oracle) packed, on random, grafted,
+      caterpillar and multi-label trees of up to about 100 leaves
+    - equality is key equality, decided without keys on identical graph data
     - the quaternary relation matches an independent path computation and
       determines the tree among all trees on its labels
     - enumeration counts match an independent recursion, and insertion
@@ -78,6 +81,48 @@ def oracle_restrict(tree: Tree, keep) -> Tree:
         for v in kept_vertices
     }
     return build_tree(vertices, edges, labels)
+
+
+def _reduced(adj, labels) -> Tree:
+    """The former trusted constructor, kept as an oracle: suppress unlabeled
+    valence-two vertices and renumber the rest in increasing order.
+
+    ``adj`` must describe a tree whose leaves are exactly the keys of
+    ``labels``, and every label tuple must be sorted; nothing is checked.
+    Suppressing a valence-two vertex leaves every other valence unchanged,
+    so one pass finds them all.
+    """
+    order = sorted(v for v in adj if len(adj[v]) != 2 or v in labels)
+    index = {v: i for i, v in enumerate(order)}
+    packed = []
+    for v in order:
+        nbrs = []
+        for w in adj[v]:
+            prev = v
+            while w not in index:
+                a, b = adj[w]
+                prev, w = w, (b if a == prev else a)
+            nbrs.append(index[w])
+        packed.append(tuple(sorted(nbrs)))
+    return Tree(tuple(packed), tuple(labels.get(v, ()) for v in order))
+
+
+def reduced_restrict(tree: Tree, keep) -> Tree:
+    """Prune unkept leaves until every leaf is kept, which leaves the
+    spanning subtree, then reduce it with :func:`_reduced`."""
+    keep = frozenset(keep)
+    kept = {v: tuple(l for l in ls if l in keep) for v, ls in enumerate(tree.labels) if keep.intersection(ls)}
+    if not kept:
+        return EMPTY_TREE
+    span = {v: set(nbrs) for v, nbrs in enumerate(tree.adj)}
+    doomed = [v for v in span if len(span[v]) == 1 and v not in kept]
+    while doomed:
+        v = doomed.pop()
+        (w,) = span.pop(v)
+        span[w].discard(v)
+        if len(span[w]) == 1 and w not in kept:
+            doomed.append(w)
+    return _reduced(span, kept)
 
 
 def oracle_quaternary(tree: Tree, x1, x2, y1, y2) -> bool:
@@ -607,6 +652,95 @@ def test_trusted_construction_matches_build_tree():
                 r = retag(whole, mapping)
                 o = whole.relabel({l: mapping[l[:2]] + l[2:] for l in whole.label_set})
                 assert (r.adj, r.labels) == (o.adj, o.labels), (am.key, mapping)
+
+
+@st.composite
+def restriction_cases(draw):
+    """A tree and a label set to keep.  The tree is a random recursive tree
+    with renumbered vertices, a caterpillar, or a tree grown by single-site
+    grafts (numbered in graft order, not pre-order), of up to about 100
+    leaves, a third of them with a second label.  The kept set is empty, one
+    label, all labels, all but one label of a multi-label leaf, or random."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["graph", "caterpillar", "grafted"]))
+    leaves = draw(st.integers(1, 100))
+    if kind == "graph":
+        tree = random_graph_tree(rng, 2 * leaves - 1, multi=0.3)
+    else:
+        if kind == "caterpillar":
+            tree = parse_tree(caterpillar_text(leaves)) if leaves >= 2 else parse_tree("l0")
+        else:
+            tree = EMPTY_TREE
+            for i in range(leaves):
+                tree = tree._graft(rng.choice(tree.sites()), ("g%d" % i,))
+        labels = sorted(tree.label_set)
+        tree = tree.merge_labels({l: [l.upper()] for l in labels if rng.random() < 0.3})
+    labels = sorted(tree.label_set)
+    multi = [ls for ls in tree.labels if len(ls) > 1]
+    how = draw(st.sampled_from(["empty", "one", "all", "all-but-one", "random"]))
+    if how == "empty":
+        keep = []
+    elif how == "one":
+        keep = [rng.choice(labels)]
+    elif how == "all":
+        keep = labels
+    elif how == "all-but-one" and multi:
+        keep = [l for l in labels if l != rng.choice(rng.choice(multi))]
+    else:
+        keep = [l for l in labels if rng.random() < 0.5]
+    return tree, keep
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(restriction_cases())
+def test_restriction_is_the_former_reduction(case):
+    """The one-pass restriction packs exactly the vertex order, neighbour
+    tuples and label tuples the former reduction gave, and names unknown
+    labels as it did."""
+    tree, keep = case
+    r, o = tree.restrict(keep), reduced_restrict(tree, keep)
+    assert (r.adj, r.labels) == (o.adj, o.labels), (tree, keep)
+    with pytest.raises(TreeError, match=re.escape("unknown labels ['u0', 'u1']")):
+        tree.restrict(list(keep) + ["u1", "u0"])
+
+
+def test_restriction_of_multilabel_leaves_is_the_former_reduction():
+    t = parse_tree("((a/x/z,b),(c/y,d),e/w)")
+    labels = sorted(t.label_set)
+    for k in range(len(labels) + 1):
+        for keep in combinations(labels, k):
+            r, o = t.restrict(keep), reduced_restrict(t, keep)
+            assert (r.adj, r.labels) == (o.adj, o.labels), keep
+    assert t.restrict("abcdexyzw") is t
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(graph_trees(), st.randoms(use_true_random=False))
+def test_equality_is_key_equality(data, rng):
+    """Equality reads identical graph data first and keys otherwise; either
+    way two trees are equal exactly when their keys are, and equal trees
+    hash equally.  Two restrictions of one tree to one set are equal without
+    keys; a copy with permuted vertex ids is equal through its key."""
+    n, edges, labels = data
+    t = build_tree(range(n), edges, labels)
+    names = sorted(t.label_set)
+    keep = [l for l in names if rng.random() < 0.5]
+    a, b = t.restrict(keep), t.restrict(keep)
+    assert a == b
+    assert a is EMPTY_TREE or (a._key is None and b._key is None)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = build_tree(range(n), [(perm[u], perm[v]) for u, v in edges],
+                       {perm[v]: ls for v, ls in labels.items()})
+    if (moved.adj, moved.labels) != (t.adj, t.labels):
+        assert moved == t and moved._key is not None and t._key is not None
+    other = t.restrict([l for l in names if rng.random() < 0.5])
+    trees = [t, moved, a, b, other, parse_tree(t.canonical_key()), EMPTY_TREE]
+    for x in trees:
+        for y in trees:
+            assert (x == y) == (x.canonical_key() == y.canonical_key())
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 def test_insertion_validates_new_labels():
