@@ -6,37 +6,38 @@ the labels of one leaf from each side, meaning the two copies overlap
 there.  Shared labels act as a base: both restrictions to the shared set
 must agree, and those leaves are identified throughout.
 
-Enumeration works over one identification pattern at a time: choose a
-partial injective matching between the two private label sets and quotient
-the labels into leaf classes.  Every amalgamation displays both sides, so
-the search starts from a seed: the side that leaves fewer classes over, each
-of its leaves carrying its whole class and its matched class.  A matching
-whose seed disagrees with the other side on the labels it carries is skipped
-before any graft.  The other side's unmatched classes are then inserted one
-leaf at a time, and only that side's constraint is active, since inserting
-labels of one side never changes the restriction to the other.  Each class
-goes only to the sites where every partial tree still restricts to the
-other side: the new leaf must land at the same place of the tree on the
-side's labels inserted so far (a node or an edge, named by the clade below
-it) as the class's labels hold in that side's tree.  One clade-labeling pass
-per tree finds those sites, so only kept trees are built; this is the
-supertree problem of BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J.
-Comput. 10(3), 1981) and of Ng and Wormald (Discrete Appl. Math. 69, 1996),
-listing every tree that displays the given subtrees.  Pruning partial trees
-is sound because restriction commutes with taking sub-label-sets, so a
-mismatch can never be repaired by later insertions.
+Labels sharing a leaf of either side are quotiented into leaf classes, and
+one search per pair lists every amalgamation.  It starts from a seed: the
+side with more free classes (those of its private labels), each leaf
+carrying its class.  The other side's free classes are then inserted one
+at a time, and only that side's constraint is active, since inserting
+labels of one side never changes the restriction to the other.  A class
+goes to a new leaf, or joins a free leaf of the seed that no class has
+joined yet, which identifies the two: joining is one more site of the
+search, on the pendant edge above that leaf.  Each class goes only to the
+sites where every partial tree still restricts to the other side: its
+labels must land at the same place of the tree on the side's labels
+inserted so far (a node or an edge, named by the clade below it) as they
+hold in that side's tree.  One clade-labeling pass per tree finds those
+sites, so only kept trees are built; this is the supertree problem of
+BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J. Comput. 10(3), 1981) and
+of Ng and Wormald (Discrete Appl. Math. 69, 1996), listing every tree that
+displays the given subtrees.  Pruning partial trees is sound because
+restriction commutes with taking sub-label-sets, so a mismatch can never be
+repaired by later insertions.
 
-The search runs every level but the last, then hands each tree of the
-penultimate frontier with its admissible sites for the last class to its
-consumer, which decides what to build.  The enumerators graft every site and
-stream whole trees, each built once, unkeyed and in no promised order:
-different matchings give different leaf label classes, so no tree arises
-twice.  A three-block tree extending two amalgamations is an amalgamation
-of their two wholes over the middle block, drawn from the same stream.
-Only the listings :func:`amalgamations` and :func:`triple_amalgamations`
-key their results and sort them.  A count is the number of sites, and the
-signatures (leaf count, sorted node valences) that a measure sum needs
-follow from each parent tree and site, so neither builds a last-level tree.
+The search builds and holds every level but the last, each within
+FRONTIER_CAP trees, then hands each tree of the penultimate frontier with
+its admissible sites for the last class to its consumer, which decides what
+to build.  The enumerators graft every site and stream whole trees, each
+built once, unkeyed and in no promised order: deleting the last class gives
+back the parent and its site, so no tree arises twice.  A three-block tree
+extending two amalgamations is an amalgamation of their two wholes over the
+middle block, drawn from the same stream.  Only the listings
+:func:`amalgamations` and :func:`triple_amalgamations` key their results
+and sort them.  A count is the number of sites, and the signatures (leaf
+count, sorted node valences) that a measure sum needs follow from each
+parent tree and site, so neither builds a last-level tree.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import InitVar, dataclass
-from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _breadth_first, _check_labels, _signature
@@ -140,7 +140,7 @@ def trees_with_restrictions(
     no promised order.
     """
     _check_classes(classes, constraints, max_level)
-    return _trees_with_restrictions(classes, constraints, max_level)
+    return list(_trees_with_restrictions(classes, constraints, max_level))
 
 
 def _check_classes(
@@ -150,8 +150,8 @@ def _check_classes(
 ) -> None:
     """The checks of :func:`trees_with_restrictions`: a level bound of at
     least 3, at most MAX_CLASSES classes, well-formed labels used once, and
-    no constrained label unknown to its tree.  Merging classes keeps their
-    labels, so a check of the unmerged classes covers every matching."""
+    no constrained label unknown to its tree.  A join keeps the labels of
+    both classes, so a check of the unjoined classes covers every tree."""
     if max_level is not None and max_level < 3:
         raise TreeError("max_level must be at least 3")
     if len(classes) > MAX_CLASSES:
@@ -169,16 +169,20 @@ def _trees_with_restrictions(
     constraints: Sequence[Tuple[FrozenSet[str], Tree]],
     max_level: Optional[int],
     seed: Tree = EMPTY_TREE,
-) -> List[Tree]:
+) -> Iterator[Tree]:
     """:func:`trees_with_restrictions` for classes and constraints that
     passed :func:`_check_classes` (not checked again), each tree grown from
-    ``seed`` (see :func:`_frontier_sites`); with no class left, a nonempty
+    ``seed`` (see :func:`_frontier_sites`), as a stream that grafts the last
+    level one penultimate tree at a time; with no class left, a nonempty
     seed is the one tree, and the empty one fits only empty constraints."""
     if not classes:
         fits = max_level is None or seed.level <= max_level
-        return [seed] if fits and (seed.adj or all(e.is_empty() for _, e in constraints)) else []
-    frontier = _frontier_sites(classes, constraints, max_level, seed)
-    return [t._graft(s, cls) for t, sites, cls in frontier for s in sites]
+        if fits and (seed.adj or all(e.is_empty() for _, e in constraints)):
+            yield seed
+        return
+    for t, sites, cls in _frontier_sites(classes, constraints, max_level, seed):
+        for s in sites:
+            yield t._graft(s, cls)
 
 
 def _site_signatures(
@@ -193,18 +197,22 @@ def _site_signatures(
 
     A graft at node u raises the valence of u by one; a graft on an edge
     adds a node of valence three (a new valence-two vertex, raised by one);
-    either adds one leaf, and no other valence changes.
+    either adds one leaf, and no other valence changes.  A join adds labels
+    only, so it keeps the parent's signature.
     """
     if not classes:
         return Counter(_signature(t) for t in _trees_with_restrictions(classes, constraints, max_level, seed))
     tally: Counter = Counter()
     for t, sites, _ in _frontier_sites(classes, constraints, max_level, seed):
         leaves, valences = _signature(t)
+        grafts = [(u, v) for u, v in sites if u != v or u < 0]
+        if len(grafts) < len(sites):
+            tally[leaves, valences] += len(sites) - len(grafts)
         if len(t.adj) < 2:
-            tally[leaves + 1, ()] += len(sites)
+            tally[leaves + 1, ()] += len(grafts)
             continue
         adj = t.adj
-        for d, n in Counter(len(adj[u]) if v < 0 else 2 for u, v in sites).items():
+        for d, n in Counter(len(adj[u]) if v < 0 else 2 for u, v in grafts).items():
             vals = list(valences)
             if d > 2:
                 vals.remove(d)
@@ -222,7 +230,7 @@ def _site_count(
     """The number of trees of :func:`_trees_with_restrictions`: the last
     level's sites, none of them grafted."""
     if not classes:
-        return len(_trees_with_restrictions(classes, constraints, max_level, seed))
+        return sum(1 for _ in _trees_with_restrictions(classes, constraints, max_level, seed))
     return sum(len(sites) for _, sites, _ in _frontier_sites(classes, constraints, max_level, seed))
 
 
@@ -239,20 +247,29 @@ def _frontier_sites(
 
     It grows ``seed``, which must satisfy every constraint on its own
     labels; a constraint with no label left to insert is never consulted.
+    Besides the sites of :meth:`Tree.sites`, a class may join a leaf of the
+    seed that carries no label of any constraint the class meets: the site
+    ``(v, v)``, read by the place filter as the pendant edge above v, which
+    is where the joined labels sit in the restriction to such a constraint.
 
-    FRONTIER_CAP bounds each level's site count, which is the next level's
-    tree count; the last level is checked before anything is yielded.
+    FRONTIER_CAP bounds the tree count of every level the search builds
+    and holds, which is all but the last: the site count of the level
+    before, checked before any of its grafts.  The last level is streamed
+    one penultimate tree at a time.
     """
     order = sorted((tuple(sorted(c)) for c in classes), key=min)
     inserted = seed.label_set
+    seed_leaves = [v for v, ls in enumerate(seed.labels) if ls]  # grafts renumber no vertex
     current = [seed]
     for depth, cls in enumerate(order):
         new = frozenset(cls)
         checks = []
+        met = []
         for (subset, expected) in constraints:
             seen = subset & new
             if not seen:
                 continue
+            met.append(subset)
             old = subset & inserted
             leaf = expected.leaf_of(min(seen))
             if {l for l in expected.labels[leaf] if l in old or l in seen} != seen:
@@ -265,7 +282,8 @@ def _frontier_sites(
         inserted |= new
         frontier = []
         for t in current:
-            sites = t.sites()
+            labels = t.labels
+            sites = t.sites() + [(v, v) for v in seed_leaves if all(s.isdisjoint(labels[v]) for s in met)]
             for bit, root, want in checks:
                 parent, up, above = _clades(t, bit, t.leaf_of(root))
                 sites = [
@@ -273,18 +291,19 @@ def _frontier_sites(
                     if (up[u] if v < 0 else above[v if parent[v] == u else u]) == want
                 ]
             if max_level is not None and len(t.adj) >= 2:
+                # a join (v, v) reads as 3 here: as the bound is at least 3, it
+                # passes exactly when the unchanged level does
                 adj, level = t.adj, t.level
                 sites = [
                     (u, v) for (u, v) in sites
                     if max(level, 3 if v >= 0 else len(adj[u]) + 1) <= max_level
                 ]
-            frontier.append((t, sites))
+            if depth == len(order) - 1:
+                yield t, sites, cls
+            else:
+                frontier.append((t, sites))
         if sum(len(sites) for _, sites in frontier) > FRONTIER_CAP:
             raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
-        if depth == len(order) - 1:
-            for t, sites in frontier:
-                yield t, sites, cls
-            return
         current = [t._graft(s, cls) for t, sites in frontier for s in sites]
         if not current:
             return
@@ -328,30 +347,21 @@ def _clades(
     return parent, up, above
 
 
-def _partial_matchings(a: Sequence, b: Sequence) -> Iterable[Tuple[tuple, ...]]:
-    """Partial injective matchings a -> b in lexicographic order."""
-    for k in range(min(len(a), len(b)) + 1):
-        for asub in combinations(a, k):
-            for bperm in permutations(b, k):
-                yield tuple(zip(asub, bperm))
-
-
 def amalgamation_trees(
     t1: Tree, t2: Tree, max_level: Optional[int] = None
 ) -> Iterator[Tree]:
-    """The whole tree of every amalgamation of t1 and t2, one matching at a
-    time, each built once, in no promised order and with no canonical key.
+    """The whole tree of every amalgamation of t1 and t2, each built once,
+    in no promised order and with no canonical key.
 
     Shared labels form the base and must induce the same tree on both sides.
     Labels sharing a leaf of either tree stay together on one leaf; the free
-    choices match leaves of t1 holding only private labels with such leaves
-    of t2.  ``max_level`` restricts to amalgamations whose every node
+    choices identify leaves of t1 holding only private labels with such
+    leaves of t2.  ``max_level`` restricts to amalgamations whose every node
     valence stays within the bound.
     """
     base = t1.restrict(t1.label_set & t2.label_set)
-    constraints, searches = _amalgamation_classes(base, t1, t2, max_level)
-    for seed, rest in searches:
-        yield from _trees_with_restrictions(rest, constraints, max_level, seed)
+    rest, constraints, seed = _amalgamation_classes(base, t1, t2, max_level)
+    yield from _trees_with_restrictions(rest, constraints, max_level, seed)
 
 
 def _amalgamation_signatures(
@@ -361,37 +371,32 @@ def _amalgamation_signatures(
     a caller that already holds base, t1 restricted to the shared labels
     (not checked), with multiplicity, none of them built (see
     :func:`_site_signatures`)."""
-    constraints, searches = _amalgamation_classes(base, t1, t2, max_level)
-    tally: Counter = Counter()
-    for seed, rest in searches:
-        tally.update(_site_signatures(rest, constraints, max_level, seed))
-    return tally
+    rest, constraints, seed = _amalgamation_classes(base, t1, t2, max_level)
+    return _site_signatures(rest, constraints, max_level, seed)
 
 
 def _amalgamation_count(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> int:
     """The number of amalgamations of t1 and t2, none of them built."""
     base = t1.restrict(t1.label_set & t2.label_set)
-    constraints, searches = _amalgamation_classes(base, t1, t2, max_level)
-    return sum(_site_count(rest, constraints, max_level, seed) for seed, rest in searches)
+    rest, constraints, seed = _amalgamation_classes(base, t1, t2, max_level)
+    return _site_count(rest, constraints, max_level, seed)
 
 
 def _amalgamation_classes(
     base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
-) -> Tuple[Tuple[Tuple[FrozenSet[str], Tree], ...], Iterator[Tuple[Tree, List[Tuple[str, ...]]]]]:
-    """The constraints of an amalgamation of t1 and t2 and, for each
-    matching, its seed and the classes left to insert, after checking the
-    base (t1 restricted to the shared labels, not checked) against t2, and
-    the classes and the level bound once.
+) -> Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...], Tree]:
+    """The search for the amalgamations of t1 and t2: the classes to
+    insert, the constraints and the seed, after checking the base (t1
+    restricted to the shared labels, not checked) against t2, and the
+    classes and the level bound once.
 
-    The seed is the side with fewer free classes left over (t1 on a tie),
-    each leaf carrying its class and its matched class: every class meeting
-    a side is the label set of one of its leaves, as the base check keeps
-    shared labels of different leaves apart.  Only the other side's
-    unmatched free classes remain, so only its constraint is active.  A
-    seed that disagrees with the other side on the labels of that side it
-    carries is skipped.  One with no matched leaf, or whose labels of that
-    side span at most three leaves, cannot disagree: its leaves group them
-    as the other side does, which fixes a tree on at most three leaves.
+    The seed is the side with more free classes (t1 on a tie), each leaf
+    carrying its class.  The base check keeps shared labels of different
+    leaves apart, so the seed restricts to the other side on the labels it
+    carries.  The other side's free classes remain; each is grafted or joins
+    a free leaf of the seed (see :func:`_frontier_sites`), so only the other
+    side's constraint is active, and a joined leaf carries labels of each
+    side and takes no second join.
     """
     i1, i2 = t1.label_set, t2.label_set
     shared = i1 & i2
@@ -403,21 +408,10 @@ def _amalgamation_classes(
     free1 = [c for c in classes if (i1 - shared).issuperset(c)]
     free2 = [c for c in classes if (i2 - shared).issuperset(c)]
     if len(free2) > len(free1):
-        t1, t2, i2, free1, free2 = t2, t1, i1, free2, free1
+        t1, free2 = t2, free1
     class_of = {l: c for c in classes for l in c}
-    leaf_classes = [class_of[ls[0]] if ls else () for ls in t1.labels]
-
-    def searches() -> Iterator[Tuple[Tree, List[Tuple[str, ...]]]]:
-        for matching in _partial_matchings(free1, free2):
-            match = dict(matching)
-            seed = Tree(t1.adj, tuple(tuple(sorted(c + match[c])) if c in match else c for c in leaf_classes))
-            if matching and base.leaf_count + len(matching) > 3:
-                seen = i2 & seed.label_set
-                if seed.restrict(seen) != t2.restrict(seen):
-                    continue
-            yield seed, [c for c in free2 if c not in match.values()]
-
-    return constraints, searches()
+    seed = Tree(t1.adj, tuple(class_of[ls[0]] if ls else () for ls in t1.labels))
+    return free2, constraints, seed
 
 
 def amalgamations(

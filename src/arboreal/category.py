@@ -99,7 +99,7 @@ def diagonal_amalgamation(tree: Tree) -> Amalgamation:
     whole = tagged.merge_labels(
         {SOURCE_TAG + l: (TARGET_TAG + l,) for l in tree.label_set}
     )
-    return Amalgamation(whole, _block(tree, SOURCE_TAG), _block(tree, TARGET_TAG))
+    return Amalgamation(whole, _block(tree, SOURCE_TAG), _block(tree, TARGET_TAG), (whole, whole))
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def identity_hom(tree: Tree) -> HomElement:
 def transpose(f: HomElement) -> HomElement:
     """Swap the two blocks of every term; reverses source and target."""
     left, right = _block(f.target, SOURCE_TAG), _block(f.source, TARGET_TAG)
-    out = {Amalgamation(retag(am.whole, _SWAP), left, right): c for am, c in f.terms}
+    out = {Amalgamation(w, left, right, (w, w)): c for am, c in f.terms for w in [retag(am.whole, _SWAP)]}
     return HomElement.make(f.target, f.source, out)
 
 
@@ -192,7 +192,7 @@ def embedding_morphisms(
     beta = HomElement.basis(
         sub,
         super_tree,
-        Amalgamation(whole, _block(sub, SOURCE_TAG), _block(super_tree, TARGET_TAG)),
+        Amalgamation(whole, _block(sub, SOURCE_TAG), _block(super_tree, TARGET_TAG), (whole, whole)),
     )
     return beta, transpose(beta)
 
@@ -230,7 +230,7 @@ def _composition_table(
         y3 = z.restrict(outer)
         extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
-        (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
+        (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right, (gu.whole, fv.whole)),
          _embedding_sum(y3, zs))
         for _, (y3, zs) in sorted(extensions.items())
     )

@@ -290,7 +290,8 @@ class Tree:
 
     def _graft(self, site: Tuple[int, int], new_labels: Tuple[str, ...]) -> "Tree":
         """The tree with a new leaf carrying ``new_labels`` (sorted, unused
-        labels) at ``site``, one of :meth:`sites`.
+        labels) at ``site``, one of :meth:`sites`, or with them added to the
+        leaf v at the join site ``(v, v)``.
 
         Trusted: nothing is validated.  The new vertices are numbered after
         the old ones, so the result equals what :func:`build_tree` makes of
@@ -298,11 +299,15 @@ class Tree:
         """
         adj = self.adj
         n = len(adj)
+        u, v = site
+        if u == v >= 0:
+            labels = list(self.labels)
+            labels[v] = tuple(sorted(labels[v] + new_labels))
+            return Tree(adj, tuple(labels))
         if n == 0:
             return Tree(((),), (new_labels,))
         if n == 1:
             return Tree(((1,), (0,)), (self.labels[0], new_labels))
-        u, v = site
         out = list(adj)
         if v < 0:
             out[u] = adj[u] + (n,)
@@ -568,19 +573,12 @@ def aut_order(tree: Tree) -> int:
 
 @lru_cache(maxsize=256)
 def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
-    if not labels:
-        return (EMPTY_TREE,)
-    # each tree with the new leaf arises from exactly one tree without it,
-    # at one site, so no candidate repeats and only the result is keyed
-    current = [Tree(((),), ((labels[0],),))]
-    for l in labels[1:]:
-        current = [
-            cand
-            for t in current
-            for cand in t.insertions((l,))
-            if max_level is None or cand.level <= max_level
-        ]
-    return tuple(sorted(current, key=Tree.canonical_key))
+    # the amalgamation search with no constraint: each tree with the new
+    # leaf arises from exactly one tree without it, at one site, so no tree
+    # repeats and only the result is keyed
+    from arboreal.amalgam import _trees_with_restrictions
+
+    return tuple(sorted(_trees_with_restrictions([(l,) for l in labels], (), max_level), key=Tree.canonical_key))
 
 
 def enumerate_trees(

@@ -21,10 +21,13 @@ Core claims:
       consumers that count, group by shape or sum measures key no whole tree
     - the count and the product equation read the last level from its sites:
       the signatures and the count equal those of the built trees, the
-      frontier cap raises alike, and no last-level tree is built
-    - each search starts from one side's tree as its seed: the listing, the
-      count and the signatures equal those of the unseeded search over every
-      matching, and the clade pass runs only for the other side's leaves
+      frontier cap bounds every held level and raises alike, and no
+      last-level tree is built
+    - one search per pair starts from one side's tree as its seed, joining
+      or grafting the other side's free classes: the listing, the count and
+      the signatures equal those of the unseeded search over every matching,
+      the clade pass runs only for the other side's leaves, and two 5-stars'
+      count makes an exact number of grafts
     - listing, count and shape sum agree on every seeded case: checked
       against the side trees, a leaf may carry a whole leaf class of one
       side but may not join two of its leaves
@@ -76,6 +79,14 @@ def forced_classes(t1: Tree, t2: Tree):
     return classes, free1, free2
 
 
+def partial_matchings(a, b):
+    """Partial injective matchings a -> b in lexicographic order."""
+    for k in range(min(len(a), len(b)) + 1):
+        for asub in combinations(a, k):
+            for bperm in permutations(b, k):
+                yield tuple(zip(asub, bperm))
+
+
 def oracle_amalgamations(t1: Tree, t2: Tree):
     """Enumerate every tree on each quotient label set, then filter.
 
@@ -87,30 +98,26 @@ def oracle_amalgamations(t1: Tree, t2: Tree):
     i1, i2 = t1.label_set, t2.label_set
     classes, free1, free2 = forced_classes(t1, t2)
     found = {}
-    for k in range(min(len(free1), len(free2)) + 1):
-        for asub in combinations(free1, k):
-            for bperm in permutations(free2, k):
-                matched = set(asub) | set(bperm)
-                leaves = [c for c in classes if c not in matched] + [a + b for a, b in zip(asub, bperm)]
-                for tree in enumerate_trees(c[0] for c in leaves):
-                    whole = tree.merge_labels({c[0]: c[1:] for c in leaves})
-                    if whole.restrict(i1) == t1 and whole.restrict(i2) == t2:
-                        found[whole.canonical_key()] = whole
+    for matching in partial_matchings(free1, free2):
+        matched = {c for pair in matching for c in pair}
+        leaves = [c for c in classes if c not in matched] + [a + b for a, b in matching]
+        for tree in enumerate_trees(c[0] for c in leaves):
+            whole = tree.merge_labels({c[0]: c[1:] for c in leaves})
+            if whole.restrict(i1) == t1 and whole.restrict(i2) == t2:
+                found[whole.canonical_key()] = whole
     return found
 
 
-def filtered_insertions(classes, constraints, frontiers=None, seed=EMPTY_TREE):
-    """Insert the classes in order into ``seed``, building every candidate
-    of ``Tree.insertions`` and keeping those whose restrictions match.
-
-    The unguided reference for ``trees_with_restrictions`` without a level
-    bound; a seed is trusted to satisfy the constraints on its labels.
-    Appends the size of each kept frontier to ``frontiers`` when given.
+def filtered_insertions(classes, constraints):
+    """Insert the classes in order into the empty tree, building every
+    candidate of ``Tree.insertions`` and keeping those whose restrictions
+    match: the unguided reference for ``trees_with_restrictions`` without a
+    level bound.
     """
-    if not classes and seed.is_empty():
+    if not classes:
         return trees_with_restrictions(classes, constraints)
-    inserted = set(seed.label_set)
-    current = {seed.canonical_key(): seed}
+    inserted = set()
+    current = {EMPTY_TREE.canonical_key(): EMPTY_TREE}
     for cls in sorted(classes, key=min):
         inserted |= set(cls)
         checks = [
@@ -124,10 +131,21 @@ def filtered_insertions(classes, constraints, frontiers=None, seed=EMPTY_TREE):
             for cand in t.insertions(cls):
                 if all(cand.restrict(visible) == want for visible, want in checks):
                     nxt.setdefault(cand.canonical_key(), cand)
-        if frontiers is not None:
-            frontiers.append(len(nxt))
         current = nxt
     return [current[k] for k in sorted(current)]
+
+
+def joined_class_sets(seed, classes, constraints):
+    """The leaf classes of the trees a search from ``seed`` may end in, one
+    list per partial matching of the seed's free leaf classes (those meeting
+    the labels of one constraint only) with ``classes``, each matched pair
+    merged into one class."""
+    fixed = [ls for ls in seed.labels if ls]
+    free = [c for c in fixed if sum(1 for subset, _ in constraints if subset & set(c)) == 1]
+    for matching in partial_matchings(free, list(classes)):
+        matched = {c for pair in matching for c in pair}
+        merged = [tuple(sorted(a + b)) for a, b in matching]
+        yield [c for c in fixed + list(classes) if c not in matched] + merged
 
 
 EDGE = parse_tree("(1,2)")
@@ -345,8 +363,9 @@ def test_constrained_search_empty_cases():
 
 def test_constrained_search_checks(monkeypatch):
     """The public search keeps its cap and label checks; the enumerators
-    run them once per enumeration, on the classes before any matching, and
-    raise the cap error when the stream is first read."""
+    run them once per enumeration, on the classes before the search, and
+    raise the cap error when the stream is first read.  Each pair and each
+    triple is one search, whatever its identifications."""
     e = parse_tree("(a,b,c)")
     cases = [
         ([("a",), ("b",), ("a",)], r"duplicate label 'a'"),
@@ -363,52 +382,55 @@ def test_constrained_search_checks(monkeypatch):
     with pytest.raises(AmalgamError, match=r"16 classes \(cap 15\)"):
         next(stream)
 
-    checks, matchings = [], []
+    checks, searches = [], []
     check, search = amalgam._check_classes, amalgam._trees_with_restrictions
     monkeypatch.setattr(amalgam, "_check_classes",
                         lambda *args: checks.append(1) or check(*args))
     monkeypatch.setattr(amalgam, "_trees_with_restrictions",
-                        lambda *args: matchings.append(1) or search(*args))
+                        lambda *args: searches.append(1) or search(*args))
     t1, t2 = parse_tree("(a1,a2,a3)"), parse_tree("(b1,b2,b3)")
     assert len(list(amalgamation_trees(t1, t2))) == 548
-    assert (len(checks), len(matchings)) == (1, 34)
+    assert (len(checks), len(searches)) == (1, 1)
     x = amalgamations(t1, fresh_copy(t1, "b:"))[0]
     y = amalgamations(fresh_copy(t1, "b:"), t2)[0]
-    checks.clear(), matchings.clear()
+    checks.clear(), searches.clear()
     assert len(triple_amalgamations(x, y)) == 437
-    # four of the 34 matchings disagree with the other whole before any graft
-    assert (len(checks), len(matchings)) == (1, 30)
+    assert (len(checks), len(searches)) == (1, 1)
 
 
 def test_guided_insertion_matches_filtered_candidates(monkeypatch):
     """Site selection keeps exactly the candidates the restriction filter
-    keeps, each once, on every call the enumerators make: the filter grows
-    the seed's leaf classes and the rest from the empty tree.  A level bound
-    keeps the unbounded results within it, since inserting a leaf never
-    lowers a valence.  Matchings whose seed disagrees with the other side
-    make no call, and their filtered results would be empty."""
+    keeps, each once, on every call the enumerators make: the filter grows,
+    from the empty tree, the leaf classes of each way to join the seed's
+    free leaves with the classes left to insert (see
+    :func:`joined_class_sets`).  A level bound keeps the unbounded results
+    within it, since inserting a leaf never lowers a valence."""
     guided = amalgam._trees_with_restrictions
     unbounded = {}
     calls = []
 
     def checked(classes, constraints, max_level, seed=EMPTY_TREE):
-        got = guided(classes, constraints, max_level, seed)
-        every = [ls for ls in seed.labels if ls] + list(classes)
-        key = (tuple(every), tuple((s, t.canonical_key()) for s, t in constraints))
+        got = list(guided(classes, constraints, max_level, seed))
+        key = (tuple(ls for ls in seed.labels if ls), tuple(classes),
+               tuple((s, t.canonical_key()) for s, t in constraints))
         if key not in unbounded:
-            unbounded[key] = filtered_insertions(every, constraints)
+            unbounded[key] = [t for leaves in joined_class_sets(seed, classes, constraints)
+                              for t in filtered_insertions(leaves, constraints)]
         want = [t for t in unbounded[key] if max_level is None or t.level <= max_level]
         keys = [t.canonical_key() for t in got]
         assert len(set(keys)) == len(keys)
         assert sorted(keys) == sorted(t.canonical_key() for t in want)
         assert all(ls == tuple(sorted(ls)) for t in got for ls in t.labels)
         calls.append(len(got))
-        return got
+        return iter(got)
 
+    # the trees are listed before the search is wrapped, which the listing
+    # would otherwise run through
+    listed = [enumerate_trees("abcdef"[:n]) for n in range(1, 7)]
     monkeypatch.setattr(amalgam, "_trees_with_restrictions", checked)
     rng = random.Random(17)
     for n in range(1, 7):
-        for tree in enumerate_trees("abcdef"[:n]):
+        for tree in listed[n - 1]:
             sides = [rng.choice("LRB") for _ in range(n)]
             labels = sorted(tree.label_set)
             left = [l for l, s in zip(labels, sides) if s in "LB"]
@@ -423,13 +445,14 @@ def test_guided_insertion_matches_filtered_candidates(monkeypatch):
         for x, y in rng.sample([(x, y) for x in xs for y in ys], min(4, len(xs) * len(ys))):
             for max_level in (None, 3, 4):
                 triple_amalgamations(x, y, max_level)
-    assert (len(calls), sum(calls)) == (6954, 42330)
+    assert (len(calls), sum(calls)) == (1185, 42330)
 
 
 def test_guided_insertion_builds_only_kept_trees(monkeypatch):
     """Deterministic work: every tree the guided search builds is kept.
-    Each matching's search starts from t1 with the matched b-labels on its
-    leaves and inserts only the unmatched b-labels."""
+    The search starts from t1 and inserts b1, ..., b4 in turn, each grafted
+    or joined to an a-leaf, so its k-th level is the amalgamations of t1
+    with t2 restricted to b1, ..., bk, which the filter lists."""
     built = []
     graft = Tree._graft
 
@@ -440,15 +463,16 @@ def test_guided_insertion_builds_only_kept_trees(monkeypatch):
     t1, t2 = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
     monkeypatch.setattr(Tree, "_graft", counted)
     assert len(amalgamations(t1, t2)) == 2642
-    assert len(built) == 4097
+    assert len(built) == 3789
     monkeypatch.setattr(Tree, "_graft", graft)
-    frontiers = []
-    constraints = ((t1.label_set, t1), (t2.label_set, t2))
-    for matching in amalgam._partial_matchings(sorted(t1.label_set), sorted(t2.label_set)):
-        seed = t1.merge_labels({a: [b] for a, b in matching})
-        rest = [(l,) for l in sorted(t2.label_set - seed.label_set)]
-        filtered_insertions(rest, constraints, frontiers=frontiers, seed=seed)
-    assert sum(frontiers) == 4097
+    levels = []
+    for k in range(1, 5):
+        t2k = t2.restrict(["b%d" % i for i in range(1, k + 1)])
+        constraints = ((t1.label_set, t1), (t2k.label_set, t2k))
+        classes = [(l,) for l in sorted(t2k.label_set)]
+        levels.append(sum(len(filtered_insertions(leaves, constraints))
+                          for leaves in joined_class_sets(t1, classes, constraints)))
+    assert levels == [9, 90, 1048, 2642]
 
 
 STAR4_A, STAR4_B = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
@@ -472,10 +496,13 @@ def test_stream_yields_each_amalgamation_once_unkeyed():
 
 def test_stream_consumers_key_no_whole_tree(monkeypatch, keyed_sizes):
     """Counting, shapes, the product equation and the separation verdict
-    read the stream: no tree on all eight labels of two 4-stars is keyed."""
+    read the stream: no tree of two 4-stars' search is keyed, and with no
+    seed to check, neither is any restriction."""
+    assert parse_tree("(a,b,c)").canonical_key() and keyed_sizes == [3]
+    keyed_sizes.clear()
     assert sum(count_by_shape(STAR4_A, STAR4_B).values()) == 2642
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
-    assert keyed_sizes and max(keyed_sizes) < 8
+    assert keyed_sizes == []
     # two of its three amalgamations settle "not separated": the count stops
     drawn = []
 
@@ -535,31 +562,28 @@ def test_site_signatures_match_on_random_pairs(n, rng, max_level):
     assert amalgam._amalgamation_count(t1, t2, max_level) == len(amalgamations(t1, t2, max_level))
 
 
-def test_frontier_cap_counts_the_last_level_sites(monkeypatch):
-    """The unmatched 4-stars reach 388 trees one level before the last and
-    706 at the last; the stream, the count and the equation raise the same
-    error at the same cap, whether the last level or an earlier one is over
-    it."""
-    for cap in (387, 705):
-        monkeypatch.setattr(amalgam, "FRONTIER_CAP", cap)
-        message = r"enumeration frontier exceeded %d trees" % cap
-        with pytest.raises(AmalgamError, match=message):
-            list(amalgamation_trees(STAR4_A, STAR4_B))
-        with pytest.raises(AmalgamError, match=message):
-            amalgam._amalgamation_count(STAR4_A, STAR4_B)
-        with pytest.raises(AmalgamError, match=message):
-            verify_amalgamation_equation(STAR4_A, STAR4_B)
-    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 706)
+def test_frontier_cap_bounds_every_held_level(monkeypatch):
+    """Two 4-stars' search builds and holds levels of 9, 90 and 1,048
+    trees, then streams its last level of 2,642; the cap bounds the held
+    levels only.  Over it, the stream, the count and the equation raise the
+    same error before anything is yielded."""
+    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 1047)
+    message = r"enumeration frontier exceeded 1047 trees"
+    with pytest.raises(AmalgamError, match=message):
+        next(amalgamation_trees(STAR4_A, STAR4_B))
+    with pytest.raises(AmalgamError, match=message):
+        amalgam._amalgamation_count(STAR4_A, STAR4_B)
+    with pytest.raises(AmalgamError, match=message):
+        verify_amalgamation_equation(STAR4_A, STAR4_B)
+    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 1048)
     assert len(list(amalgamation_trees(STAR4_A, STAR4_B))) == 2642
     assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
 
 
 def test_equation_grafts_only_below_the_last_level(monkeypatch):
-    """Of the 4,097 trees the stream builds for two 4-stars, the 2,618 of
-    the last level are counted from their sites, not built (the other 24 of
-    the 2,642 amalgamations are the seeds of the full matchings, which
-    nothing is grafted on)."""
+    """Of the 3,789 trees the stream builds for two 4-stars, the 2,642 of
+    the last level are counted from their sites, not built."""
     built = []
     graft = Tree._graft
 
@@ -569,10 +593,28 @@ def test_equation_grafts_only_below_the_last_level(monkeypatch):
 
     monkeypatch.setattr(Tree, "_graft", counted)
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
-    assert len(built) == 4097 - 2618
+    assert len(built) == 3789 - 2642 == 1147
     built.clear()
     assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
-    assert len(built) == 4097 - 2618
+    assert len(built) == 1147
+
+
+def test_one_search_counts_two_5_stars(monkeypatch):
+    """Exact work: two disjoint 5-stars have 21,812 amalgamations, counted
+    from the sites of one search's held levels of 11, 132, 1,788 and 6,140
+    trees, one per graft of b1, ..., b4."""
+    built = []
+    graft = Tree._graft
+
+    def counted(self, site, labels):
+        built.append(labels)
+        return graft(self, site, labels)
+
+    monkeypatch.setattr(Tree, "_graft", counted)
+    t1, t2 = parse_tree("(a1,a2,a3,a4,a5)"), parse_tree("(b1,b2,b3,b4,b5)")
+    assert amalgam._amalgamation_count(t1, t2) == 21812
+    assert len(built) == 8071
+    assert Counter(built) == {("b1",): 11, ("b2",): 132, ("b3",): 1788, ("b4",): 6140}
 
 
 # -- the seeded search -----------------------------------------------------------
@@ -583,7 +625,7 @@ def unseeded_wholes(t1, t2, max_level):
     the free classes, each matched pair merged into one class."""
     classes, free1, free2 = forced_classes(t1, t2)
     constraints = ((t1.label_set, t1), (t2.label_set, t2))
-    for matching in amalgam._partial_matchings(free1, free2):
+    for matching in partial_matchings(free1, free2):
         matched = {c for pair in matching for c in pair}
         merged = [c for c in classes if c not in matched] + [a + b for a, b in matching]
         yield from trees_with_restrictions(merged, constraints, max_level)
@@ -692,14 +734,15 @@ def test_seeded_search_is_the_unseeded_search_on_random_pairs(n, rng, max_level)
 
 def test_clade_passes_run_only_for_the_other_sides_leaves(monkeypatch):
     """Exact work: the search labels clades only while inserting the other
-    side's leaves into the seed.  Two 4-stars' equation inserts at most
-    four b-labels into each seed; the census pair and the separation
-    verdict insert into trees whose visible part has one leaf."""
+    side's leaves into the seed.  Two 4-stars' equation inserts four
+    b-labels into the one seed, below the last level; the census pair and
+    the separation verdict insert into trees whose visible part has one
+    leaf."""
     calls = []
     clades = amalgam._clades
     monkeypatch.setattr(amalgam, "_clades", lambda *args: calls.append(1) or clades(*args))
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
-    assert len(calls) == 1916
+    assert len(calls) == 1140
     calls.clear()
     assert len(amalgamations(EDGE, STAR)) == 56
     assert len(calls) == 0

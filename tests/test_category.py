@@ -11,6 +11,9 @@ Core claims:
       is the signed product of basis measures; the transpose permutation an
       algebra stores is the retag-and-key oracle's, and nothing retags it
       again
+    - an object with a multi-label leaf has the diagonal, transposes,
+      embeddings, compositions and Gram determinant of the object with one
+      label there
     - numeric composition equals symbolic composition then substitution
     - truncation keeps low-level terms, is multiplicative at the level
       parameter, and is the identity when nothing exceeds the bound
@@ -25,6 +28,7 @@ Core claims:
       polynomial products, none per structure-constant term
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,11 +38,13 @@ import pytest
 
 from arboreal import category
 from arboreal.amalgam import _site_signatures, amalgamation_trees, trees_with_restrictions
+from arboreal.cli import run
 from arboreal.category import (
     ArborealAlgebra,
     HomElement,
     algebra_for,
     compose,
+    diagonal_amalgamation,
     embedding_morphisms,
     evaluate_coefficients,
     hom_basis,
@@ -117,6 +123,34 @@ def test_embedding_morphisms_special_cases():
     assert transpose(beta).terms == alpha.terms
     with pytest.raises(TreeError):
         embedding_morphisms(parse_tree("(a,b)"), parse_tree("(x,y)"))
+
+
+def test_objects_with_a_multi_label_leaf():
+    """Each term is checked against its own side trees, so a leaf carrying
+    a/b is one leaf of the object: its morphisms behave as those of (a,c)."""
+    obj = parse_tree("(a/b,c)")
+    diag = diagonal_amalgamation(obj)
+    assert diag.whole == parse_tree("(s:a/s:b/t:a/t:b,s:c/t:c)")
+    assert diag.left_tree() == parse_tree("(s:a/s:b,s:c)")
+    one = identity_hom(obj)
+    basis = hom_basis(obj, obj)
+    assert len(basis) == 10
+    for am in basis[::3]:
+        phi = HomElement.basis(obj, obj, am)
+        assert compose(one, phi).terms == phi.terms == compose(phi, one).terms
+        assert transpose(transpose(phi)).terms == phi.terms
+    beta, alpha = embedding_morphisms(parse_tree("a/b"), obj)
+    assert transpose(beta).terms == alpha.terms
+    plain_beta, plain_alpha = embedding_morphisms(parse_tree("a"), parse_tree("(a,c)"))
+    for loop in (compose(alpha, beta), compose(plain_alpha, plain_beta)):
+        assert [c for _, c in loop.terms] == [1 / (T - 1)]
+    grams = []
+    for text in ("(1/2,3)", "(1,3)"):
+        code, out = run(["algebra", "gram", "--tree", text])
+        assert code == 0
+        data = json.loads(out)
+        grams.append((len(data["basis"]), data["det_factored"]))
+    assert grams[0] == grams[1] == (10, "t^10*(t-2)^11*(t-3) / (t-1)^32")
 
 
 def test_transpose_involution_and_antihomomorphism():

@@ -9,12 +9,18 @@ Core claims:
       which is how the harness proves the reference suite can fail
     - large inputs finish: 2,000-leaf trees and embeddings, and the Gram
       determinant of the 548-dimensional algebra of (1,2,3)
+    - a raised label cap meets the frontier cap: exit 2 within bounded
+      memory, never a traceback
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import arboreal
 from arboreal.category import algebra_for
 from arboreal.cli import TREE_TEXT_CAP, run
 from arboreal.ratfun import parse_poly
@@ -59,6 +65,25 @@ def test_enumerate():
     assert data["count"] == 15
     code, _ = run(["enumerate", "--labels", ",".join("abcdefgh"), "--max-labels", "7"])
     assert code == 2
+
+
+def test_a_raised_label_cap_meets_the_frontier_cap():
+    """Ten labels would hold the 660,032 trees on nine before the last
+    level; the search refuses that level before building it.  The command
+    runs in a child process limited to 1.5 GB of address space."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from arboreal.cli import main\n"
+        "sys.argv[1:] = ['enumerate', '--labels', 'a,b,c,d,e,f,g,h,i,j', '--max-labels', '10']\n"
+        "main()\n"
+    )
+    src = os.path.dirname(os.path.dirname(arboreal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: enumeration frontier exceeded 200000 trees\n"
+    assert proc.stdout == ""
 
 
 def test_measure_modes_and_errors():
