@@ -13,6 +13,7 @@ from arboreal.amalgam import (
     amalgamation_trees,
     amalgamations,
     count_by_shape,
+    enumerate_trees,
     self_amalgamations,
     triple_amalgamations,
 )
@@ -59,7 +60,6 @@ from arboreal.trees import (
     TreeStats,
     aut_order,
     canonical_key,
-    enumerate_trees,
     parse_tree,
     quaternary,
     restrict,

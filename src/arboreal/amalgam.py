@@ -26,18 +26,20 @@ displays the given subtrees.  Pruning partial trees is sound because
 restriction commutes with taking sub-label-sets, so a mismatch can never be
 repaired by later insertions.
 
-The search builds and holds every level but the last, each within
-FRONTIER_CAP trees, then hands each tree of the penultimate frontier with
-its admissible sites for the last class to its consumer, which decides what
-to build.  The enumerators graft every site and stream whole trees, each
-built once, unkeyed and in no promised order: deleting the last class gives
-back the parent and its site, so no tree arises twice.  A three-block tree
-extending two amalgamations is an amalgamation of their two wholes over the
-middle block, drawn from the same stream.  Only the listings
-:func:`amalgamations` and :func:`triple_amalgamations` key their results
-and sort them.  A count is the number of sites, and the signatures (leaf
-count, sorted node valences) that a measure sum needs follow from each
-parent tree and site, so neither builds a last-level tree.
+The search builds and holds every level but the last two, each within
+FRONTIER_CAP trees, then walks the penultimate level one tree at a time,
+handing each with its admissible sites for the last class to its consumer,
+which decides what to build.  The enumerators graft every site and stream
+whole trees, each built once, unkeyed and in no promised order: deleting
+the last class gives back the parent and its site, so no tree arises twice.
+A three-block tree extending two amalgamations is an amalgamation of their
+two wholes over the middle block, drawn from the same stream.  Only the
+listings :func:`amalgamations` and :func:`triple_amalgamations` key their
+results and sort them.  A count is the number of sites, and the signatures
+(leaf count, sorted node valences) that a measure sum needs follow from
+each parent tree and site, so neither builds a last-level tree.  With no
+constraint and one label per class, the search lists every tree on a label
+set (:func:`enumerate_trees`).
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _breadth_first, _check_labels, _signature
 
 MAX_CLASSES = 15
 FRONTIER_CAP = 200_000
+DEFAULT_LABEL_CAP = 9
 
 
 class AmalgamError(ValueError):
@@ -172,8 +176,8 @@ def _trees_with_restrictions(
 ) -> Iterator[Tree]:
     """:func:`trees_with_restrictions` for classes and constraints that
     passed :func:`_check_classes` (not checked again), each tree grown from
-    ``seed`` (see :func:`_frontier_sites`), as a stream that grafts the last
-    level one penultimate tree at a time; with no class left, a nonempty
+    ``seed`` (see :func:`_frontier_sites`), as a stream that builds the last
+    two levels one penultimate tree at a time; with no class left, a nonempty
     seed is the one tree, and the empty one fits only empty constraints."""
     if not classes:
         fits = max_level is None or seed.level <= max_level
@@ -251,17 +255,18 @@ def _frontier_sites(
     seed that carries no label of any constraint the class meets: the site
     ``(v, v)``, read by the place filter as the pendant edge above v, which
     is where the joined labels sit in the restriction to such a constraint.
+    A class that fits no leaf of a constraint ends the search before any graft.
 
-    FRONTIER_CAP bounds the tree count of every level the search builds
-    and holds, which is all but the last: the site count of the level
-    before, checked before any of its grafts.  The last level is streamed
-    one penultimate tree at a time.
+    FRONTIER_CAP bounds every level the search holds, all but the last two:
+    the site count of the level before, checked before any of its grafts.
+    Each penultimate tree is grafted from the last held level, handed on with
+    its sites and dropped.
     """
     order = sorted((tuple(sorted(c)) for c in classes), key=min)
     inserted = seed.label_set
     seed_leaves = [v for v, ls in enumerate(seed.labels) if ls]  # grafts renumber no vertex
-    current = [seed]
-    for depth, cls in enumerate(order):
+    steps = []
+    for cls in order:
         new = frozenset(cls)
         checks = []
         met = []
@@ -280,33 +285,39 @@ def _frontier_sites(
                 _, _, above = _clades(expected, bit, expected.leaf_of(min(old)))
                 checks.append((bit, min(old), above[leaf]))
         inserted |= new
-        frontier = []
-        for t in current:
-            labels = t.labels
-            sites = t.sites() + [(v, v) for v in seed_leaves if all(s.isdisjoint(labels[v]) for s in met)]
-            for bit, root, want in checks:
-                parent, up, above = _clades(t, bit, t.leaf_of(root))
-                sites = [
-                    (u, v) for (u, v) in sites
-                    if (up[u] if v < 0 else above[v if parent[v] == u else u]) == want
-                ]
-            if max_level is not None and len(t.adj) >= 2:
-                # a join (v, v) reads as 3 here: as the bound is at least 3, it
-                # passes exactly when the unchanged level does
-                adj, level = t.adj, t.level
-                sites = [
-                    (u, v) for (u, v) in sites
-                    if max(level, 3 if v >= 0 else len(adj[u]) + 1) <= max_level
-                ]
-            if depth == len(order) - 1:
-                yield t, sites, cls
-            else:
-                frontier.append((t, sites))
+        steps.append((cls, checks, met))
+
+    def admissible(t: Tree, depth: int) -> List[Tuple[int, int]]:
+        _, checks, met = steps[depth]
+        labels = t.labels
+        sites = t.sites() + [(v, v) for v in seed_leaves if all(s.isdisjoint(labels[v]) for s in met)]
+        for bit, root, want in checks:
+            parent, up, above = _clades(t, bit, t.leaf_of(root))
+            sites = [
+                (u, v) for (u, v) in sites
+                if (up[u] if v < 0 else above[v if parent[v] == u else u]) == want
+            ]
+        if max_level is not None and len(t.adj) >= 2:
+            # a join (v, v) reads as 3 here: as the bound is at least 3, it
+            # passes exactly when the unchanged level does
+            adj, level = t.adj, t.level
+            sites = [
+                (u, v) for (u, v) in sites
+                if max(level, 3 if v >= 0 else len(adj[u]) + 1) <= max_level
+            ]
+        return sites
+
+    current = [seed]
+    last = len(order) - 1
+    for depth in range(last - 1):
+        frontier = [(t, admissible(t, depth)) for t in current]
         if sum(len(sites) for _, sites in frontier) > FRONTIER_CAP:
             raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
-        current = [t._graft(s, cls) for t, sites in frontier for s in sites]
-        if not current:
-            return
+        current = [t._graft(s, order[depth]) for t, sites in frontier for s in sites]
+    if last:
+        current = (t._graft(s, order[last - 1]) for t in current for s in admissible(t, last - 1))
+    for t in current:
+        yield t, admissible(t, last), order[last]
 
 
 def _clades(
@@ -345,6 +356,39 @@ def _clades(
         else:
             up[v] = above[v] = up[parent[v]]
     return parent, up, above
+
+
+@lru_cache(maxsize=256)
+def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
+    # the search with no constraint builds each tree once, so only the
+    # result is keyed; as the listing keeps its last level whole, the level
+    # before it must stay within FRONTIER_CAP: 39,208 trees for 9 labels
+    classes = [(l,) for l in labels]
+    if _site_count(classes[:-1], (), max_level) > FRONTIER_CAP:
+        raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
+    return tuple(sorted(_trees_with_restrictions(classes, (), max_level), key=Tree.canonical_key))
+
+
+def enumerate_trees(
+    labels: Iterable[str],
+    max_level: Optional[int] = None,
+    cap: int = DEFAULT_LABEL_CAP,
+) -> List[Tree]:
+    """All reduced trees with one label per leaf, each label used once.
+
+    Each tree appears once, in sorted key order.
+    ``max_level`` keeps only trees whose every node has valence at most that
+    bound (valid to apply during construction, since deleting a leaf never
+    raises a valence).  More labels than ``cap`` raise :class:`TreeError`; a
+    raised cap meets FRONTIER_CAP, an :class:`AmalgamError`, from ten labels.
+    """
+    labs = tuple(sorted(labels))
+    _check_labels(labs)
+    if len(labs) > cap:
+        raise TreeError("enumeration over %d labels exceeds the cap of %d" % (len(labs), cap))
+    if max_level is not None and max_level < 3:
+        raise TreeError("max_level must be at least 3")
+    return list(_enumerate(labs, max_level))
 
 
 def amalgamation_trees(

@@ -343,14 +343,16 @@ def _trace_search(
     u: Amalgamation, v: Amalgamation, w: Amalgamation
 ) -> Optional[Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...]]]:
     """The leaf classes and constraints of the three-block trees computing
-    the trace of the product u * v * w, or None when a class holds two
-    labels of one block (no tree then).
+    the trace of the product u * v * w, or None when a class holds labels
+    of two leaves of one pattern (no tree then).
 
     The whole tree restricts to u on blocks (1,2), to the transpose of v on
     blocks (1,3), and to w on blocks (2,3); the transpose in the middle slot
     is what makes the enumeration match trace-of-composition for every
     pattern, not only the transpose-symmetric ones.  Identifications across
     blocks are forced by the three patterns, so no free matchings arise.
+    The labels of one multi-label leaf of the object share a leaf of every
+    pattern, so they share a class.
     """
     wholes = (
         retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
@@ -359,9 +361,9 @@ def _trace_search(
     )
     classes = _leaf_classes(frozenset().union(*(t.label_set for t in wholes)), wholes)
     for cls in classes:
-        per_block = [sum(1 for l in cls if l.startswith(tag)) for tag in ("1:", "2:", "3:")]
-        if max(per_block) > 1:
-            return None
+        for t in wholes:
+            if len({t.leaf_of(l) for l in cls if l in t.label_set}) > 1:
+                return None
     return classes, tuple((t.label_set, t) for t in wholes)
 
 

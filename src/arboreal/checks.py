@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from arboreal.amalgam import Amalgamation, amalgamations, count_by_shape, self_amalgamations, triple_amalgamations
+from arboreal.amalgam import Amalgamation, amalgamations, count_by_shape, enumerate_trees, self_amalgamations, triple_amalgamations
 from arboreal.category import (
     HomElement,
     _trace_and_count,
@@ -60,7 +60,7 @@ from arboreal.theta import (
     theta_to_mu,
     verify_L_relation,
 )
-from arboreal.trees import EMPTY_TREE, Tree, enumerate_trees, parse_tree
+from arboreal.trees import EMPTY_TREE, Tree, parse_tree
 
 T = RatFun.t()
 SEED = 20240801

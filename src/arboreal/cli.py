@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from arboreal import checks as checks_mod
-from arboreal.amalgam import AmalgamError, _amalgamation_count, amalgamations, count_by_shape
+from arboreal.amalgam import DEFAULT_LABEL_CAP, AmalgamError, _amalgamation_count, amalgamations, count_by_shape, enumerate_trees
 from arboreal.category import _trace_and_count, algebra_for
 from arboreal.measure import (
     LevelError,
@@ -26,7 +26,7 @@ from arboreal.measure import (
     set_mu_perturbation,
 )
 from arboreal.ratfun import PoleError, RatFun, parse_ratfun
-from arboreal.trees import DEFAULT_LABEL_CAP, TreeError, enumerate_trees, parse_tree
+from arboreal.trees import TreeError, parse_tree
 
 SCHEMA = "arboreal/1"
 

@@ -21,16 +21,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from math import factorial
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_:.]+\Z")
 _LABEL_SET_RE = re.compile(r"[A-Za-z0-9_:.]+(?:/[A-Za-z0-9_:.]+)*")
-
-DEFAULT_LABEL_CAP = 9
-
 
 class TreeError(ValueError):
     """Malformed tree input: bad labels, bad nesting, or broken invariants."""
@@ -566,39 +562,3 @@ def stats(tree: Tree) -> TreeStats:
 
 def aut_order(tree: Tree) -> int:
     return tree.aut_order()
-
-
-# -- enumeration -------------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
-    # the amalgamation search with no constraint: each tree with the new
-    # leaf arises from exactly one tree without it, at one site, so no tree
-    # repeats and only the result is keyed
-    from arboreal.amalgam import _trees_with_restrictions
-
-    return tuple(sorted(_trees_with_restrictions([(l,) for l in labels], (), max_level), key=Tree.canonical_key))
-
-
-def enumerate_trees(
-    labels: Iterable[str],
-    max_level: Optional[int] = None,
-    cap: int = DEFAULT_LABEL_CAP,
-) -> List[Tree]:
-    """All reduced trees with one label per leaf, each label used once.
-
-    Each tree appears once, in sorted key order.
-    ``max_level`` keeps only trees whose every node has valence at most that
-    bound (valid to apply during construction, since deleting a leaf never
-    raises a valence).
-    """
-    labs = tuple(sorted(labels))
-    _check_labels(labs)
-    if len(labs) > cap:
-        raise TreeError(
-            "enumeration over %d labels exceeds the cap of %d" % (len(labs), cap)
-        )
-    if max_level is not None and max_level < 3:
-        raise TreeError("max_level must be at least 3")
-    return list(_enumerate(labs, max_level))

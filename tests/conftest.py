@@ -1,7 +1,8 @@
 import pytest
 
+from arboreal.amalgam import enumerate_trees
 from arboreal.edge_algebra import edge_algebra
-from arboreal.trees import Tree, enumerate_trees
+from arboreal.trees import Tree
 
 
 @pytest.fixture(scope="session")

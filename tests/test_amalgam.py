@@ -21,8 +21,9 @@ Core claims:
       consumers that count, group by shape or sum measures key no whole tree
     - the count and the product equation read the last level from its sites:
       the signatures and the count equal those of the built trees, the
-      frontier cap bounds every held level and raises alike, and no
-      last-level tree is built
+      frontier cap bounds every held level (all but the last two) and
+      raises alike, first for disjoint stars at an 8-star with a 7-star,
+      and no last-level tree is built
     - one search per pair starts from one side's tree as its seed, joining
       or grafting the other side's free classes: the listing, the count and
       the signatures equal those of the unseeded search over every matching,
@@ -49,6 +50,7 @@ from arboreal.amalgam import (
     amalgamation_trees,
     amalgamations,
     count_by_shape,
+    enumerate_trees,
     fresh_copy,
     self_amalgamations,
     triple_amalgamations,
@@ -57,7 +59,7 @@ from arboreal.amalgam import (
 from arboreal.cli import run
 from arboreal.measure import verify_amalgamation_equation
 from arboreal.theta import separated, separated_bruteforce
-from arboreal.trees import EMPTY_TREE, Tree, TreeError, enumerate_trees, parse_tree
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, parse_tree
 
 
 def forced_classes(t1: Tree, t2: Tree):
@@ -563,22 +565,44 @@ def test_site_signatures_match_on_random_pairs(n, rng, max_level):
 
 
 def test_frontier_cap_bounds_every_held_level(monkeypatch):
-    """Two 4-stars' search builds and holds levels of 9, 90 and 1,048
-    trees, then streams its last level of 2,642; the cap bounds the held
-    levels only.  Over it, the stream, the count and the equation raise the
-    same error before anything is yielded."""
-    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 1047)
-    message = r"enumeration frontier exceeded 1047 trees"
+    """Two 4-stars' search builds and holds levels of 9 and 90 trees, then
+    walks its penultimate level of 1,048 trees one at a time and streams
+    its last level of 2,642; the cap bounds the held levels only.  Over it,
+    the stream, the count and the equation raise the same error before
+    anything is yielded."""
+    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 89)
+    message = r"enumeration frontier exceeded 89 trees"
     with pytest.raises(AmalgamError, match=message):
         next(amalgamation_trees(STAR4_A, STAR4_B))
     with pytest.raises(AmalgamError, match=message):
         amalgam._amalgamation_count(STAR4_A, STAR4_B)
     with pytest.raises(AmalgamError, match=message):
         verify_amalgamation_equation(STAR4_A, STAR4_B)
-    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 1048)
+    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 90)
     assert len(list(amalgamation_trees(STAR4_A, STAR4_B))) == 2642
     assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
+
+
+def test_frontier_cap_meets_an_8_star_with_a_7_star(monkeypatch):
+    """The first disjoint star pair over the cap.  The 8-star's search
+    builds and holds levels of 17, 306, 5,928 and 43,418 trees (its
+    amalgamations with the 1- to 4-stars), and refuses the next level, over
+    200,000 trees, before any of its grafts.  Two 7-stars hold at most
+    171,596 trees and count 5,139,332 amalgamations; two 8-stars meet the
+    class cap first."""
+    built = []
+    graft = Tree._graft
+
+    def counted(self, site, labels):
+        built.append(labels)
+        return graft(self, site, labels)
+
+    monkeypatch.setattr(Tree, "_graft", counted)
+    t1, t2 = (parse_tree("(%s)" % ",".join("%s%d" % (p, i) for i in range(1, n + 1))) for p, n in (("a", 8), ("b", 7)))
+    with pytest.raises(AmalgamError, match="enumeration frontier exceeded 200000 trees"):
+        amalgam._amalgamation_count(t1, t2)
+    assert Counter(built) == {("b1",): 17, ("b2",): 306, ("b3",): 5928, ("b4",): 43418}
 
 
 def test_equation_grafts_only_below_the_last_level(monkeypatch):
@@ -601,8 +625,9 @@ def test_equation_grafts_only_below_the_last_level(monkeypatch):
 
 def test_one_search_counts_two_5_stars(monkeypatch):
     """Exact work: two disjoint 5-stars have 21,812 amalgamations, counted
-    from the sites of one search's held levels of 11, 132, 1,788 and 6,140
-    trees, one per graft of b1, ..., b4."""
+    from the sites of one search's levels of 11, 132, 1,788 and 6,140 trees,
+    one per graft of b1, ..., b4; the first three are held, the last is
+    walked one tree at a time."""
     built = []
     graft = Tree._graft
 

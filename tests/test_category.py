@@ -12,8 +12,8 @@ Core claims:
       algebra stores is the retag-and-key oracle's, and nothing retags it
       again
     - an object with a multi-label leaf has the diagonal, transposes,
-      embeddings, compositions and Gram determinant of the object with one
-      label there
+      embeddings, compositions, Gram determinant and traces of the object
+      with one label there, and its traces via trees are those of products
     - numeric composition equals symbolic composition then substitution
     - truncation keeps low-level terms, is multiplicative at the level
       parameter, and is the identity when nothing exceeds the bound
@@ -151,6 +151,28 @@ def test_objects_with_a_multi_label_leaf():
         data = json.loads(out)
         grams.append((len(data["basis"]), data["det_factored"]))
     assert grams[0] == grams[1] == (10, "t^10*(t-2)^11*(t-3) / (t-1)^32")
+
+
+def test_traces_on_an_object_with_a_multi_label_leaf():
+    """The labels a/b of one leaf share a class of the trace search, so the
+    trace via trees is that of the product, and equals the trace of (a,c)."""
+    alg, plain = algebra_for(parse_tree("(a/b,c)")), algebra_for(parse_tree("(a,c)"))
+    b0, p0 = alg.basis_element(0), plain.basis_element(0)
+    cube = triple_trace(*[alg.basis[0]] * 3)
+    assert cube == alg.utr(b0 * b0 * b0) == plain.utr(p0 * p0 * p0) != ZERO
+    for i, j in product(range(0, 10, 3), repeat=2):
+        row = dict(alg.product_row(i, j))
+        for k in range(alg.dim):
+            traced = triple_trace(alg.basis[alg.transposes[k]], alg.basis[i], alg.basis[j])
+            assert traced == row.get(k, ZERO) * mu_symbolic(alg.basis[k].whole), (i, j, k)
+    outs = []
+    for text in ("(1/2,3)", "(1,3)"):
+        key = json.loads(run(["algebra", "gram", "--tree", text])[1])["basis"][0]
+        code, out = run(["algebra", "trace", "--tree", text, "--u", key, "--v", key, "--w", key])
+        assert code == 0
+        data = json.loads(out)
+        outs.append((data["triple_trees"], data["utr"]))
+    assert outs[0] == outs[1] == (10, "4*t^5-29*t^4+78*t^3-92*t^2+40*t / t^6-6*t^5+15*t^4-20*t^3+15*t^2-6*t+1")
 
 
 def test_transpose_involution_and_antihomomorphism():

@@ -68,9 +68,10 @@ def test_enumerate():
 
 
 def test_a_raised_label_cap_meets_the_frontier_cap():
-    """Ten labels would hold the 660,032 trees on nine before the last
-    level; the search refuses that level before building it.  The command
-    runs in a child process limited to 1.5 GB of address space."""
+    """Ten labels have the 660,032 trees on nine before the last level;
+    the enumerator counts that level and refuses it before building it.
+    The command runs in a child process limited to 1.5 GB of address
+    space."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"

@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from arboreal.amalgam import amalgamations
+from arboreal.amalgam import amalgamations, enumerate_trees
 from arboreal.measure import (
     SYMBOLIC,
     LevelError,
@@ -50,7 +50,7 @@ from arboreal.measure import (
     verify_amalgamation_equation,
 )
 from arboreal.ratfun import ONE, Poly, RatFun
-from arboreal.trees import EMPTY_TREE, Tree, TreeError, enumerate_trees, parse_tree, shape_key
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, parse_tree, shape_key
 
 T = RatFun.t()
 

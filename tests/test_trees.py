@@ -39,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arboreal.amalgam import enumerate_trees
 from arboreal.category import algebra_for, retag
 from arboreal.trees import (
     EMPTY_TREE,
@@ -47,7 +48,6 @@ from arboreal.trees import (
     TreeError,
     build_tree,
     canonical_key,
-    enumerate_trees,
     parse_tree,
     stats,
 )
