@@ -40,20 +40,29 @@ results and sort them.  A count is the number of sites, and the signatures
 each parent tree and site, so neither builds a last-level tree.  With no
 constraint and one label per class, the search lists every tree on a label
 set (:func:`enumerate_trees`).
+
+Input is validated where it comes in, and what the program builds is
+trusted.  The public :class:`Amalgamation` constructor checks outside
+wholes, and :func:`trees_with_restrictions` checks outside classes and
+constraints.  The enumerators take their classes from valid trees, so every
+search checks only its bounds (:func:`_check_classes`), and each
+amalgamation they build comes from the unchecked :meth:`Amalgamation._of`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _breadth_first, _check_labels, _signature
 
 MAX_CLASSES = 15
 FRONTIER_CAP = 200_000
+LISTING_CAP = 1_000_000  # every listing of nine labels: at most 660,032 trees
 DEFAULT_LABEL_CAP = 9
 
 
@@ -67,24 +76,33 @@ class Amalgamation:
 
     ``whole`` carries every label of ``left`` and ``right``; shared labels
     appear once, and a leaf carrying labels of both sides is an identified
-    leaf.  No leaf joins two leaves of one side.  ``sides``, two trees whose
-    leaves hold those of the left and right side trees, gives those leaves;
-    without it each label is a leaf of its own.  It is not kept.
+    leaf.  The constructor validates outside input: the whole must cover
+    both blocks, and no leaf may carry two labels of one block.  The
+    program builds its own amalgamations with :meth:`_of`, where a leaf may
+    also carry a whole multi-label leaf of one side.
     """
 
     whole: Tree
     left: FrozenSet[str]
     right: FrozenSet[str]
-    sides: InitVar[Optional[Tuple[Tree, Tree]]] = None
 
-    def __post_init__(self, sides):
+    def __post_init__(self):
         if self.whole.label_set != self.left | self.right:
             raise AmalgamError("whole tree does not cover both label blocks")
-        for block, side in zip((self.left, self.right), sides or (None, None)):
-            for ls in self.whole.labels:
-                mine = [l for l in ls if l in block] if len(ls) > 1 else ls
-                if len(mine) > 1 and (side is None or len({side.leaf_of(l) for l in mine}) > 1):
-                    raise AmalgamError("leaf carries two labels from one side")
+        for ls in self.whole.labels:
+            if len(ls) > 1 and (len(self.left.intersection(ls)) > 1 or len(self.right.intersection(ls)) > 1):
+                raise AmalgamError("leaf carries two labels from one side")
+
+    @classmethod
+    def _of(cls, whole: Tree, left: FrozenSet[str], right: FrozenSet[str]) -> "Amalgamation":
+        """Trusted: an amalgamation the program built.  Nothing is validated."""
+        am = object.__new__(cls)
+        # set as the frozen __init__ sets them: a __dict__.update would
+        # expand the compact instance layout to a full dict
+        object.__setattr__(am, "whole", whole)
+        object.__setattr__(am, "left", left)
+        object.__setattr__(am, "right", right)
+        return am
 
     @property
     def key(self) -> str:
@@ -97,7 +115,7 @@ class Amalgamation:
         return self.whole.restrict(self.right)
 
     def swap(self) -> "Amalgamation":
-        return Amalgamation(self.whole, self.right, self.left, (self.whole, self.whole))
+        return Amalgamation._of(self.whole, self.right, self.left)
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -120,7 +138,7 @@ class TripleAmalgamation:
 
     def pair(self, i: int, j: int) -> Amalgamation:
         bi, bj = self.blocks[i], self.blocks[j]
-        return Amalgamation(self.whole.restrict(bi | bj), bi, bj, (self.whole, self.whole))
+        return Amalgamation._of(self.whole.restrict(bi | bj), bi, bj)
 
 
 def trees_with_restrictions(
@@ -141,31 +159,28 @@ def trees_with_restrictions(
     sites are selected by their places (see :func:`_clades`) and only kept
     trees are built.  No tree is built twice: deleting the new leaf gives
     back ``t`` and its site.  The last frontier is returned as it stands, in
-    no promised order.
+    no promised order.  As the classes and constraints come from outside,
+    their labels must be well-formed, used once and known to their trees.
     """
-    _check_classes(classes, constraints, max_level)
-    return list(_trees_with_restrictions(classes, constraints, max_level))
-
-
-def _check_classes(
-    classes: Sequence[Tuple[str, ...]],
-    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
-    max_level: Optional[int] = None,
-) -> None:
-    """The checks of :func:`trees_with_restrictions`: a level bound of at
-    least 3, at most MAX_CLASSES classes, well-formed labels used once, and
-    no constrained label unknown to its tree.  A join keeps the labels of
-    both classes, so a check of the unjoined classes covers every tree."""
-    if max_level is not None and max_level < 3:
-        raise TreeError("max_level must be at least 3")
-    if len(classes) > MAX_CLASSES:
-        raise AmalgamError("quotient label set has %d classes (cap %d)" % (len(classes), MAX_CLASSES))
+    _check_classes(classes, max_level)
     labels = [l for cls in sorted((tuple(sorted(c)) for c in classes), key=min) for l in cls]
     _check_labels(labels)
     for (subset, expected) in constraints:
         unknown = subset.intersection(labels) - expected.label_set
         if unknown:
             raise TreeError("unknown labels %s" % sorted(unknown))
+    return list(_trees_with_restrictions(classes, constraints, max_level))
+
+
+def _check_classes(classes: Sequence[Tuple[str, ...]], max_level: Optional[int]) -> None:
+    """The bounds every search checks: a level bound of at least 3 and at
+    most MAX_CLASSES classes.  Labels are checked where they come in: by
+    :func:`trees_with_restrictions`, or by the trees the classes are
+    taken from."""
+    if max_level is not None and max_level < 3:
+        raise TreeError("max_level must be at least 3")
+    if len(classes) > MAX_CLASSES:
+        raise AmalgamError("quotient label set has %d classes (cap %d)" % (len(classes), MAX_CLASSES))
 
 
 def _trees_with_restrictions(
@@ -174,8 +189,7 @@ def _trees_with_restrictions(
     max_level: Optional[int],
     seed: Tree = EMPTY_TREE,
 ) -> Iterator[Tree]:
-    """:func:`trees_with_restrictions` for classes and constraints that
-    passed :func:`_check_classes` (not checked again), each tree grown from
+    """:func:`trees_with_restrictions` without its checks, each tree grown from
     ``seed`` (see :func:`_frontier_sites`), as a stream that builds the last
     two levels one penultimate tree at a time; with no class left, a nonempty
     seed is the one tree, and the empty one fits only empty constraints."""
@@ -361,11 +375,12 @@ def _clades(
 @lru_cache(maxsize=256)
 def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
     # the search with no constraint builds each tree once, so only the
-    # result is keyed; as the listing keeps its last level whole, the level
-    # before it must stay within FRONTIER_CAP: 39,208 trees for 9 labels
+    # result is keyed; the listing is held whole, so its own size, counted
+    # at the last level's sites until it passes LISTING_CAP, is bounded
     classes = [(l,) for l in labels]
-    if _site_count(classes[:-1], (), max_level) > FRONTIER_CAP:
-        raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
+    sites = (len(s) for _, s, _ in _frontier_sites(classes, (), max_level)) if classes else ()
+    if any(n > LISTING_CAP for n in accumulate(sites)):
+        raise AmalgamError("enumeration listing exceeded %d trees" % LISTING_CAP)
     return tuple(sorted(_trees_with_restrictions(classes, (), max_level), key=Tree.canonical_key))
 
 
@@ -380,7 +395,7 @@ def enumerate_trees(
     ``max_level`` keeps only trees whose every node has valence at most that
     bound (valid to apply during construction, since deleting a leaf never
     raises a valence).  More labels than ``cap`` raise :class:`TreeError`; a
-    raised cap meets FRONTIER_CAP, an :class:`AmalgamError`, from ten labels.
+    raised cap meets LISTING_CAP, an :class:`AmalgamError`, from ten labels.
     """
     labs = tuple(sorted(labels))
     _check_labels(labs)
@@ -448,7 +463,7 @@ def _amalgamation_classes(
         raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
-    _check_classes(classes, constraints, max_level)
+    _check_classes(classes, max_level)
     free1 = [c for c in classes if (i1 - shared).issuperset(c)]
     free2 = [c for c in classes if (i2 - shared).issuperset(c)]
     if len(free2) > len(free1):
@@ -464,7 +479,7 @@ def amalgamations(
     """All amalgamations of t1 and t2 up to label-preserving isomorphism,
     sorted by canonical key (see :func:`amalgamation_trees`)."""
     left, right = t1.label_set, t2.label_set
-    ams = [Amalgamation(whole, left, right, (t1, t2)) for whole in amalgamation_trees(t1, t2, max_level)]
+    ams = [Amalgamation._of(whole, left, right) for whole in amalgamation_trees(t1, t2, max_level)]
     return sorted(ams, key=lambda a: a.key)
 
 
@@ -518,7 +533,7 @@ def triple_amalgamations(
     if b1 & b3 or b1 & b2 or b2 & b3:
         raise AmalgamError("triple blocks must be disjoint")
     out = [
-        (TripleAmalgamation(z, (b1, b2, b3)), Amalgamation(z.restrict(b1 | b3), b1, b3, (x.whole, y.whole)))
+        (TripleAmalgamation(z, (b1, b2, b3)), Amalgamation._of(z.restrict(b1 | b3), b1, b3))
         for z in amalgamation_trees(x.whole, y.whole, max_level)
     ]
     return sorted(out, key=lambda pair: pair[0].key)

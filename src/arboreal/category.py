@@ -41,6 +41,7 @@ from arboreal.measure import (
     _measure_sum,
     _mu_symbolic_key,
     _product,
+    _specialize,
     mu_symbolic,
     register_measure_cache,
 )
@@ -59,7 +60,9 @@ def _coeff(c: Coeff) -> RatFun:
 
 
 def tag_labels(tree: Tree, tag: str) -> Tree:
-    return tree.relabel({l: tag + l for l in tree.label_set})
+    """Prefix every label with a block tag, on the same graph; a common
+    prefix keeps each leaf's labels sorted."""
+    return Tree(tree.adj, tuple(tuple(tag + l for l in ls) for ls in tree.labels))
 
 
 def retag(tree: Tree, mapping: Dict[str, str]) -> Tree:
@@ -94,12 +97,10 @@ def tensor_summands(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> List
 
 
 def diagonal_amalgamation(tree: Tree) -> Amalgamation:
-    """The identity self-amalgamation: every leaf carries both tags."""
-    tagged = tag_labels(tree, SOURCE_TAG)
-    whole = tagged.merge_labels(
-        {SOURCE_TAG + l: (TARGET_TAG + l,) for l in tree.label_set}
-    )
-    return Amalgamation(whole, _block(tree, SOURCE_TAG), _block(tree, TARGET_TAG), (whole, whole))
+    """The identity self-amalgamation: every leaf carries both tags, the
+    source labels sorting first."""
+    labels = tuple(tuple(SOURCE_TAG + l for l in ls) + tuple(TARGET_TAG + l for l in ls) for ls in tree.labels)
+    return Amalgamation._of(Tree(tree.adj, labels), _block(tree, SOURCE_TAG), _block(tree, TARGET_TAG))
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def identity_hom(tree: Tree) -> HomElement:
 def transpose(f: HomElement) -> HomElement:
     """Swap the two blocks of every term; reverses source and target."""
     left, right = _block(f.target, SOURCE_TAG), _block(f.source, TARGET_TAG)
-    out = {Amalgamation(w, left, right, (w, w)): c for am, c in f.terms for w in [retag(am.whole, _SWAP)]}
+    out = {Amalgamation._of(retag(am.whole, _SWAP), left, right): c for am, c in f.terms}
     return HomElement.make(f.target, f.source, out)
 
 
@@ -192,7 +193,7 @@ def embedding_morphisms(
     beta = HomElement.basis(
         sub,
         super_tree,
-        Amalgamation(whole, _block(sub, SOURCE_TAG), _block(super_tree, TARGET_TAG), (whole, whole)),
+        Amalgamation._of(whole, _block(sub, SOURCE_TAG), _block(super_tree, TARGET_TAG)),
     )
     return beta, transpose(beta)
 
@@ -230,7 +231,7 @@ def _composition_table(
         y3 = z.restrict(outer)
         extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
-        (Amalgamation(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right, (gu.whole, fv.whole)),
+        (Amalgamation._of(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
          _embedding_sum(y3, zs))
         for _, (y3, zs) in sorted(extensions.items())
     )
@@ -292,19 +293,15 @@ def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement
     """The composition f after g, computed symbolically.
 
     With a finite-level parameter the sum only runs over extensions within
-    the level bound and the resulting coefficients are evaluated at t = n;
-    with a numeric parameter the symbolic result is evaluated at t.
+    the level bound.  Every coefficient is then specialized to the mode
+    (see :func:`measure._specialize`): evaluated at t or at t = n, or its
+    limit as t grows.
     """
     if g.target != f.source:
         raise TreeError("middle objects do not match")
     max_level = p.n if p.mode == "level" else None
     terms = _bilinear(g.terms, f.terms, lambda gu, fv: _composition_table(gu, fv, max_level))
-    h = HomElement.make(g.source, f.target, terms)
-    if p.mode == "numeric":
-        return evaluate_coefficients(h, p.t)
-    if p.mode == "level":
-        return evaluate_coefficients(h, p.n)
-    return h
+    return HomElement.make(g.source, f.target, {am: _specialize(c, p) for am, c in terms.items()})
 
 
 def categorical_trace(e: HomElement) -> RatFun:
@@ -374,7 +371,7 @@ def _trace_and_count(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> Tuple
     search = _trace_search(u, v, w)
     if not search:
         return ZERO, 0
-    _check_classes(*search)
+    _check_classes(search[0], None)
     tally = _site_signatures(*search, None)
     return _measure_sum(tally), sum(tally.values())
 

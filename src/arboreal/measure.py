@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 
 from arboreal.amalgam import _amalgamation_signatures
 from arboreal.ratfun import ZERO, Poly, RatFun
-from arboreal.trees import Tree, TreeError, _signature, build_tree, parse_tree
+from arboreal.trees import Tree, TreeError, _signature, parse_tree
 
 Value = Union[RatFun, Fraction, int]
 Signature = Tuple[int, Tuple[int, ...]]  # leaf count, sorted node valences
@@ -302,13 +302,8 @@ def star_tree(m: int, prefix: str = "v") -> Tree:
     """The tree with m leaves on one node (an edge for m = 2, a point for 1)."""
     if m < 1:
         raise ValueError("star size must be >= 1")
-    labels = {i: ("%s%d" % (prefix, i + 1),) for i in range(m)}
-    if m == 1:
-        return build_tree([0], [], labels)
-    if m == 2:
-        return build_tree([0, 1], [(0, 1)], labels)
-    edges = [(i, m) for i in range(m)]
-    return build_tree(range(m + 1), edges, labels)
+    names = ",".join("%s%d" % (prefix, i) for i in range(1, m + 1))
+    return parse_tree(names if m == 1 else "(%s)" % names)
 
 
 def marked_star(m: int) -> MarkedTree:

@@ -36,7 +36,7 @@ from arboreal.measure import (
     theta_generator_values,
 )
 from arboreal.ratfun import Poly, RatFun
-from arboreal.trees import Tree, TreeError, build_tree
+from arboreal.trees import Tree, TreeError, _check_labels
 
 
 def mark_type(mt: MarkedTree) -> str:
@@ -489,33 +489,15 @@ def ss2_witness(y: Tree, x: Tree, h: int) -> Tuple[Tree, int]:
     )
     a = spare[0]
     fresh = ["%s.w%d" % (a, i) for i in range(1, h + 1)]
-    n = len(y.adj)
     av = y.leaf_of(a)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in y.adj[u]
-        if u < v and av not in (u, v)
-    ]
-    labels = {v: y.labels_of(v) for v in range(n) if v != av and y.labels_of(v)}
-    anchor = y.adj[av][0] if y.adj[av] else None
-    prev = anchor
-    extra = 0
-    for i, lab in enumerate(fresh[:-1]):
-        chain_v = n + extra
-        leaf_v = n + extra + 1
-        extra += 2
-        if prev is not None:
-            edges.append((prev, chain_v))
-        labels[leaf_v] = (lab,)
-        edges.append((chain_v, leaf_v))
-        prev = chain_v
-    last_leaf = n + extra
-    labels[last_leaf] = (fresh[-1],)
-    if prev is not None:
-        edges.append((prev, last_leaf))
-    vertices = [v for v in range(n) if v != av] + list(range(n, n + extra + 1))
-    z = build_tree(vertices, edges, labels)
+    _check_labels(fresh, y.label_set.difference(y.labels[av]))
+    # the leaf of a takes the last fresh label, and each other one is
+    # grafted on its pendant edge, nearest the rest of y first
+    labels = list(y.labels)
+    labels[av] = (fresh[-1],)
+    z = Tree(y.adj, tuple(labels))
+    for lab in fresh[:-1]:
+        z = z._graft(tuple(sorted((av, z.adj[av][0]))) if z.adj[av] else (-1, -1), (lab,))
     if z.level > max(y.level, 3):
         raise AssertionError("witness construction raised the level")
     return z, count_extensions(y, x_labels, z)

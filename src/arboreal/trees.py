@@ -42,14 +42,13 @@ class Tree:
     the identity, and compares canonical keys otherwise; hashing uses keys.
     """
 
-    __slots__ = ("adj", "labels", "_key", "_shape", "_hash", "_leaf_of")
+    __slots__ = ("adj", "labels", "_key", "_shape", "_leaf_of")
 
     def __init__(self, adj: Tuple[Tuple[int, ...], ...], labels: Tuple[Tuple[str, ...], ...]):
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_shape", None)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_leaf_of", None)
 
     def __setattr__(self, name, value):
@@ -168,9 +167,8 @@ class Tree:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.canonical_key()))
-        return self._hash
+        # a key is never empty, and a str caches its own hash
+        return hash(self._key or self.canonical_key())
 
     def __repr__(self) -> str:
         return "Tree(%r)" % (self.canonical_key(),)

@@ -15,7 +15,7 @@ Core claims:
     - guided site selection keeps exactly what filtering every insertion
       candidate keeps, and builds no tree it does not keep
     - the constrained search checks its cap and labels; the enumerators
-      check their classes once per enumeration, not once per matching, and
+      check their bounds once per enumeration, not once per matching, and
       reject level bounds below 3
     - the stream yields each amalgamation once and keys none of them; the
       consumers that count, group by shape or sum measures key no whole tree
@@ -29,9 +29,9 @@ Core claims:
       the signatures equal those of the unseeded search over every matching,
       the clade pass runs only for the other side's leaves, and two 5-stars'
       count makes an exact number of grafts
-    - listing, count and shape sum agree on every seeded case: checked
-      against the side trees, a leaf may carry a whole leaf class of one
-      side but may not join two of its leaves
+    - listing, count and shape sum agree on every seeded case: a listed
+      leaf may carry a whole leaf class of one side, while the public
+      constructor refuses a leaf with two labels of one side
 """
 
 import json
@@ -717,24 +717,23 @@ def test_listing_count_and_shapes_agree():
 
 
 def test_a_leaf_may_carry_a_whole_leaf_class_of_one_side():
-    """Given the side trees, a leaf may carry every label of one leaf of
-    each side, and may not join two leaves of one side; without them every
-    label is a leaf of its own."""
+    """The listing's leaves may carry every label of one leaf of each side;
+    the public constructor, for outside input, takes every label as a leaf
+    of its own and refuses a leaf with two labels of one side."""
     t1, t2 = parse_tree("(1/3,2)"), parse_tree("(3,4,5)")
     left, right = t1.label_set, t2.label_set
     whole = parse_tree("((1/3,2),4,5)")
-    assert Amalgamation(whole, left, right, (t1, t2)).left_tree() == t1
-    with pytest.raises(AmalgamError, match="two labels from one side"):
-        Amalgamation(whole, left, right)
-    for joined in ("((1/2/3,4),5)", "((1/3,2),4/5)"):
+    (am,) = [a for a in amalgamations(t1, t2) if a.whole == whole]
+    assert am.left_tree() == t1
+    for joined in ("((1/3,2),4,5)", "((1/2/3,4),5)", "((1/3,2),4/5)"):
         with pytest.raises(AmalgamError, match="two labels from one side"):
-            Amalgamation(parse_tree(joined), left, right, (t1, t2))
-    # a triple's outer pair is checked against the two wholes
+            Amalgamation(parse_tree(joined), left, right)
+    # a triple's outer pair keeps the leaf class 1/2 of its left side
     x = amalgamations(parse_tree("(1/2,3)"), parse_tree("(4,5)"))[0]
     y = amalgamations(parse_tree("(4,5)"), parse_tree("(6,7)"))[0]
     triples = triple_amalgamations(x, y)
     assert triples and all(xz.left_tree() == x.left_tree() for _, xz in triples)
-    # a swap, and a pair of a triple, are checked against their own wholes
+    # so do a swap and a pair of a triple
     assert x.swap().right_tree() == parse_tree("(1/2,3)")
     assert {z.pair(0, 1).key for z, _ in triples} == {x.key}
 

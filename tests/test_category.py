@@ -14,7 +14,10 @@ Core claims:
     - an object with a multi-label leaf has the diagonal, transposes,
       embeddings, compositions, Gram determinant and traces of the object
       with one label there, and its traces via trees are those of products
-    - numeric composition equals symbolic composition then substitution
+    - numeric composition equals symbolic composition then substitution,
+      and infinity composition takes each coefficient's limit
+    - bases, compositions, transposes and diagonals build their
+      amalgamations unvalidated; a public construction validates once
     - truncation keeps low-level terms, is multiplicative at the level
       parameter, and is the identity when nothing exceeds the bound
     - minimal polynomials and idempotent reports behave on easy elements
@@ -37,7 +40,7 @@ from itertools import product
 import pytest
 
 from arboreal import category
-from arboreal.amalgam import _site_signatures, amalgamation_trees, trees_with_restrictions
+from arboreal.amalgam import Amalgamation, _site_signatures, amalgamation_trees, trees_with_restrictions
 from arboreal.cli import run
 from arboreal.category import (
     ArborealAlgebra,
@@ -126,7 +129,7 @@ def test_embedding_morphisms_special_cases():
 
 
 def test_objects_with_a_multi_label_leaf():
-    """Each term is checked against its own side trees, so a leaf carrying
+    """Each term is built on the trusted path, unchecked, so a leaf carrying
     a/b is one leaf of the object: its morphisms behave as those of (a,c)."""
     obj = parse_tree("(a/b,c)")
     diag = diagonal_amalgamation(obj)
@@ -209,6 +212,54 @@ def test_numeric_composition_matches_symbolic(edge):
     sym = compose(f, g)
     num = compose(f, g, ParamSpec.numeric(Fraction(9, 2)))
     assert num.terms == evaluate_coefficients(sym, Fraction(9, 2)).terms
+
+
+def test_infinity_composition_takes_the_limit_of_each_coefficient(edge):
+    """Under infinity every coefficient of the symbolic composition becomes
+    its limit as t grows, and zero limits are pruned: on the edge algebra,
+    basis 3 after basis 5 has five terms t-3 / t-1, of limit 1, and one
+    term -2 / t-1, of limit 0.  Each limit is also checked against the
+    value at t = 10^12."""
+    alg = edge.algebra
+    inf = ParamSpec.infinity()
+
+    def limit(c):
+        return Fraction(c.num.leading(), c.den.leading()) if c.num.degree == c.den.degree else 0
+
+    f, g = (HomElement.basis(EDGE, EDGE, alg.basis[i]) for i in (3, 5))
+    sym = compose(f, g).terms
+    assert sorted(str(c) for _, c in sym) == ["-2 / t-1"] + ["t-3 / t-1"] * 5
+    assert compose(f, g, inf).terms == tuple((am, ONE) for am, c in sym if str(c) == "t-3 / t-1")
+    for fi, gj in product(alg.basis, repeat=2):
+        f, g = HomElement.basis(EDGE, EDGE, fi), HomElement.basis(EDGE, EDGE, gj)
+        sym = compose(f, g).terms
+        for _, c in sym:
+            assert abs(c.evaluate(10 ** 12) - limit(c)) < Fraction(1, 10 ** 6)
+        want = tuple((am, RatFun.from_scalar(limit(c))) for am, c in sym if limit(c))
+        assert compose(f, g, inf).terms == want
+
+
+def test_internal_amalgamations_are_not_validated(monkeypatch):
+    """The program builds its amalgamations on the trusted path: the bases,
+    cold compositions, transposes and diagonals of the compose benchmark's
+    objects validate none of them, and one public construction validates
+    once."""
+    calls = []
+    check = Amalgamation.__post_init__
+    monkeypatch.setattr(Amalgamation, "__post_init__", lambda am: calls.append(am) or check(am))
+    monkeypatch.setattr(category, "_TRIPLE_CACHE", {})  # every table is built
+    objects = [parse_tree(text) for text in ("g1", "(g1,g2)", "(g1,g2,g3)")]
+    for a, b, c in product(objects, repeat=3):
+        if len(a.label_set) + len(c.label_set) <= 4:
+            f = HomElement.basis(b, c, hom_basis(b, c)[-1])
+            g = HomElement.basis(a, b, hom_basis(a, b)[0])
+            assert not transpose(compose(f, g)).is_zero()
+    for obj in objects:
+        assert categorical_trace(identity_hom(obj)) == mu_symbolic(obj)
+    assert calls == []
+    whole = parse_tree("(s:g1/t:g1,s:g2,t:g2)")
+    Amalgamation(whole, frozenset(("s:g1", "s:g2")), frozenset(("t:g1", "t:g2")))
+    assert len(calls) == 1
 
 
 def test_gram_structure(edge):

@@ -68,23 +68,25 @@ def test_enumerate():
 
 
 def test_a_raised_label_cap_meets_the_frontier_cap():
-    """Ten labels have the 660,032 trees on nine before the last level;
-    the enumerator counts that level and refuses it before building it.
-    The command runs in a child process limited to 1.5 GB of address
-    space."""
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
-        "from arboreal.cli import main\n"
-        "sys.argv[1:] = ['enumerate', '--labels', 'a,b,c,d,e,f,g,h,i,j', '--max-labels', '10']\n"
-        "main()\n"
-    )
+    """Ten labels have 12,818,912 trees, and 2,027,025 at level 3 although
+    their 9-label level, 135,135 trees, is within FRONTIER_CAP; the
+    enumerator counts the listing at its last level's sites and refuses it
+    once the count passes LISTING_CAP, before building it.  The command runs
+    in a child process limited to 1.5 GB of address space."""
     src = os.path.dirname(os.path.dirname(arboreal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "error: enumeration frontier exceeded 200000 trees\n"
-    assert proc.stdout == ""
+    for bound in ([], ["--max-level", "3", "--count"]):
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+            "from arboreal.cli import main\n"
+            "sys.argv[1:] = %r\n"
+            "main()\n"
+        ) % (["enumerate", "--labels", "a,b,c,d,e,f,g,h,i,j", "--max-labels", "10"] + bound,)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: enumeration listing exceeded 1000000 trees\n"
+        assert proc.stdout == ""
 
 
 def test_measure_modes_and_errors():

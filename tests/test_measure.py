@@ -19,6 +19,7 @@ Core claims:
       also where the base's measure vanishes; it restricts t1 once
     - the embedding of a restriction keys no tree
     - finite-level mode enforces the level bound instead of dividing by zero
+    - the parsed stars are the stars given as graph data
     - the once-normalized sum of embedding measures equals the sum of the
       embeddings' measures, under perturbations too
 """
@@ -50,7 +51,7 @@ from arboreal.measure import (
     verify_amalgamation_equation,
 )
 from arboreal.ratfun import ONE, Poly, RatFun
-from arboreal.trees import EMPTY_TREE, Tree, TreeError, parse_tree, shape_key
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, build_tree, parse_tree, shape_key
 
 T = RatFun.t()
 
@@ -255,6 +256,21 @@ def test_finite_level_mode():
         ParamSpec.finite_level(2)
     with pytest.raises(ValueError):
         ParamSpec.numeric(1)
+
+
+def test_star_tree_is_the_edge_list_construction():
+    """The parsed star equals the star given as explicit graph data."""
+    for m in range(1, 9):
+        labels = {i: ("v%d" % (i + 1),) for i in range(m)}
+        if m == 1:
+            want = build_tree([0], [], labels)
+        elif m == 2:
+            want = build_tree([0, 1], [(0, 1)], labels)
+        else:
+            want = build_tree(range(m + 1), [(i, m) for i in range(m)], labels)
+        assert star_tree(m) == want
+    with pytest.raises(ValueError):
+        star_tree(0)
 
 
 def test_marked_type_codes():

@@ -10,12 +10,15 @@ Core claims:
     - duplicate diagrams of the minimal shapes reproduce the defining
       relations with zero residuals on both sides
     - the many-extensions witness produces enough embeddings without raising
-      the level
+      the level, and its trees, built by graft, are those of the edge-list
+      construction through build_tree
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.measure import (
     SYMBOLIC,
@@ -45,7 +48,8 @@ from arboreal.theta import (
     theta_to_mu,
     verify_L_relation,
 )
-from arboreal.trees import TreeError, parse_tree
+from arboreal.amalgam import enumerate_trees
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, build_tree, parse_tree
 
 T = RatFun.t()
 
@@ -297,3 +301,65 @@ def test_ss2_witness_levels():
         z, count = ss2_witness(y, x, h)
         assert count >= h
         assert z.level <= max(y.level, 3)
+
+
+def witness_by_edges(y: Tree, x: Tree, h: int) -> Tree:
+    """The oracle: ss2_witness's tree as explicit graph data through
+    build_tree, the leaf of a deleted and a chain of h - 1 cherries and a
+    last leaf hung from its neighbour."""
+    x_labels = x.label_set
+    a = min(min(y.labels_of(v)) for v in y.leaves() if x_labels.isdisjoint(y.labels_of(v)))
+    fresh = ["%s.w%d" % (a, i) for i in range(1, h + 1)]
+    n = len(y.adj)
+    av = y.leaf_of(a)
+    edges = [(u, v) for u in range(n) for v in y.adj[u] if u < v and av not in (u, v)]
+    labels = {v: y.labels_of(v) for v in range(n) if v != av and y.labels_of(v)}
+    prev = y.adj[av][0] if y.adj[av] else None
+    for i, lab in enumerate(fresh[:-1]):
+        chain_v, leaf_v = n + 2 * i, n + 2 * i + 1
+        if prev is not None:
+            edges.append((prev, chain_v))
+        labels[leaf_v] = (lab,)
+        edges.append((chain_v, leaf_v))
+        prev = chain_v
+    last = n + 2 * (h - 1)
+    labels[last] = (fresh[-1],)
+    if prev is not None:
+        edges.append((prev, last))
+    return build_tree([v for v in range(n) if v != av] + list(range(n, last + 1)), edges, labels)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_ss2_witness_is_the_edge_list_construction(n, h, rng):
+    """On a random y with n leaves, some carrying two labels, and a proper
+    restriction x keeping whole leaves and parts of leaves, the grafted
+    witness has the oracle's canonical key and the same count."""
+    labels = "abcd"[:n]
+    y = rng.choice(enumerate_trees(labels))
+    y = y.merge_labels({l: [l + "x"] for l in labels if rng.random() < 0.3})
+    spare = rng.choice(labels)
+    keep = [l for l in sorted(y.label_set) if l[0] != spare and rng.random() < 0.7]
+    x = y.restrict(keep)
+    z, count = ss2_witness(y, x, h)
+    want = witness_by_edges(y, x, h)
+    assert z.canonical_key() == want.canonical_key()
+    assert count == count_extensions(y, x.label_set, want)
+
+
+def test_ss2_witness_on_one_leaf_and_colliding_labels():
+    """A one-leaf y grows a caterpillar of the fresh labels alone; a fresh
+    label that another leaf of y holds is refused, as by build_tree."""
+    for text in ("a", "a/b"):
+        for h in range(1, 6):
+            z, _ = ss2_witness(parse_tree(text), EMPTY_TREE, h)
+            assert z == witness_by_edges(parse_tree(text), EMPTY_TREE, h)
+    y, x = parse_tree("(a,a.w1,b)"), parse_tree("b")
+    for h in (1, 2):
+        with pytest.raises(TreeError, match="duplicate label 'a.w1'"):
+            ss2_witness(y, x, h)
+        with pytest.raises(TreeError, match="duplicate label 'a.w1'"):
+            witness_by_edges(y, x, h)
+    # the leaf of a gives its own labels up
+    y = parse_tree("(a/a.w1,b,c)")
+    assert ss2_witness(y, parse_tree("b"), 2)[0] == witness_by_edges(y, parse_tree("b"), 2)
