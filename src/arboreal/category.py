@@ -198,9 +198,13 @@ def embedding_morphisms(
     return beta, transpose(beta)
 
 
-# Structure-constant tables kept, oldest evicted first: enough for every
-# table of paper-check (about 400) and a round of cold compositions.
-TRIPLE_CACHE_CAP = 4096
+# Structure-constant tables kept, least recently used evicted first.  The
+# cap holds each of three measured working sets: one paper-check (404
+# tables), one round of cold compositions (157 to 174), and one product of a
+# dense element by a three-term element of End((1,2,3)) (3 x 548 = 1,644).
+# A cyclic scan larger than the cap misses on every read under any eviction
+# order: at 1,024 each power of such an element rebuilds every table.
+TRIPLE_CACHE_CAP = 2048
 _TRIPLE_CACHE: Dict[Tuple[str, str, Optional[int]], Tuple] = {}
 register_measure_cache(_TRIPLE_CACHE.clear)
 
@@ -214,26 +218,30 @@ def _composition_table(
     y3.
 
     The three blocks carry the tags "1:", "2:", "3:" while the extensions
-    are enumerated, as the amalgamations of the two wholes over block 2;
-    the extensions are grouped by the key of y3 and summed by signature,
-    and no extension gets a key of its own.  The stored restrictions are
-    tagged "s:"/"t:" again, in key order.
+    are enumerated, as the amalgamations of the two wholes over block 2.
+    Each y3 is built once in its stored "s:"/"t:" tags, on the label
+    strings of ``gu.left`` and ``fv.right``, and keyed once; the extensions
+    are grouped by that key and summed by signature, and no extension gets
+    a key of its own.  The rows are stored in key order.
     """
     key = (gu.key, fv.key, max_level)
-    hit = _TRIPLE_CACHE.get(key)
+    hit = _TRIPLE_CACHE.pop(key, None)
     if hit is not None:
+        _TRIPLE_CACHE[key] = hit  # now the most recently used
         return hit
     u = retag(gu.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"})
     v = retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"})
-    outer = u.label_set ^ v.label_set
-    extensions: Dict[str, Tuple[Tree, List[Tree]]] = {}
+    # "1:" -> "s:" and "3:" -> "t:" keep the order of every leaf's labels
+    stored = {"1:" + l[2:]: l for l in gu.left}
+    stored.update(("3:" + l[2:], l) for l in fv.right)
+    rows: Dict[str, Tuple[Tree, List[Tree]]] = {}
     for z in amalgamation_trees(u, v, max_level):
-        y3 = z.restrict(outer)
-        extensions.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
+        y = z.restrict(stored)
+        y3 = Tree(y.adj, tuple(tuple(map(stored.__getitem__, ls)) for ls in y.labels))
+        rows.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
     table = tuple(
-        (Amalgamation._of(retag(y3, {"1:": SOURCE_TAG, "3:": TARGET_TAG}), gu.left, fv.right),
-         _embedding_sum(y3, zs))
-        for _, (y3, zs) in sorted(extensions.items())
+        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum(y3, zs))
+        for _, (y3, zs) in sorted(rows.items())
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
         del _TRIPLE_CACHE[next(iter(_TRIPLE_CACHE))]

@@ -298,14 +298,18 @@ def _cmd_paper_check(args) -> Tuple[int, Optional[Dict], List[str]]:
 def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
     """Run the CLI; returns (exit code, stdout text)."""
     scale = os.environ.get("ARBOREAL_MUTATE_MU")
-    if scale:
-        set_mu_perturbation(Fraction(scale))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return (int(e.code) if e.code else 0), ""
     try:
+        if scale:
+            try:
+                per_leaf = Fraction(scale)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("ARBOREAL_MUTATE_MU is not a rational number: %r" % scale) from None
+            set_mu_perturbation(per_leaf)
         if any(isinstance(a, str) and len(a) > TREE_TEXT_CAP for a in vars(args).values()):
             raise TreeError("an argument exceeds the cap of %d characters" % TREE_TEXT_CAP)
         if args.command == "enumerate":

@@ -16,6 +16,9 @@ Core claims:
       with one label there, and its traces via trees are those of products
     - numeric composition equals symbolic composition then substitution,
       and infinity composition takes each coefficient's limit
+    - the composition tables evict the least recently used; a composition
+      does not depend on which tables the cache holds, a repeated dense
+      product builds none, and the cap holds the measured working sets
     - bases, compositions, transposes and diagonals build their
       amalgamations unvalidated; a public construction validates once
     - truncation keeps low-level terms, is multiplicative at the level
@@ -456,6 +459,68 @@ def test_composition_table_keys_only_the_restrictions(keyed_sizes):
     category._TRIPLE_CACHE.clear()
     assert compose(g, f).terms
     assert keyed_sizes and max(keyed_sizes) < 6
+
+
+def test_composition_tables_evict_the_least_recently_used(monkeypatch):
+    """A read makes a table the most recently used: with room for two,
+    tables A and B, then a read of A, then a new table C evicts B."""
+    monkeypatch.setattr(category, "TRIPLE_CACHE_CAP", 2)
+    monkeypatch.setattr(category, "_TRIPLE_CACHE", {})
+    basis = hom_basis(EDGE, EDGE)
+    a, b, c = ((basis[i], basis[j], None) for i, j in ((0, 1), (1, 2), (2, 0)))
+    table_a = category._composition_table(*a)
+    category._composition_table(*b)
+    assert category._composition_table(*a) is table_a
+    category._composition_table(*c)
+    assert set(category._TRIPLE_CACHE) == {(x.key, y.key, None) for x, y, _ in (a, c)}
+
+
+def test_compositions_do_not_depend_on_the_cache_history(monkeypatch):
+    """Every chain compose allows among p, (p,q) and (p,q,r), with at most
+    four outer leaves, composes the same under a cap of one table, where
+    every table is rebuilt, as under the default cap, cold and then warm
+    with every table read from the cache."""
+    objects = [parse_tree(text) for text in ("p", "(p,q)", "(p,q,r)")]
+
+    def sparse(source, target):
+        basis = hom_basis(source, target)
+        return HomElement.make(source, target, {basis[0]: 1, basis[len(basis) // 2]: Fraction(2, 3),
+                                                basis[-1]: T - 2})
+
+    chains = [(sparse(b, c), sparse(a, b)) for a, b, c in product(objects, repeat=3)
+              if len(a.label_set) + len(c.label_set) <= 4]
+    assert len(chains) == 18
+
+    def composed():
+        return [json.dumps(compose(f, g).to_json()) for f, g in chains]
+
+    cap = category.TRIPLE_CACHE_CAP
+    monkeypatch.setattr(category, "TRIPLE_CACHE_CAP", 1)
+    monkeypatch.setattr(category, "_TRIPLE_CACHE", {})
+    rebuilt = composed()
+    monkeypatch.setattr(category, "TRIPLE_CACHE_CAP", cap)
+    monkeypatch.setattr(category, "_TRIPLE_CACHE", {})
+    assert composed() == rebuilt
+    builds = []
+    trees = category.amalgamation_trees
+    monkeypatch.setattr(category, "amalgamation_trees", lambda *args: builds.append(args) or trees(*args))
+    assert composed() == rebuilt
+    assert builds == []
+
+
+def test_repeated_dense_products_build_no_table(edge, monkeypatch):
+    """A work guard: a second dense product in the edge algebra reads all
+    of its 100 tables from the cache, and the cap holds the 1,644 tables of
+    a dense element times a three-term element of End((1,2,3))."""
+    alg = edge.algebra
+    dense = alg.element({i: i + 1 for i in range(alg.dim)})
+    alg.multiply(dense, dense)
+    builds = []
+    trees = category.amalgamation_trees
+    monkeypatch.setattr(category, "amalgamation_trees", lambda *args: builds.append(args) or trees(*args))
+    alg.multiply(dense, dense)
+    assert builds == []
+    assert category.TRIPLE_CACHE_CAP >= 3 * algebra_for(parse_tree("(1,2,3)")).dim
 
 
 def test_triple_trace_matches_composition(edge):

@@ -6,7 +6,8 @@ Core claims:
       among it a level bound below 3
     - output bytes are identical across repeated runs
     - the measure-perturbation hook makes the product-equation check fail,
-      which is how the harness proves the reference suite can fail
+      which is how the harness proves the reference suite can fail; a
+      malformed scale exits 2, and no run leaves the perturbation set
     - large inputs finish: 2,000-leaf trees and embeddings, and the Gram
       determinant of the 548-dimensional algebra of (1,2,3)
     - a raised label cap meets the frontier cap: exit 2 within bounded
@@ -21,6 +22,7 @@ import sys
 from fractions import Fraction
 
 import arboreal
+from arboreal import measure
 from arboreal.category import algebra_for
 from arboreal.cli import TREE_TEXT_CAP, run
 from arboreal.ratfun import parse_poly
@@ -197,6 +199,20 @@ def test_mutation_hook_fails_the_equation_check(monkeypatch):
     monkeypatch.delenv("ARBOREAL_MUTATE_MU")
     code, _ = run(["paper-check", "--scope", "sec1-equation"])
     assert code == 0
+
+
+def test_a_malformed_mutation_scale_exits_2(monkeypatch, capsys):
+    """A scale that is not a rational number is refused with exit 2, and
+    no run leaves a perturbation behind, not even one refused by the
+    argument parser."""
+    for scale in ("abc", "1/0"):
+        monkeypatch.setenv("ARBOREAL_MUTATE_MU", scale)
+        assert run(["enumerate", "--labels", "a,b,c"]) == (2, "")
+        assert capsys.readouterr().err == "error: ARBOREAL_MUTATE_MU is not a rational number: %r\n" % scale
+        assert measure._PERTURB_PER_LEAF is None
+    monkeypatch.setenv("ARBOREAL_MUTATE_MU", "2")
+    assert run(["enumerate", "--no-such-option"])[0] == 2
+    assert measure._PERTURB_PER_LEAF is None
 
 
 def caterpillar(leaves: int) -> str:
