@@ -26,20 +26,18 @@ displays the given subtrees.  Pruning partial trees is sound because
 restriction commutes with taking sub-label-sets, so a mismatch can never be
 repaired by later insertions.
 
-The search builds and holds every level but the last two, each within
-FRONTIER_CAP trees, then walks the penultimate level one tree at a time,
-handing each with its admissible sites for the last class to its consumer,
-which decides what to build.  The enumerators graft every site and stream
-whole trees, each built once, unkeyed and in no promised order: deleting
-the last class gives back the parent and its site, so no tree arises twice.
-A three-block tree extending two amalgamations is an amalgamation of their
-two wholes over the middle block, drawn from the same stream.  Only the
-listings :func:`amalgamations` and :func:`triple_amalgamations` key their
-results and sort them.  A count is the number of sites, and the signatures
-(leaf count, sorted node valences) that a measure sum needs follow from
-each parent tree and site, so neither builds a last-level tree.  With no
-constraint and one label per class, the search lists every tree on a label
-set (:func:`enumerate_trees`).
+The search walks its levels depth first, holding only the pending siblings
+along one path, and hands each penultimate tree with its admissible sites
+for the last class to its consumer.  The stream grafts every site and yields
+whole trees, each built once, unkeyed and in no promised order: deleting the
+last class gives back the parent and its site, so no tree arises twice.  A
+three-block tree extending two amalgamations is an amalgamation of their two
+wholes over the middle block.  A count is the number of sites, and the
+signatures (leaf count, sorted node valences) that a measure sum needs
+follow from each parent tree and site, so neither builds a last-level tree.
+A listing holds its trees, so it is counted first and refused past
+LISTING_CAP before any is built (:func:`_listing`).  With no constraint and
+one label per class, the search lists every tree on a label set.
 
 Input is validated where it comes in, and what the program builds is
 trusted.  The public :class:`Amalgamation` constructor checks outside
@@ -61,7 +59,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _breadth_first, _check_labels, _signature
 
 MAX_CLASSES = 15
-FRONTIER_CAP = 200_000
 LISTING_CAP = 1_000_000  # every listing of nine labels: at most 660,032 trees
 DEFAULT_LABEL_CAP = 9
 
@@ -158,9 +155,10 @@ def trees_with_restrictions(
     the same place of ``t|V_old`` as that leaf does in ``E|V_old``, so the
     sites are selected by their places (see :func:`_clades`) and only kept
     trees are built.  No tree is built twice: deleting the new leaf gives
-    back ``t`` and its site.  The last frontier is returned as it stands, in
-    no promised order.  As the classes and constraints come from outside,
-    their labels must be well-formed, used once and known to their trees.
+    back ``t`` and its site.  The listing is counted first (:func:`_listing`)
+    and comes in no promised order.  As the classes and constraints come
+    from outside, their labels must be well-formed, used once and known to
+    their trees.
     """
     _check_classes(classes, max_level)
     labels = [l for cls in sorted((tuple(sorted(c)) for c in classes), key=min) for l in cls]
@@ -169,7 +167,7 @@ def trees_with_restrictions(
         unknown = subset.intersection(labels) - expected.label_set
         if unknown:
             raise TreeError("unknown labels %s" % sorted(unknown))
-    return list(_trees_with_restrictions(classes, constraints, max_level))
+    return list(_listing(classes, constraints, max_level))
 
 
 def _check_classes(classes: Sequence[Tuple[str, ...]], max_level: Optional[int]) -> None:
@@ -190,8 +188,8 @@ def _trees_with_restrictions(
     seed: Tree = EMPTY_TREE,
 ) -> Iterator[Tree]:
     """:func:`trees_with_restrictions` without its checks, each tree grown from
-    ``seed`` (see :func:`_frontier_sites`), as a stream that builds the last
-    two levels one penultimate tree at a time; with no class left, a nonempty
+    ``seed`` (see :func:`_frontier_sites`), as a stream that grafts the last
+    class one penultimate tree at a time; with no class left, a nonempty
     seed is the one tree, and the empty one fits only empty constraints."""
     if not classes:
         fits = max_level is None or seed.level <= max_level
@@ -259,9 +257,9 @@ def _frontier_sites(
     seed: Tree = EMPTY_TREE,
 ) -> Iterator[Tuple[Tree, List[Tuple[int, int]], Tuple[str, ...]]]:
     """The search of :func:`_trees_with_restrictions` up to its last level:
-    for each tree of the penultimate frontier, its admissible sites and the
-    last class.  Grafting the class at each site gives every tree of the
-    search once.  ``classes`` must be nonempty.
+    for each penultimate tree, its admissible sites and the last class.
+    Grafting the class at each site gives every tree of the search once.
+    ``classes`` must be nonempty.
 
     It grows ``seed``, which must satisfy every constraint on its own
     labels; a constraint with no label left to insert is never consulted.
@@ -271,10 +269,9 @@ def _frontier_sites(
     is where the joined labels sit in the restriction to such a constraint.
     A class that fits no leaf of a constraint ends the search before any graft.
 
-    FRONTIER_CAP bounds every level the search holds, all but the last two:
-    the site count of the level before, checked before any of its grafts.
-    Each penultimate tree is grafted from the last held level, handed on with
-    its sites and dropped.
+    The walk is depth first over a stack of ``(tree, depth)``: a tree above
+    the penultimate level gives way to its grafts at its admissible sites, so
+    the stack holds only the pending siblings along one path.
     """
     order = sorted((tuple(sorted(c)) for c in classes), key=min)
     inserted = seed.label_set
@@ -321,17 +318,14 @@ def _frontier_sites(
             ]
         return sites
 
-    current = [seed]
     last = len(order) - 1
-    for depth in range(last - 1):
-        frontier = [(t, admissible(t, depth)) for t in current]
-        if sum(len(sites) for _, sites in frontier) > FRONTIER_CAP:
-            raise AmalgamError("enumeration frontier exceeded %d trees" % FRONTIER_CAP)
-        current = [t._graft(s, order[depth]) for t, sites in frontier for s in sites]
-    if last:
-        current = (t._graft(s, order[last - 1]) for t in current for s in admissible(t, last - 1))
-    for t in current:
-        yield t, admissible(t, last), order[last]
+    stack = [(seed, 0)]
+    while stack:
+        t, depth = stack.pop()
+        if depth == last:
+            yield t, admissible(t, last), order[last]
+        else:  # pushed in reverse, so the trees come in the order of their sites
+            stack.extend((t._graft(s, order[depth]), depth + 1) for s in reversed(admissible(t, depth)))
 
 
 def _clades(
@@ -372,16 +366,37 @@ def _clades(
     return parent, up, above
 
 
+def _listing(
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int],
+    seed: Tree = EMPTY_TREE,
+) -> Iterator[Tree]:
+    """The trees of :func:`_trees_with_restrictions`, for a caller holding them all:
+    counted at the last level's sites first, and refused past LISTING_CAP."""
+    if classes:
+        sites = (len(s) for _, s, _ in _frontier_sites(classes, constraints, max_level, seed))
+        if any(n > LISTING_CAP for n in accumulate(sites)):
+            raise AmalgamError("enumeration listing exceeded %d trees" % LISTING_CAP)
+    return _trees_with_restrictions(classes, constraints, max_level, seed)
+
+
 @lru_cache(maxsize=256)
-def _enumerate(labels: Tuple[str, ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
-    # the search with no constraint builds each tree once, so only the
-    # result is keyed; the listing is held whole, so its own size, counted
-    # at the last level's sites until it passes LISTING_CAP, is bounded
-    classes = [(l,) for l in labels]
-    sites = (len(s) for _, s, _ in _frontier_sites(classes, (), max_level)) if classes else ()
-    if any(n > LISTING_CAP for n in accumulate(sites)):
-        raise AmalgamError("enumeration listing exceeded %d trees" % LISTING_CAP)
-    return tuple(sorted(_trees_with_restrictions(classes, (), max_level), key=Tree.canonical_key))
+def _enumerate(classes: Tuple[Tuple[str], ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
+    # the search with no constraint builds each tree once: only the result is keyed
+    return tuple(sorted(_listing(classes, (), max_level), key=Tree.canonical_key))
+
+
+def _enumeration_classes(labels: Iterable[str], max_level: Optional[int], cap: int) -> Tuple[Tuple[str], ...]:
+    """One class per label, in order, after the checks of an enumeration: well-formed
+    labels used once, at most ``cap`` of them, and a level bound of at least 3."""
+    labs = sorted(labels)
+    _check_labels(labs)
+    if len(labs) > cap:
+        raise TreeError("enumeration over %d labels exceeds the cap of %d" % (len(labs), cap))
+    if max_level is not None and max_level < 3:
+        raise TreeError("max_level must be at least 3")
+    return tuple((l,) for l in labs)
 
 
 def enumerate_trees(
@@ -395,15 +410,14 @@ def enumerate_trees(
     ``max_level`` keeps only trees whose every node has valence at most that
     bound (valid to apply during construction, since deleting a leaf never
     raises a valence).  More labels than ``cap`` raise :class:`TreeError`; a
-    raised cap meets LISTING_CAP, an :class:`AmalgamError`, from ten labels.
+    raised cap meets LISTING_CAP (see :func:`_listing`) from ten labels.
     """
-    labs = tuple(sorted(labels))
-    _check_labels(labs)
-    if len(labs) > cap:
-        raise TreeError("enumeration over %d labels exceeds the cap of %d" % (len(labs), cap))
-    if max_level is not None and max_level < 3:
-        raise TreeError("max_level must be at least 3")
-    return list(_enumerate(labs, max_level))
+    return list(_enumerate(_enumeration_classes(labels, max_level, cap), max_level))
+
+
+def _enumeration_count(labels: Iterable[str], max_level: Optional[int], cap: int) -> int:
+    """The number of trees of :func:`enumerate_trees`, after its checks, none built."""
+    return _site_count(_enumeration_classes(labels, max_level, cap), (), max_level)
 
 
 def amalgamation_trees(
@@ -418,36 +432,21 @@ def amalgamation_trees(
     leaves of t2.  ``max_level`` restricts to amalgamations whose every node
     valence stays within the bound.
     """
-    base = t1.restrict(t1.label_set & t2.label_set)
-    rest, constraints, seed = _amalgamation_classes(base, t1, t2, max_level)
-    yield from _trees_with_restrictions(rest, constraints, max_level, seed)
-
-
-def _amalgamation_signatures(
-    base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
-) -> Counter:
-    """The signatures of the whole trees of :func:`amalgamation_trees`, for
-    a caller that already holds base, t1 restricted to the shared labels
-    (not checked), with multiplicity, none of them built (see
-    :func:`_site_signatures`)."""
-    rest, constraints, seed = _amalgamation_classes(base, t1, t2, max_level)
-    return _site_signatures(rest, constraints, max_level, seed)
+    yield from _trees_with_restrictions(*_amalgamation_classes(t1, t2, max_level))
 
 
 def _amalgamation_count(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> int:
     """The number of amalgamations of t1 and t2, none of them built."""
-    base = t1.restrict(t1.label_set & t2.label_set)
-    rest, constraints, seed = _amalgamation_classes(base, t1, t2, max_level)
-    return _site_count(rest, constraints, max_level, seed)
+    return _site_count(*_amalgamation_classes(t1, t2, max_level))
 
 
 def _amalgamation_classes(
-    base: Tree, t1: Tree, t2: Tree, max_level: Optional[int]
-) -> Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...], Tree]:
-    """The search for the amalgamations of t1 and t2: the classes to
-    insert, the constraints and the seed, after checking the base (t1
-    restricted to the shared labels, not checked) against t2, and the
-    classes and the level bound once.
+    t1: Tree, t2: Tree, max_level: Optional[int], base: Optional[Tree] = None
+) -> Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...], Optional[int], Tree]:
+    """The arguments of the search for the amalgamations of t1 and t2: the
+    classes to insert, the constraints, the level bound and the seed, after
+    checking the base (t1 restricted to the shared labels, or ``base`` if
+    given, not checked) against t2, and the classes and the level bound once.
 
     The seed is the side with more free classes (t1 on a tie), each leaf
     carrying its class.  The base check keeps shared labels of different
@@ -459,7 +458,7 @@ def _amalgamation_classes(
     """
     i1, i2 = t1.label_set, t2.label_set
     shared = i1 & i2
-    if base != t2.restrict(shared):
+    if (t1.restrict(shared) if base is None else base) != t2.restrict(shared):
         raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
@@ -470,7 +469,7 @@ def _amalgamation_classes(
         t1, free2 = t2, free1
     class_of = {l: c for c in classes for l in c}
     seed = Tree(t1.adj, tuple(class_of[ls[0]] if ls else () for ls in t1.labels))
-    return free2, constraints, seed
+    return free2, constraints, max_level, seed
 
 
 def amalgamations(
@@ -479,7 +478,7 @@ def amalgamations(
     """All amalgamations of t1 and t2 up to label-preserving isomorphism,
     sorted by canonical key (see :func:`amalgamation_trees`)."""
     left, right = t1.label_set, t2.label_set
-    ams = [Amalgamation._of(whole, left, right) for whole in amalgamation_trees(t1, t2, max_level)]
+    ams = [Amalgamation._of(whole, left, right) for whole in _listing(*_amalgamation_classes(t1, t2, max_level))]
     return sorted(ams, key=lambda a: a.key)
 
 
@@ -534,6 +533,6 @@ def triple_amalgamations(
         raise AmalgamError("triple blocks must be disjoint")
     out = [
         (TripleAmalgamation(z, (b1, b2, b3)), Amalgamation._of(z.restrict(b1 | b3), b1, b3))
-        for z in amalgamation_trees(x.whole, y.whole, max_level)
+        for z in _listing(*_amalgamation_classes(x.whole, y.whole, max_level))
     ]
     return sorted(out, key=lambda pair: pair[0].key)

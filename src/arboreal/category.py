@@ -220,9 +220,9 @@ def _composition_table(
     The three blocks carry the tags "1:", "2:", "3:" while the extensions
     are enumerated, as the amalgamations of the two wholes over block 2.
     Each y3 is built once in its stored "s:"/"t:" tags, on the label
-    strings of ``gu.left`` and ``fv.right``, and keyed once; the extensions
-    are grouped by that key and summed by signature, and no extension gets
-    a key of its own.  The rows are stored in key order.
+    strings of ``gu.left`` and ``fv.right``, and keyed once; each row keeps
+    only the signatures of its extensions, tallied, and no extension gets a
+    key of its own or is held.  The rows are stored in key order.
     """
     key = (gu.key, fv.key, max_level)
     hit = _TRIPLE_CACHE.pop(key, None)
@@ -234,14 +234,14 @@ def _composition_table(
     # "1:" -> "s:" and "3:" -> "t:" keep the order of every leaf's labels
     stored = {"1:" + l[2:]: l for l in gu.left}
     stored.update(("3:" + l[2:], l) for l in fv.right)
-    rows: Dict[str, Tuple[Tree, List[Tree]]] = {}
+    rows: Dict[str, Tuple[Tree, Counter]] = {}
     for z in amalgamation_trees(u, v, max_level):
         y = z.restrict(stored)
         y3 = Tree(y.adj, tuple(tuple(map(stored.__getitem__, ls)) for ls in y.labels))
-        rows.setdefault(y3.canonical_key(), (y3, []))[1].append(z)
+        rows.setdefault(y3.canonical_key(), (y3, Counter()))[1][_signature(z)] += 1
     table = tuple(
-        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum(y3, zs))
-        for _, (y3, zs) in sorted(rows.items())
+        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum(y3, tally))
+        for _, (y3, tally) in sorted(rows.items())
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:
         del _TRIPLE_CACHE[next(iter(_TRIPLE_CACHE))]
@@ -364,12 +364,13 @@ def _trace_search(
         retag(v.whole, {SOURCE_TAG: "3:", TARGET_TAG: "1:"}),
         retag(w.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"}),
     )
-    classes = _leaf_classes(frozenset().union(*(t.label_set for t in wholes)), wholes)
+    label_sets = tuple(t.label_set for t in wholes)
+    classes = _leaf_classes(frozenset().union(*label_sets), wholes)
     for cls in classes:
-        for t in wholes:
-            if len({t.leaf_of(l) for l in cls if l in t.label_set}) > 1:
+        for t, labels in zip(wholes, label_sets):
+            if len({t.leaf_of(l) for l in cls if l in labels}) > 1:
                 return None
-    return classes, tuple((t.label_set, t) for t in wholes)
+    return classes, tuple(zip(label_sets, wholes))
 
 
 def _trace_and_count(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> Tuple[RatFun, int]:

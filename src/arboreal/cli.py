@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from arboreal import checks as checks_mod
-from arboreal.amalgam import DEFAULT_LABEL_CAP, AmalgamError, _amalgamation_count, amalgamations, count_by_shape, enumerate_trees
+from arboreal.amalgam import DEFAULT_LABEL_CAP, AmalgamError, _amalgamation_count, _enumeration_count, amalgamations, count_by_shape, enumerate_trees
 from arboreal.category import _trace_and_count, algebra_for
 from arboreal.measure import (
     LevelError,
@@ -121,11 +121,15 @@ def _parse_element(alg, text: str) -> Dict[int, RatFun]:
 
 def _cmd_enumerate(args) -> Tuple[int, Dict]:
     labels = [l for l in args.labels.split(",") if l]
-    trees = enumerate_trees(labels, max_level=args.max_level, cap=args.max_labels)
-    payload: Dict = {"schema": SCHEMA, "labels": sorted(labels), "count": len(trees)}
+    if args.count:
+        trees, count = None, _enumeration_count(labels, args.max_level, args.max_labels)
+    else:
+        trees = enumerate_trees(labels, max_level=args.max_level, cap=args.max_labels)
+        count = len(trees)
+    payload: Dict = {"schema": SCHEMA, "labels": sorted(labels), "count": count}
     if args.max_level is not None:
         payload["max_level"] = args.max_level
-    if not args.count:
+    if trees is not None:
         payload["trees"] = [t.canonical_key() for t in trees]
     return 0, payload
 

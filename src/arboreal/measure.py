@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from arboreal.amalgam import _amalgamation_signatures
+from arboreal.amalgam import _amalgamation_classes, _site_signatures
 from arboreal.ratfun import ZERO, Poly, RatFun
 from arboreal.trees import Tree, TreeError, _signature, parse_tree
 
@@ -267,12 +267,12 @@ def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     return _specialize(_product(((_signature(super_tree), 1), (_signature(sub), -1))), p)
 
 
-def _embedding_sum(sub: Tree, supers: Iterable[Tree]) -> RatFun:
+def _embedding_sum(sub: Tree, tally: Counter) -> RatFun:
     """The summed symbolic measure of the embeddings sub -> z over the trees
-    z, each of which restricts to sub (not checked): one quotient of closed
-    forms per signature, normalized once."""
+    z, each of which restricts to sub (not checked), given as the tally of
+    their signatures: one quotient of closed forms per signature, normalized
+    once."""
     small = _signature(sub)
-    tally = Counter(map(_signature, supers))
     return RatFun.sum(_signature_terms(tally, lambda *sig: _product(((sig, 1), (small, -1)))))
 
 
@@ -348,7 +348,7 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    tally = _amalgamation_signatures(base, t1, t2, max_level)
+    tally = _site_signatures(*_amalgamation_classes(t1, t2, max_level, base))
     lhs = _product(((_signature(t1), 1), (_signature(t2), 1), (_signature(base), -1)))
     # the negated residual: the amalgamations minus the left side
     residual = -RatFun.sum(chain(((-lhs.num, lhs.den),), _signature_terms(tally, _mu_symbolic_key)))

@@ -20,10 +20,10 @@ Core claims:
     - the stream yields each amalgamation once and keys none of them; the
       consumers that count, group by shape or sum measures key no whole tree
     - the count and the product equation read the last level from its sites:
-      the signatures and the count equal those of the built trees, the
-      frontier cap bounds every held level (all but the last two) and
-      raises alike, first for disjoint stars at an 8-star with a 7-star,
-      and no last-level tree is built
+      the signatures and the count equal those of the built trees, and no
+      last-level tree is built; the walk grafts one path before its first
+      yield, and every listing, and only a listing, is refused past
+      LISTING_CAP before any last-level graft
     - one search per pair starts from one side's tree as its seed, joining
       or grafting the other side's free classes: the listing, the count and
       the signatures equal those of the unseeded search over every matching,
@@ -450,22 +450,29 @@ def test_guided_insertion_matches_filtered_candidates(monkeypatch):
     assert (len(calls), sum(calls)) == (1185, 42330)
 
 
+def counting_grafts(monkeypatch):
+    """Patch :meth:`Tree._graft` to record the labels of every graft."""
+    built = []
+    graft = Tree._graft
+    monkeypatch.setattr(Tree, "_graft", lambda self, site, labels: built.append(labels) or graft(self, site, labels))
+    return built
+
+
 def test_guided_insertion_builds_only_kept_trees(monkeypatch):
     """Deterministic work: every tree the guided search builds is kept.
     The search starts from t1 and inserts b1, ..., b4 in turn, each grafted
     or joined to an a-leaf, so its k-th level is the amalgamations of t1
-    with t2 restricted to b1, ..., bk, which the filter lists."""
-    built = []
+    with t2 restricted to b1, ..., bk, which the filter lists.  The listing
+    counts its last level first, so it builds the 1,147 trees above it
+    twice."""
     graft = Tree._graft
-
-    def counted(self, site, labels):
-        built.append(labels)
-        return graft(self, site, labels)
-
+    built = counting_grafts(monkeypatch)
     t1, t2 = parse_tree("(a1,a2,a3,a4)"), parse_tree("(b1,b2,b3,b4)")
-    monkeypatch.setattr(Tree, "_graft", counted)
-    assert len(amalgamations(t1, t2)) == 2642
+    assert len(list(amalgamation_trees(t1, t2))) == 2642
     assert len(built) == 3789
+    built.clear()
+    assert len(amalgamations(t1, t2)) == 2642
+    assert len(built) == 1147 + 3789
     monkeypatch.setattr(Tree, "_graft", graft)
     levels = []
     for k in range(1, 5):
@@ -531,8 +538,7 @@ def built_signatures(t1, t2, max_level=None):
 
 
 def site_signatures(t1, t2, max_level=None):
-    base = t1.restrict(t1.label_set & t2.label_set)
-    return amalgam._amalgamation_signatures(base, t1, t2, max_level)
+    return amalgam._site_signatures(*amalgam._amalgamation_classes(t1, t2, max_level))
 
 
 def test_site_signatures_and_count_match_the_built_trees():
@@ -564,58 +570,58 @@ def test_site_signatures_match_on_random_pairs(n, rng, max_level):
     assert amalgam._amalgamation_count(t1, t2, max_level) == len(amalgamations(t1, t2, max_level))
 
 
-def test_frontier_cap_bounds_every_held_level(monkeypatch):
-    """Two 4-stars' search builds and holds levels of 9 and 90 trees, then
-    walks its penultimate level of 1,048 trees one at a time and streams
-    its last level of 2,642; the cap bounds the held levels only.  Over it,
-    the stream, the count and the equation raise the same error before
-    anything is yielded."""
-    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 89)
-    message = r"enumeration frontier exceeded 89 trees"
-    with pytest.raises(AmalgamError, match=message):
-        next(amalgamation_trees(STAR4_A, STAR4_B))
-    with pytest.raises(AmalgamError, match=message):
-        amalgam._amalgamation_count(STAR4_A, STAR4_B)
-    with pytest.raises(AmalgamError, match=message):
-        verify_amalgamation_equation(STAR4_A, STAR4_B)
-    monkeypatch.setattr(amalgam, "FRONTIER_CAP", 90)
-    assert len(list(amalgamation_trees(STAR4_A, STAR4_B))) == 2642
+def test_the_walk_grafts_one_path_before_its_first_yield(monkeypatch):
+    """The search holds no level.  Before it hands on its first penultimate
+    tree, two 4-stars' walk grafts the 9, 10 and 11 siblings along one path
+    (30 trees), where holding the first two levels whole took 100 grafts.
+    In all it makes the same 1,147 grafts."""
+    built = counting_grafts(monkeypatch)
+    walk = amalgam._frontier_sites(*amalgam._amalgamation_classes(STAR4_A, STAR4_B, None))
+    _, sites, _ = next(walk)
+    assert Counter(built) == {("b1",): 9, ("b2",): 10, ("b3",): 11}
+    assert len(sites) + sum(len(sites) for _, sites, _ in walk) == 2642
+    assert len(built) == 1147
+
+
+def test_every_listing_is_counted_before_it_is_built(monkeypatch):
+    """Each entry point that holds its whole listing counts it at the last
+    level's sites first: one tree over LISTING_CAP is refused before any
+    last-level graft, and at the cap the listing is whole.  A count, the
+    equation, a shape census and the stream hold no listing, so no cap
+    applies to them."""
+    labels = sorted(STAR4_A.label_set | STAR4_B.label_set)
+    constraints = ((STAR4_A.label_set, STAR4_A), (STAR4_B.label_set, STAR4_B))
+    x = Amalgamation(STAR4_A, STAR4_A.label_set, frozenset())
+    y = Amalgamation(STAR4_B, frozenset(), STAR4_B.label_set)
+    listings = [
+        (lambda: amalgamations(STAR4_A, STAR4_B), 2642, ("b4",)),
+        (lambda: triple_amalgamations(x, y), 2642, ("b4",)),
+        (lambda: trees_with_restrictions([(l,) for l in labels], constraints), 706, ("b4",)),
+        (lambda: enumerate_trees("abcdefg"), 2752, ("g",)),
+    ]
+    built = counting_grafts(monkeypatch)
+    for listing, size, last in listings:
+        amalgam._enumerate.cache_clear()
+        monkeypatch.setattr(amalgam, "LISTING_CAP", size - 1)
+        built.clear()
+        with pytest.raises(AmalgamError, match="enumeration listing exceeded %d trees" % (size - 1)):
+            listing()
+        assert built and last not in built
+        monkeypatch.setattr(amalgam, "LISTING_CAP", size)
+        assert len(listing()) == size
+    amalgam._enumerate.cache_clear()
+    monkeypatch.setattr(amalgam, "LISTING_CAP", 1)
     assert amalgam._amalgamation_count(STAR4_A, STAR4_B) == 2642
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
-
-
-def test_frontier_cap_meets_an_8_star_with_a_7_star(monkeypatch):
-    """The first disjoint star pair over the cap.  The 8-star's search
-    builds and holds levels of 17, 306, 5,928 and 43,418 trees (its
-    amalgamations with the 1- to 4-stars), and refuses the next level, over
-    200,000 trees, before any of its grafts.  Two 7-stars hold at most
-    171,596 trees and count 5,139,332 amalgamations; two 8-stars meet the
-    class cap first."""
-    built = []
-    graft = Tree._graft
-
-    def counted(self, site, labels):
-        built.append(labels)
-        return graft(self, site, labels)
-
-    monkeypatch.setattr(Tree, "_graft", counted)
-    t1, t2 = (parse_tree("(%s)" % ",".join("%s%d" % (p, i) for i in range(1, n + 1))) for p, n in (("a", 8), ("b", 7)))
-    with pytest.raises(AmalgamError, match="enumeration frontier exceeded 200000 trees"):
-        amalgam._amalgamation_count(t1, t2)
-    assert Counter(built) == {("b1",): 17, ("b2",): 306, ("b3",): 5928, ("b4",): 43418}
+    assert sum(count_by_shape(STAR4_A, STAR4_B).values()) == 2642
+    assert len(list(amalgamation_trees(STAR4_A, STAR4_B))) == 2642
+    assert amalgam._enumeration_count("abcdefg", None, 9) == 2752
 
 
 def test_equation_grafts_only_below_the_last_level(monkeypatch):
     """Of the 3,789 trees the stream builds for two 4-stars, the 2,642 of
     the last level are counted from their sites, not built."""
-    built = []
-    graft = Tree._graft
-
-    def counted(self, site, labels):
-        built.append(labels)
-        return graft(self, site, labels)
-
-    monkeypatch.setattr(Tree, "_graft", counted)
+    built = counting_grafts(monkeypatch)
     assert verify_amalgamation_equation(STAR4_A, STAR4_B).is_zero()
     assert len(built) == 3789 - 2642 == 1147
     built.clear()
@@ -626,16 +632,8 @@ def test_equation_grafts_only_below_the_last_level(monkeypatch):
 def test_one_search_counts_two_5_stars(monkeypatch):
     """Exact work: two disjoint 5-stars have 21,812 amalgamations, counted
     from the sites of one search's levels of 11, 132, 1,788 and 6,140 trees,
-    one per graft of b1, ..., b4; the first three are held, the last is
-    walked one tree at a time."""
-    built = []
-    graft = Tree._graft
-
-    def counted(self, site, labels):
-        built.append(labels)
-        return graft(self, site, labels)
-
-    monkeypatch.setattr(Tree, "_graft", counted)
+    one per graft of b1, ..., b4."""
+    built = counting_grafts(monkeypatch)
     t1, t2 = parse_tree("(a1,a2,a3,a4,a5)"), parse_tree("(b1,b2,b3,b4,b5)")
     assert amalgam._amalgamation_count(t1, t2) == 21812
     assert len(built) == 8071

@@ -10,8 +10,9 @@ Core claims:
       malformed scale exits 2, and no run leaves the perturbation set
     - large inputs finish: 2,000-leaf trees and embeddings, and the Gram
       determinant of the 548-dimensional algebra of (1,2,3)
-    - a raised label cap meets the frontier cap: exit 2 within bounded
-      memory, never a traceback
+    - a raised label cap meets the listing cap: exit 2 within bounded
+      memory, never a traceback, while the count of the same trees is
+      printed; `enumerate --count` prints what the listing counts
 """
 
 import json
@@ -67,14 +68,20 @@ def test_enumerate():
     assert data["count"] == 15
     code, _ = run(["enumerate", "--labels", ",".join("abcdefgh"), "--max-labels", "7"])
     assert code == 2
+    for bound in ([], ["--max-level", "3"], ["--max-level", "4"]):
+        listing = payload(["enumerate", "--labels", "a,b,c,d,e,f,g"] + bound)
+        count = payload(["enumerate", "--labels", "a,b,c,d,e,f,g", "--count"] + bound)
+        assert count == {k: v for k, v in listing.items() if k != "trees"}
+    for bad in (["a,b,c,d,e,f,g", "--max-labels", "6"], ["a,b,c", "--max-level", "2"], ["a,a,b"]):
+        assert run(["enumerate", "--labels"] + bad + ["--count"])[0] == 2
 
 
 def test_a_raised_label_cap_meets_the_frontier_cap():
-    """Ten labels have 12,818,912 trees, and 2,027,025 at level 3 although
-    their 9-label level, 135,135 trees, is within FRONTIER_CAP; the
-    enumerator counts the listing at its last level's sites and refuses it
-    once the count passes LISTING_CAP, before building it.  The command runs
-    in a child process limited to 1.5 GB of address space."""
+    """Ten labels have 12,818,912 trees, and 2,027,025 at level 3.  The
+    listing is counted at its last level's sites and refused once the count
+    passes LISTING_CAP, before any tree is built; the count holds no tree,
+    so it is printed.  The command runs in a child process limited to
+    1.5 GB of address space."""
     src = os.path.dirname(os.path.dirname(arboreal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for bound in ([], ["--max-level", "3", "--count"]):
@@ -86,9 +93,13 @@ def test_a_raised_label_cap_meets_the_frontier_cap():
             "main()\n"
         ) % (["enumerate", "--labels", "a,b,c,d,e,f,g,h,i,j", "--max-labels", "10"] + bound,)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "error: enumeration listing exceeded 1000000 trees\n"
-        assert proc.stdout == ""
+        if bound:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["count"] == 2027025
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == "error: enumeration listing exceeded 1000000 trees\n"
+            assert proc.stdout == ""
 
 
 def test_measure_modes_and_errors():

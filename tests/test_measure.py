@@ -26,6 +26,7 @@ Core claims:
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -51,7 +52,7 @@ from arboreal.measure import (
     verify_amalgamation_equation,
 )
 from arboreal.ratfun import ONE, Poly, RatFun
-from arboreal.trees import EMPTY_TREE, Tree, TreeError, build_tree, parse_tree, shape_key
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, _signature, build_tree, parse_tree, shape_key
 
 T = RatFun.t()
 
@@ -432,7 +433,7 @@ def test_embedding_sum_is_the_sum_of_embeddings(scale):
     set_mu_perturbation(scale)
     try:
         total = sum((mu_embedding(t1, z) for z in wholes), RatFun.zero())
-        assert _embedding_sum(t1, wholes) == total
+        assert _embedding_sum(t1, Counter(map(_signature, wholes))) == total
     finally:
         set_mu_perturbation(None)
 
