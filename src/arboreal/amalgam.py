@@ -37,7 +37,9 @@ signatures (leaf count, sorted node valences) that a measure sum needs
 follow from each parent tree and site, so neither builds a last-level tree.
 A listing holds its trees, so it is counted first and refused past
 LISTING_CAP before any is built (:func:`_listing`).  With no constraint and
-one label per class, the search lists every tree on a label set.
+one label per class, the search lists every tree on a label set; how many
+there are follows from the label count and the level bound alone
+(:func:`_tree_count`), so such a listing is counted without a walk.
 
 Input is validated where it comes in, and what the program builds is
 trusted.  The public :class:`Amalgamation` constructor checks outside
@@ -52,15 +54,14 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _breadth_first, _check_labels, _signature
 
 MAX_CLASSES = 15
 LISTING_CAP = 1_000_000  # every listing of nine labels: at most 660,032 trees
-DEFAULT_LABEL_CAP = 9
 
 
 class AmalgamError(ValueError):
@@ -373,51 +374,68 @@ def _listing(
     seed: Tree = EMPTY_TREE,
 ) -> Iterator[Tree]:
     """The trees of :func:`_trees_with_restrictions`, for a caller holding them all:
-    counted at the last level's sites first, and refused past LISTING_CAP."""
+    counted at the last level's sites first, and refused past LISTING_CAP
+    (:func:`_check_listing`)."""
     if classes:
-        sites = (len(s) for _, s, _ in _frontier_sites(classes, constraints, max_level, seed))
-        if any(n > LISTING_CAP for n in accumulate(sites)):
-            raise AmalgamError("enumeration listing exceeded %d trees" % LISTING_CAP)
+        for n in accumulate(len(s) for _, s, _ in _frontier_sites(classes, constraints, max_level, seed)):
+            _check_listing(n)
     return _trees_with_restrictions(classes, constraints, max_level, seed)
 
 
-@lru_cache(maxsize=256)
-def _enumerate(classes: Tuple[Tuple[str], ...], max_level: Optional[int]) -> Tuple[Tree, ...]:
-    # the search with no constraint builds each tree once: only the result is keyed
-    return tuple(sorted(_listing(classes, (), max_level), key=Tree.canonical_key))
+def _check_listing(size: int) -> None:
+    """Refuse a listing of ``size`` trees past LISTING_CAP."""
+    if size > LISTING_CAP:
+        raise AmalgamError("enumeration listing exceeded %d trees" % LISTING_CAP)
 
 
-def _enumeration_classes(labels: Iterable[str], max_level: Optional[int], cap: int) -> Tuple[Tuple[str], ...]:
-    """One class per label, in order, after the checks of an enumeration: well-formed
-    labels used once, at most ``cap`` of them, and a level bound of at least 3."""
+def _tree_count(n: int, max_level: Optional[int] = None) -> int:
+    """The number of trees with ``n`` leaves, one label each, whose every node
+    has valence at most ``max_level``: Schroeder's fourth problem (OEIS
+    A000311) when unbounded.
+
+    Rooted at one leaf, such a tree is that leaf over a rooted tree on the
+    other n - 1 labels whose nodes have 2 to max_level - 1 children.  A set
+    of k rooted trees on m labels is the tree holding the least label, on j
+    of them, and a set of k - 1 trees on the rest.
+    """
+    if n < 2:
+        return 1
+    top = n - 1 if max_level is None else min(max_level, n) - 1
+    rooted = [0]
+    # forests[k][m]: the sets of k rooted trees on m labels
+    forests = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(top)]
+    for m in range(1, n):
+        for k in range(2, top + 1):
+            forests[k][m] = sum(comb(m - 1, j - 1) * rooted[j] * forests[k - 1][m - j] for j in range(1, m))
+        rooted.append(1 if m == 1 else sum(f[m] for f in forests[2:]))
+        forests[1][m] = rooted[m]
+    return rooted[n - 1]
+
+
+def _enumeration_classes(labels: Iterable[str], max_level: Optional[int]) -> Tuple[Tuple[str], ...]:
+    """One class per label, in order, after the checks of an enumeration:
+    well-formed labels used once, and the bounds of every search
+    (:func:`_check_classes`)."""
     labs = sorted(labels)
     _check_labels(labs)
-    if len(labs) > cap:
-        raise TreeError("enumeration over %d labels exceeds the cap of %d" % (len(labs), cap))
-    if max_level is not None and max_level < 3:
-        raise TreeError("max_level must be at least 3")
-    return tuple((l,) for l in labs)
+    classes = tuple((l,) for l in labs)
+    _check_classes(classes, max_level)
+    return classes
 
 
-def enumerate_trees(
-    labels: Iterable[str],
-    max_level: Optional[int] = None,
-    cap: int = DEFAULT_LABEL_CAP,
-) -> List[Tree]:
+def enumerate_trees(labels: Iterable[str], max_level: Optional[int] = None) -> List[Tree]:
     """All reduced trees with one label per leaf, each label used once.
 
     Each tree appears once, in sorted key order.
     ``max_level`` keeps only trees whose every node has valence at most that
     bound (valid to apply during construction, since deleting a leaf never
-    raises a valence).  More labels than ``cap`` raise :class:`TreeError`; a
-    raised cap meets LISTING_CAP (see :func:`_listing`) from ten labels.
+    raises a valence).  The listing is counted by :func:`_tree_count` and
+    refused past LISTING_CAP, as from ten labels, before any tree is built.
     """
-    return list(_enumerate(_enumeration_classes(labels, max_level, cap), max_level))
-
-
-def _enumeration_count(labels: Iterable[str], max_level: Optional[int], cap: int) -> int:
-    """The number of trees of :func:`enumerate_trees`, after its checks, none built."""
-    return _site_count(_enumeration_classes(labels, max_level, cap), (), max_level)
+    classes = _enumeration_classes(labels, max_level)
+    _check_listing(_tree_count(len(classes), max_level))
+    # the search with no constraint builds each tree once: only the result is keyed
+    return sorted(_trees_with_restrictions(classes, (), max_level), key=Tree.canonical_key)
 
 
 def amalgamation_trees(

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from arboreal.amalgam import Amalgamation, amalgamations, count_by_shape, enumerate_trees, self_amalgamations, triple_amalgamations
+from arboreal.amalgam import Amalgamation, _check_listing, _tree_count, amalgamations, count_by_shape, enumerate_trees, self_amalgamations, triple_amalgamations
 from arboreal.category import (
     HomElement,
     _trace_and_count,
@@ -119,8 +119,10 @@ def check_equation_instance() -> CheckResult:
 def equation_sweep(max_labels: int) -> Tuple[int, int]:
     """All two-sided diagrams with at most max_labels labels in total.
 
-    Returns (diagrams checked, nonzero residuals).
+    Returns (diagrams checked, nonzero residuals), refused first if the
+    largest listing, the trees on max_labels labels, passes LISTING_CAP.
     """
+    _check_listing(_tree_count(max_labels))
     checked = failures = 0
     for total in range(0, max_labels + 1):
         for a in range(0, total + 1):
@@ -236,6 +238,9 @@ def check_relation_census() -> CheckResult:
 
 
 def separated_sweep(max_leaves: int) -> Tuple[int, int]:
+    """Every label pair of every tree with 2 to max_leaves leaves, refused
+    first if the trees on max_leaves labels pass LISTING_CAP."""
+    _check_listing(_tree_count(max_leaves))
     checked = failures = 0
     for tree in _all_trees(max_leaves, min_leaves=2):
         labels = sorted(tree.label_set)
@@ -582,28 +587,8 @@ def check_flagged_formulas() -> CheckResult:
 def check_enumeration_counts() -> CheckResult:
     got = [len(enumerate_trees("abcdefghi"[:n])) for n in range(3, 7)]
     expected = [1, 4, 26, 236]
-    series_ok = _independent_counts(7) == [1, 1, 1, 4, 26, 236, 2752]
+    series_ok = [_tree_count(n) for n in range(1, 8)] == [1, 1, 1, 4, 26, 236, 2752]
     return _result(got == expected and series_ok, "%s and the recursive series" % expected, "%s series_ok=%s" % (got, series_ok))
-
-
-def _independent_counts(up_to: int) -> List[int]:
-    """Unrooted counts from the total-partition recurrence, independently of
-    the insertion enumerator."""
-    from math import comb
-
-    # r(n): rooted trees, every internal vertex with >= 2 children
-    # E(n) = sum over set partitions of n labeled leaves of prod r(block)
-    r = {1: 1}
-    e = {0: 1, 1: 1}
-    for n in range(2, up_to + 1):
-        rn = 0
-        for k in range(1, n):
-            rn += comb(n - 1, k - 1) * r[k] * e[n - k]
-        r[n] = rn
-        e[n] = 2 * rn
-    # unrooted count for n >= 3 equals r(n-1) (root at the neighbor of the
-    # last leaf); one tree each for n = 1, 2
-    return [1, 1] + [r[n - 1] for n in range(3, up_to + 1)]
 
 
 def _random_edge_elements(rng: random.Random, count: int):

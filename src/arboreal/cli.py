@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from arboreal import checks as checks_mod
-from arboreal.amalgam import DEFAULT_LABEL_CAP, AmalgamError, _amalgamation_count, _enumeration_count, amalgamations, count_by_shape, enumerate_trees
+from arboreal.amalgam import AmalgamError, _amalgamation_count, _enumeration_classes, _tree_count, amalgamations, count_by_shape, enumerate_trees
 from arboreal.category import _trace_and_count, algebra_for
 from arboreal.measure import (
     LevelError,
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate trees on a label set")
     p.add_argument("--labels", required=True, help="comma-separated labels")
     p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--max-labels", type=int, default=DEFAULT_LABEL_CAP)
     p.add_argument("--count", action="store_true", help="emit only the count")
 
     p = sub.add_parser("amalgamate", help="enumerate amalgamations of two trees")
@@ -122,9 +121,9 @@ def _parse_element(alg, text: str) -> Dict[int, RatFun]:
 def _cmd_enumerate(args) -> Tuple[int, Dict]:
     labels = [l for l in args.labels.split(",") if l]
     if args.count:
-        trees, count = None, _enumeration_count(labels, args.max_level, args.max_labels)
+        trees, count = None, _tree_count(len(_enumeration_classes(labels, args.max_level)), args.max_level)
     else:
-        trees = enumerate_trees(labels, max_level=args.max_level, cap=args.max_labels)
+        trees = enumerate_trees(labels, max_level=args.max_level)
         count = len(trees)
     payload: Dict = {"schema": SCHEMA, "labels": sorted(labels), "count": count}
     if args.max_level is not None:

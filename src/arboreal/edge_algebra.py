@@ -29,7 +29,6 @@ from arboreal.category import (
     compose,
     hom_basis,
 )
-from arboreal.measure import register_measure_cache
 from arboreal.ratfun import RatFun, ratfun_sqrt
 from arboreal.trees import parse_tree
 
@@ -195,6 +194,3 @@ class EdgeAlgebra:
 @lru_cache(maxsize=1)
 def edge_algebra() -> EdgeAlgebra:
     return EdgeAlgebra.build()
-
-
-register_measure_cache(edge_algebra.cache_clear)

@@ -61,7 +61,7 @@ from arboreal.category import (
     triple_trace,
     truncate_level,
 )
-from arboreal.edge_algebra import edge_algebra
+from arboreal.edge_algebra import EdgeAlgebra, edge_algebra
 from arboreal.measure import ParamSpec, mu_sum, mu_symbolic, set_mu_perturbation
 from arboreal.ratfun import ONE, ZERO, Poly, RatFun, parse_ratfun
 from arboreal.trees import EMPTY_TREE, TreeError, parse_tree
@@ -590,24 +590,35 @@ def test_algebras_need_a_level_bound_of_at_least_three():
 
 def test_perturbation_leaves_no_cached_values_behind():
     """Values cached under one measure perturbation are never read under
-    another: a clean run after a perturbed one matches a fresh process."""
+    another: a clean run after a perturbed one matches a fresh process.  The
+    edge algebra holds no measure-derived value, so one built before a
+    perturbation gives the products and idempotents of a fresh build under it."""
     tree = parse_tree("(p,q)")  # labels no other test composes with
     f, g = (HomElement.basis(tree, tree, am) for am in hom_basis(tree, tree)[1:3])
 
     def run(scale):
         set_mu_perturbation(scale)
         try:
-            fixture = edge_algebra()
-            return compose(f, g).terms, algebra_for(tree).product_row(1, 2), fixture
+            return compose(f, g).terms, algebra_for(tree).product_row(1, 2)
         finally:
             set_mu_perturbation(None)
 
     perturbed = run(Fraction(2))
     clean = run(None)
-    assert clean[:2] != perturbed[:2]
-    assert run(Fraction(2))[:2] == perturbed[:2]
-    assert run(None)[:2] == clean[:2]
-    assert clean[2] is not perturbed[2]
+    assert clean != perturbed
+    assert run(Fraction(2)) == perturbed
+    assert run(None) == clean
+
+    held = edge_algebra()
+    clean_square = (held.a[8] * held.a[8]).vec
+    set_mu_perturbation(Fraction(2))
+    try:
+        fresh = EdgeAlgebra.build()
+        assert (held.a[8] * held.a[8]).vec == (fresh.a[8] * fresh.a[8]).vec != clean_square
+        idempotents = [{k: e.vec for k, e in ea.minus_idempotents().items()} for ea in (held, fresh)]
+        assert idempotents[0] == idempotents[1]
+    finally:
+        set_mu_perturbation(None)
 
 
 def _cross_add(a, b):

@@ -10,9 +10,11 @@ Core claims:
       malformed scale exits 2, and no run leaves the perturbation set
     - large inputs finish: 2,000-leaf trees and embeddings, and the Gram
       determinant of the 548-dimensional algebra of (1,2,3)
-    - a raised label cap meets the listing cap: exit 2 within bounded
-      memory, never a traceback, while the count of the same trees is
-      printed; `enumerate --count` prints what the listing counts
+    - ten labels meet the listing cap: exit 2 within bounded memory, never
+      a traceback, while the count of the same trees is printed; sixteen
+      labels meet the class cap; `enumerate --count` prints what the
+      listing counts; a `verify` sweep whose largest listing passes the
+      listing cap is refused before it lists any tree
 """
 
 import json
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 
 import arboreal
-from arboreal import measure
+from arboreal import checks, measure
 from arboreal.category import algebra_for
 from arboreal.cli import TREE_TEXT_CAP, run
 from arboreal.ratfun import parse_poly
@@ -61,27 +63,29 @@ def test_amalgamate_stream_counts_match_the_listing():
     assert shapes["count"] == sum(item["count"] for item in shapes["by_shape"]) == 2642
 
 
-def test_enumerate():
+def test_enumerate(capsys):
     data = payload(["enumerate", "--labels", "a,b,c,d"])
     assert data["count"] == 4 and len(data["trees"]) == 4
     data = payload(["enumerate", "--labels", "a,b,c,d,e", "--max-level", "3", "--count"])
     assert data["count"] == 15
-    code, _ = run(["enumerate", "--labels", ",".join("abcdefgh"), "--max-labels", "7"])
-    assert code == 2
+    assert payload(["enumerate", "--labels", ",".join("abcdefghij"), "--count"])["count"] == 12818912
     for bound in ([], ["--max-level", "3"], ["--max-level", "4"]):
         listing = payload(["enumerate", "--labels", "a,b,c,d,e,f,g"] + bound)
         count = payload(["enumerate", "--labels", "a,b,c,d,e,f,g", "--count"] + bound)
         assert count == {k: v for k, v in listing.items() if k != "trees"}
-    for bad in (["a,b,c,d,e,f,g", "--max-labels", "6"], ["a,b,c", "--max-level", "2"], ["a,a,b"]):
+    capsys.readouterr()
+    assert run(["enumerate", "--labels", ",".join("abcdefghijklmnop"), "--count"]) == (2, "")
+    assert capsys.readouterr().err == "error: quotient label set has 16 classes (cap 15)\n"
+    for bad in (["a,b,c", "--max-level", "2"], ["a,a,b"]):
         assert run(["enumerate", "--labels"] + bad + ["--count"])[0] == 2
 
 
 def test_a_raised_label_cap_meets_the_frontier_cap():
-    """Ten labels have 12,818,912 trees, and 2,027,025 at level 3.  The
-    listing is counted at its last level's sites and refused once the count
-    passes LISTING_CAP, before any tree is built; the count holds no tree,
-    so it is printed.  The command runs in a child process limited to
-    1.5 GB of address space."""
+    """Ten labels have 12,818,912 trees, and 2,027,025 at level 3.  Both
+    counts come from the label count and the level bound; the unbounded
+    listing is refused past LISTING_CAP before any tree is built, while the
+    count holds no tree, so it is printed.  The command runs in a child
+    process limited to 1.5 GB of address space."""
     src = os.path.dirname(os.path.dirname(arboreal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for bound in ([], ["--max-level", "3", "--count"]):
@@ -91,7 +95,7 @@ def test_a_raised_label_cap_meets_the_frontier_cap():
             "from arboreal.cli import main\n"
             "sys.argv[1:] = %r\n"
             "main()\n"
-        ) % (["enumerate", "--labels", "a,b,c,d,e,f,g,h,i,j", "--max-labels", "10"] + bound,)
+        ) % (["enumerate", "--labels", "a,b,c,d,e,f,g,h,i,j"] + bound,)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
         if bound:
             assert proc.returncode == 0, proc.stderr
@@ -164,7 +168,7 @@ def test_algebra_operations():
     assert run(["algebra", "minpoly", "--tree", "(1,2)", "--e", "(a,b)"])[0] == 2
 
 
-def test_verify_suites():
+def test_verify_suites(monkeypatch, capsys):
     # the relation sources are the minimal marked trees with at most N
     # leaves: stars with 1..N leaves, Y from N = 4 and Z from N = 5
     expected = {
@@ -182,6 +186,12 @@ def test_verify_suites():
     assert code == 0 and json.loads(out)["failures"] == 0
     code, out = run(["verify", "separated", "--max-leaves", "4"])
     assert code == 0 and json.loads(out)["failures"] == 0
+    # the trees on ten labels pass LISTING_CAP: both sweeps are refused before they list any tree
+    monkeypatch.setattr(checks, "enumerate_trees", None)
+    capsys.readouterr()
+    for suite in ("measure-axioms", "separated"):
+        assert run(["verify", suite, "--max-leaves", "10"]) == (2, "")
+        assert capsys.readouterr().err == "error: enumeration listing exceeded 1000000 trees\n"
 
 
 def test_paper_check_single_scope():

@@ -13,7 +13,9 @@ Core claims:
     - the quaternary relation matches an independent path computation and
       determines the tree among all trees on its labels
     - enumeration counts match an independent recursion, and insertion
-      respects a level bound
+      respects a level bound; the level-bounded tree count equals the
+      listing's length, and a listing past the listing cap or over more
+      labels than the class cap is refused
     - automorphism orders match brute force over leaf permutations, and their
       prime factors stay below the level
     - restriction and single-site insertion build exactly the packed form
@@ -39,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arboreal.amalgam import enumerate_trees
+from arboreal.amalgam import AmalgamError, _tree_count, enumerate_trees
 from arboreal.category import algebra_for, retag
 from arboreal.trees import (
     EMPTY_TREE,
@@ -816,9 +818,22 @@ def test_enumeration_level_filter():
         enumerate_trees("abcde", max_level=2)
 
 
+def test_tree_count_is_the_listing_length():
+    """The recurrence counts every listing on up to eight labels at each
+    bound, and pins what the search walked to count nine to eleven labels."""
+    for max_level in (None, 3, 4, 5):
+        for n in range(9):
+            assert _tree_count(n, max_level) == len(enumerate_trees(LETTERS[:n], max_level)), (n, max_level)
+    assert [_tree_count(n) for n in range(1, 9)] == oracle_counts(8)
+    assert _tree_count(9) == 660032 and _tree_count(11) == 282137824
+    assert _tree_count(10) == 12818912 and _tree_count(10, 3) == 2027025
+
+
 def test_enumeration_cap():
-    with pytest.raises(TreeError):
-        enumerate_trees(LETTERS[:8], cap=7)
+    with pytest.raises(AmalgamError, match="enumeration listing exceeded 1000000 trees"):
+        enumerate_trees("abcdefghij")
+    with pytest.raises(AmalgamError, match="quotient label set has 16 classes"):
+        enumerate_trees("abcdefghijklmnop")
     with pytest.raises(TreeError):
         enumerate_trees(["a", "a"])
 
