@@ -523,21 +523,31 @@ class ArborealAlgebra:
     def minimal_polynomial(self, e: "AlgebraElement") -> List[RatFun]:
         """Monic least-degree annihilating polynomial, constant term first.
 
-        Powers of the element are reduced by exact elimination over the
-        rational-function field until the first linear dependence.
+        Each power of the element is reduced, by exact elimination over the
+        rational-function field, against the earlier reduced powers; its
+        row carries its combination of the powers after the first ``dim``
+        slots.  The first power that reduces to zero gives the polynomial.
+        A reduced row is kept as it is, with the inverse of its pivot
+        entry, so a reduction step takes one quotient and ``a - f*b`` on
+        the row's nonzero entries.
         """
-        powers: List[Tuple[RatFun, ...]] = [self.identity().vec]
-        current = self.identity()
-        while True:
-            current = self.multiply(current, e)
-            solution = _solve_dependence(powers, current.vec)
-            if solution is not None:
-                coeffs = [-c for c in solution]
-                coeffs.append(RatFun.one())
-                return coeffs
-            powers.append(current.vec)
-            if len(powers) > self.dim + 1:
-                raise AssertionError("no dependence within the algebra dimension")
+        dim = self.dim
+        rows: List[Tuple[int, RatFun, List[Tuple[int, RatFun]]]] = []
+        power = self.identity()
+        for degree in range(dim + 1):
+            vec = list(power.vec) + [ZERO] * (dim + 1)
+            vec[dim + degree] = RatFun.one()
+            for p, inv, entries in rows:
+                if not vec[p].is_zero():
+                    f = vec[p] * inv
+                    for i, b in entries:
+                        vec[i] = vec[i] - f * b
+            p = next((i for i in range(dim) if not vec[i].is_zero()), None)
+            if p is None:
+                return vec[dim:dim + degree + 1]
+            rows.append((p, vec[p].inverse(), [(i, c) for i, c in enumerate(vec) if not c.is_zero()]))
+            power = self.multiply(power, e)
+        raise AssertionError("no dependence within the algebra dimension")
 
     def idempotent_report(self, e: "AlgebraElement") -> Dict[str, object]:
         square = self.multiply(e, e)
@@ -606,45 +616,6 @@ class AlgebraElement:
             if not c.is_zero()
         ]
         return " + ".join(terms) if terms else "0"
-
-
-def _solve_dependence(
-    rows: Sequence[Tuple[RatFun, ...]], target: Tuple[RatFun, ...]
-) -> Optional[List[RatFun]]:
-    """Express target as a combination of rows, or return None.
-
-    Exact Gaussian elimination over the rational-function field.
-    """
-    n = len(target)
-    k = len(rows)
-    # augmented columns: solve A^T x = target with A rows
-    matrix = [[rows[r][c] for r in range(k)] + [target[c]] for c in range(n)]
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(k):
-        pivot = None
-        for r in range(row, n):
-            if not matrix[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        inv = matrix[row][col].inverse()
-        matrix[row] = [x * inv for x in matrix[row]]
-        for r in range(n):
-            if r != row and not matrix[r][col].is_zero():
-                f = matrix[r][col]
-                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n):
-        if not matrix[r][k].is_zero():
-            return None
-    solution = [RatFun.zero()] * k
-    for r, c in pivots:
-        solution[c] = matrix[r][k]
-    return solution
 
 
 # An algebra holds no measure-derived value, so a perturbation leaves it valid.

@@ -86,10 +86,13 @@ def _result(ok: bool, expected, computed) -> CheckResult:
 
 
 def _all_trees(max_leaves: int, min_leaves: int = 1) -> List[Tree]:
-    letters = "abcdefghi"
+    """The trees on labels a0, a1, ... with min_leaves to max_leaves
+    leaves, refused first if the trees on max_leaves labels pass
+    LISTING_CAP."""
+    _check_listing(_tree_count(max_leaves))
     out: List[Tree] = []
     for n in range(min_leaves, max_leaves + 1):
-        out.extend(enumerate_trees(letters[:n]))
+        out.extend(enumerate_trees(["a%d" % i for i in range(n)]))
     return out
 
 
@@ -135,12 +138,11 @@ def equation_sweep(max_labels: int) -> Tuple[int, int]:
                 shared = ["b%d" % i for i in range(b)]
                 lefts = enumerate_trees(left_labels) if left_labels else [EMPTY_TREE]
                 rights = enumerate_trees(right_labels) if right_labels else [EMPTY_TREE]
-                right_bases = [(t2, t2.restrict(shared)) for t2 in rights]
+                by_base: Dict[str, List[Tree]] = {}
+                for t2 in rights:
+                    by_base.setdefault(t2.restrict(shared).canonical_key(), []).append(t2)
                 for t1 in lefts:
-                    base1 = t1.restrict(shared)
-                    for t2, base2 in right_bases:
-                        if base2 != base1:
-                            continue
+                    for t2 in by_base.get(t1.restrict(shared).canonical_key(), ()):
                         checked += 1
                         if not verify_amalgamation_equation(t1, t2).is_zero():
                             failures += 1
@@ -240,7 +242,6 @@ def check_relation_census() -> CheckResult:
 def separated_sweep(max_leaves: int) -> Tuple[int, int]:
     """Every label pair of every tree with 2 to max_leaves leaves, refused
     first if the trees on max_leaves labels pass LISTING_CAP."""
-    _check_listing(_tree_count(max_leaves))
     checked = failures = 0
     for tree in _all_trees(max_leaves, min_leaves=2):
         labels = sorted(tree.label_set)

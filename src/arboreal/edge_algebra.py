@@ -24,7 +24,6 @@ from arboreal.category import (
     AlgebraElement,
     ArborealAlgebra,
     HomElement,
-    _solve_dependence,
     algebra_for,
     compose,
     hom_basis,
@@ -144,10 +143,10 @@ class EdgeAlgebra:
         f0 = self.f0()
         chi0 = alg.utr(f0 * g) / alg.utr(f0)
         g = g - f0 * chi0
-        sol = _solve_dependence([g.vec], (g * g).vec)
-        if sol is None or sol[0].is_zero():
+        poly = alg.minimal_polynomial(g)  # x (x - lam) for g = lam * projector
+        if len(poly) != 3 or not poly[0].is_zero() or poly[1].is_zero():
             raise AssertionError("projector derivation degenerated")
-        return g * sol[0].inverse()
+        return g * (-poly[1]).inverse()
 
     def plus_idempotents(self) -> Dict[str, AlgebraElement]:
         """A complete orthogonal idempotent system for the +1 eigenspace.
@@ -162,10 +161,11 @@ class EdgeAlgebra:
         f1 = self.derive_f1()
         rest = self.c[1] - f0 - f1 - f3
         h = (rest * self.c[5]) * rest
-        sol = _solve_dependence([rest.vec, h.vec], (h * h).vec)
-        if sol is None:
+        # h * rest = h, so h^2 = pi * rest + sigma * h gives x (x^2 - sigma x - pi)
+        poly = alg.minimal_polynomial(h)
+        if len(poly) != 4 or not poly[0].is_zero():
             raise AssertionError("c5 action is not quadratic on the remainder")
-        pi, sigma = sol
+        pi, sigma = -poly[1], -poly[2]
         disc = sigma * sigma + 4 * pi
         sd = ratfun_sqrt(disc)
         if sd is None:

@@ -1,9 +1,12 @@
-"""Every process-wide cache in arboreal is bounded.
+"""Every process-wide cache in arboreal is bounded, and every test assert
+can fail.
 
 Core claims:
     - every ``lru_cache`` in ``src/arboreal``, as a decorator or a call,
       passes an integer ``maxsize``, so no cache grows for the life of the
       process; ``functools.cache``, which has no bound, does not appear
+    - no ``assert`` under ``tests/`` has an ``or`` with a constant true
+      operand, which would make it hold whatever the code computes
 """
 
 import ast
@@ -12,6 +15,7 @@ from pathlib import Path
 import arboreal
 
 SRC = Path(arboreal.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _integer(node):
@@ -68,3 +72,31 @@ def test_every_process_wide_cache_is_bounded():
     assert paths
     for path in paths:
         assert unbounded_caches(path.read_text()) == [], path
+
+
+def vacuous_asserts(source):
+    """The line of every ``assert`` in ``source`` with an ``or`` that has a
+    constant true operand."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+        and any(
+            isinstance(op, ast.BoolOp) and isinstance(op.op, ast.Or)
+            and any(isinstance(v, ast.Constant) and v.value for v in op.values)
+            for op in ast.walk(node.test)
+        )
+    ]
+
+
+def test_the_assert_guard_finds_a_constant_true_or():
+    assert vacuous_asserts("assert x == y or True\n")
+    assert vacuous_asserts("assert f(x) and (x or 1), 'message'\n")
+    assert not vacuous_asserts("assert x == y or z\nassert x or False\ny = x or True\n")
+
+
+def test_no_test_assert_holds_by_a_constant():
+    paths = sorted(TESTS.glob("*.py"))
+    assert paths
+    for path in paths:
+        assert vacuous_asserts(path.read_text()) == [], path

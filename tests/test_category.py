@@ -838,10 +838,11 @@ def _edge_round(edge, before):
 
 
 def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
-    """A work guard, not a timing: the round of ``_edge_round`` runs 2 gcds,
-    both in the products ``x * inv`` of the elimination in
-    ``_solve_dependence``; it ran 1,499 when every normalization took a gcd,
-    and 3 while the inverse took one.  Every product brings its two operands
+    """A work guard, not a timing: the round of ``_edge_round`` runs 1 gcd,
+    in the reduction quotient ``f = vec[p] * inv`` of
+    ``minimal_polynomial``; it ran 1,499 when every normalization took a
+    gcd, 3 while the inverse took one, and 2 while the elimination divided
+    whole rows by their pivot.  Every product brings its two operands
     and its structure constants over one denominator each: 3
     common-denominator calls, whatever its number of slots."""
     helper_calls, products = [], []
@@ -851,7 +852,7 @@ def test_gcd_count_of_an_edge_round(edge, gcd_calls, monkeypatch):
     monkeypatch.setattr(ArborealAlgebra, "multiply",
                         lambda self, a, b: products.append(1) or multiply(self, a, b))
     _edge_round(edge, gcd_calls.clear)
-    assert len(gcd_calls) == 2
+    assert len(gcd_calls) == 1
     assert len(products) == 106 and len(helper_calls) == 3 * 106
 
 

@@ -7,14 +7,95 @@ Core claims:
       idempotent systems with the expected categorical dimensions
     - the derivation path (factor through the one-leaf object, then split
       the remainder by the c5 action) is internally consistent
+    - minimal polynomials equal those of the per-degree elimination oracle
 """
 
-from arboreal.category import _solve_dependence
-from arboreal.edge_algebra import A_BASIS_KEYS
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arboreal.category import algebra_for
+from arboreal.edge_algebra import A_BASIS_KEYS, EDGE
 from arboreal.ratfun import ONE, RatFun
 from arboreal.trees import parse_tree
 
 T = RatFun.t()
+
+
+def _solve_dependence(
+    rows: Sequence[Tuple[RatFun, ...]], target: Tuple[RatFun, ...]
+) -> Optional[List[RatFun]]:
+    """Express target as a combination of rows, or return None.
+
+    Exact Gaussian elimination over the rational-function field.
+    """
+    n = len(target)
+    k = len(rows)
+    # augmented columns: solve A^T x = target with A rows
+    matrix = [[rows[r][c] for r in range(k)] + [target[c]] for c in range(n)]
+    pivots: List[Tuple[int, int]] = []
+    row = 0
+    for col in range(k):
+        pivot = None
+        for r in range(row, n):
+            if not matrix[r][col].is_zero():
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
+        inv = matrix[row][col].inverse()
+        matrix[row] = [x * inv for x in matrix[row]]
+        for r in range(n):
+            if r != row and not matrix[r][col].is_zero():
+                f = matrix[r][col]
+                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[row])]
+        pivots.append((row, col))
+        row += 1
+    for r in range(row, n):
+        if not matrix[r][k].is_zero():
+            return None
+    solution = [RatFun.zero()] * k
+    for r, c in pivots:
+        solution[c] = matrix[r][k]
+    return solution
+
+
+def _oracle_minimal_polynomial(alg, e) -> List[RatFun]:
+    """The monic annihilating polynomial of least degree, by a fresh
+    elimination of the powers for each candidate degree."""
+    powers = [alg.identity().vec]
+    current = alg.identity()
+    while True:
+        current = alg.multiply(current, e)
+        solution = _solve_dependence(powers, current.vec)
+        if solution is not None:
+            return [-c for c in solution] + [RatFun.one()]
+        powers.append(current.vec)
+
+
+def test_minimal_polynomials_match_the_oracle(edge):
+    a, alg = edge.a, edge.algebra
+    bounded = algebra_for(EDGE, 3)
+    third = bounded.dim // 3
+    cases = [
+        (alg, alg.element({})),
+        (alg, alg.identity()),
+        (alg, edge.b[3]),
+        (alg, a[9] - a[10] * Fraction(1, 2)),
+        (bounded, bounded.element({0: 1, third: Fraction(-1, 2), 2 * third: Fraction(2, 3)})),
+    ]
+    for algebra, e in cases:
+        assert algebra.minimal_polynomial(e) == _oracle_minimal_polynomial(algebra, e)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(i=st.integers(1, 10), c=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_minimal_polynomials_of_scaled_basis_elements_match_the_oracle(edge, i, c):
+    e = edge.a[i] * c
+    assert edge.algebra.minimal_polynomial(e) == _oracle_minimal_polynomial(edge.algebra, e)
 
 
 def test_named_basis_is_the_basis(edge):
@@ -85,11 +166,9 @@ def test_f0_is_the_full_projector(edge):
     assert (f0 * f0).vec == f0.vec
     assert edge.algebra.utr(f0) == ONE
     # absorbing: f0 x f0 is the character value times f0 for basis elements
-    for i in (1, 3, 8, 10):
+    for i in range(1, 11):
         prod = (f0 * edge.a[i]) * f0
-        assert prod.vec == f0.scale(edge.algebra.utr(prod)).vec or True
-        # at least stays in the line through f0
-        assert _solve_dependence([f0.vec], prod.vec) is not None
+        assert prod.vec == f0.scale(edge.algebra.utr(prod)).vec
 
 
 def test_down_up_composite(edge):

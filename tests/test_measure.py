@@ -16,7 +16,8 @@ Core claims:
     - the product equation over a base holds on exhausted small diagrams
       and fails under the testing perturbation hook; its signature-grouped
       sum equals the plain sum over the listed amalgamations in every mode,
-      also where the base's measure vanishes; it restricts t1 once
+      also where the base's measure vanishes; it restricts t1 once; the
+      sweep over all diagrams pairs only trees over the same base
     - the embedding of a restriction keys no tree
     - finite-level mode enforces the level bound instead of dividing by zero
     - the parsed stars are the stars given as graph data
@@ -33,6 +34,7 @@ from itertools import combinations, permutations
 import pytest
 
 from arboreal.amalgam import amalgamations, enumerate_trees
+from arboreal.checks import equation_sweep
 from arboreal.measure import (
     SYMBOLIC,
     LevelError,
@@ -424,6 +426,18 @@ def test_equation_sweep_small():
                         if t1.restrict(shared) != t2.restrict(shared):
                             continue
                         assert verify_amalgamation_equation(t1, t2).is_zero()
+
+
+def test_equation_sweep_pairs_only_matching_bases(monkeypatch):
+    """A work guard: the sweep groups the right trees by the key of their
+    base, so the only tree comparisons left are the base checks of
+    ``verify_amalgamation_equation``, one per diagram (67,820 while every
+    left base was compared with every right base)."""
+    compared = []
+    eq = Tree.__eq__
+    monkeypatch.setattr(Tree, "__eq__", lambda self, other: compared.append(1) or eq(self, other))
+    assert equation_sweep(6) == (2254, 0)
+    assert len(compared) == 2254
 
 
 @pytest.mark.parametrize("scale", [None, Fraction(2), Fraction(-2, 3)])

@@ -4,7 +4,8 @@ Core claims:
     - the separation criterion agrees with the amalgamation-count definition
       and is stable under one-leaf extensions
     - marked types are preserved by extraneous deletion, and minimization is
-      independent of the deletion order
+      independent of the deletion order; a minimization sweep past the
+      listing cap is refused before it lists any tree
     - the ring Z[u,v]/(uv) kills all defining forms, and its measure-side
       specialization matches the generator values computed from embeddings
     - duplicate diagrams of the minimal shapes reproduce the defining
@@ -48,7 +49,8 @@ from arboreal.theta import (
     theta_to_mu,
     verify_L_relation,
 )
-from arboreal.amalgam import enumerate_trees
+from arboreal import checks
+from arboreal.amalgam import AmalgamError, enumerate_trees
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, build_tree, parse_tree
 
 T = RatFun.t()
@@ -113,6 +115,13 @@ def test_minimize_examples():
     assert mt.tree.shape_key() == marked_z().tree.shape_key()
     mt, tp = minimize_marked(MarkedTree(parse_tree("((a,b),(c,m))"), "m"))
     assert str(tp) == "II"
+
+
+def test_minimization_sweep_past_the_listing_cap_is_refused(monkeypatch):
+    # the trees on ten labels pass LISTING_CAP; no tree may be listed first
+    monkeypatch.setattr(checks, "enumerate_trees", None)
+    with pytest.raises(AmalgamError, match="enumeration listing exceeded"):
+        checks.minimization_sweep(10)
 
 
 def test_minimization_order_independent(small_trees):
