@@ -35,6 +35,8 @@ three-block tree extending two amalgamations is an amalgamation of their two
 wholes over the middle block.  A count is the number of sites, and the
 signatures (leaf count, sorted node valences) that a measure sum needs
 follow from each parent tree and site, so neither builds a last-level tree.
+Nor do a composition table's rows, the restrictions of those trees to the
+outer blocks: each is the parent's restriction grafted at a site's place.
 A listing holds its trees, so it is counted first and refused past
 LISTING_CAP before any is built (:func:`_listing`).  With no constraint and
 one label per class, the search lists every tree on a label set; how many
@@ -210,32 +212,97 @@ def _site_signatures(
 ) -> Counter:
     """The signatures (leaf count, sorted node valences) of the trees of
     :func:`_trees_with_restrictions`, with multiplicity, read from the last
-    level's sites without building those trees.
-
-    A graft at node u raises the valence of u by one; a graft on an edge
-    adds a node of valence three (a new valence-two vertex, raised by one);
-    either adds one leaf, and no other valence changes.  A join adds labels
-    only, so it keeps the parent's signature.
+    level's sites without building those trees (:func:`_tally_grafts`).
     """
     if not classes:
         return Counter(_signature(t) for t in _trees_with_restrictions(classes, constraints, max_level, seed))
     tally: Counter = Counter()
     for t, sites, _ in _frontier_sites(classes, constraints, max_level, seed):
-        leaves, valences = _signature(t)
-        grafts = [(u, v) for u, v in sites if u != v or u < 0]
-        if len(grafts) < len(sites):
-            tally[leaves, valences] += len(sites) - len(grafts)
-        if len(t.adj) < 2:
-            tally[leaves + 1, ()] += len(grafts)
-            continue
-        adj = t.adj
-        for d, n in Counter(len(adj[u]) if v < 0 else 2 for u, v in grafts).items():
-            vals = list(valences)
-            if d > 2:
-                vals.remove(d)
-            insort(vals, d + 1)
-            tally[leaves + 1, tuple(vals)] += n
+        _tally_grafts(tally, t, sites)
     return tally
+
+
+def _tally_grafts(tally: Counter, t: Tree, sites: Sequence[Tuple[int, int]]) -> None:
+    """Add to ``tally`` the signature of each tree that grafts one class onto
+    ``t`` at one of ``sites``, none of them built.
+
+    A graft at node u raises the valence of u by one; a graft on an edge
+    adds a node of valence three (a new valence-two vertex, raised by one);
+    either adds one leaf, and no other valence changes.  A join adds labels
+    only, so it keeps the signature of ``t``.
+    """
+    leaves, valences = _signature(t)
+    grafts = [(u, v) for u, v in sites if u != v or u < 0]
+    if len(grafts) < len(sites):
+        tally[leaves, valences] += len(sites) - len(grafts)
+    if len(t.adj) < 2:
+        if grafts:
+            tally[leaves + 1, ()] += len(grafts)
+        return
+    adj = t.adj
+    for d, n in Counter(len(adj[u]) if v < 0 else 2 for u, v in grafts).items():
+        vals = list(valences)
+        if d > 2:
+            vals.remove(d)
+        insort(vals, d + 1)
+        tally[leaves + 1, tuple(vals)] += n
+
+
+def _restriction_tallies(
+    keep: FrozenSet[str],
+    classes: Sequence[Tuple[str, ...]],
+    constraints: Sequence[Tuple[FrozenSet[str], Tree]],
+    max_level: Optional[int],
+    seed: Tree = EMPTY_TREE,
+) -> Iterator[Tuple[Tree, Counter]]:
+    """The restrictions to ``keep`` (which holds the last class) of the trees
+    of :func:`_trees_with_restrictions`, each with the signature tally of the
+    trees restricting to it, none of them built; a restriction may repeat.
+    Restriction commutes with grafting, so each penultimate tree t is
+    restricted once and t|keep grafted once per place (:func:`_places`)."""
+    if not classes:
+        for z in _trees_with_restrictions(classes, constraints, max_level, seed):
+            yield z.restrict(keep), Counter((_signature(z),))
+        return
+    for t, sites, cls in _frontier_sites(classes, constraints, max_level, seed):
+        held = sorted(l for ls in t.labels for l in ls if l in keep)
+        r = t.restrict(held)
+        for place, group in _places(t, r, held, sites).items():
+            tally: Counter = Counter()
+            _tally_grafts(tally, t, group)
+            yield r._graft(place, cls), tally
+
+
+def _places(
+    t: Tree, r: Tree, held: List[str], sites: Sequence[Tuple[int, int]]
+) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+    """The sites of ``t`` grouped by where a new leaf there lands in ``r``,
+    the restriction of ``t`` to the sorted labels ``held``: a site of ``r``
+    or, for a join, the joined leaf.  One :func:`_clades` pass over ``t``
+    places each graft site as :func:`_frontier_sites` does, and one over
+    ``r``, whose every vertex has its own clade, names the site there."""
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    if len(r.adj) < 2:
+        for u, v in sites:
+            groups.setdefault((0, 0) if u == v >= 0 else (-1, -1), []).append((u, v))
+        return groups
+    bit = {l: 1 << i for i, l in enumerate(held)}
+    parent, up, above = _clades(t, bit, t.leaf_of(held[0]))
+    rparent, rup, rabove = _clades(r, bit, r.leaf_of(held[0]))
+    at = {}
+    for w, p in enumerate(rparent):
+        if p >= 0:
+            at[rabove[w]] = (min(p, w), max(p, w))
+            if len(r.adj[w]) >= 2:
+                at[rup[w]] = (w, -1)
+    for u, v in sites:
+        if u == v:
+            w = r.leaf_of(t.labels[v][0])
+            place = (w, w)
+        else:
+            place = at[up[u] if v < 0 else above[v if parent[v] == u else u]]
+        groups.setdefault(place, []).append((u, v))
+    return groups
 
 
 def _site_count(

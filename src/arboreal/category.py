@@ -3,8 +3,9 @@
 A morphism from tree S to tree T is a formal linear combination, with
 rational-function coefficients, of amalgamations of S and T.  To keep the
 label universes of the two ends disjoint, S's labels are prefixed "s:" and
-T's labels "t:" inside the stored amalgamations; composition temporarily
-uses "1:", "2:", "3:" for the three blocks involved.
+T's labels "t:" inside the stored amalgamations; composition tags the
+middle object's labels "2:" while it enumerates, and the trace over
+three-block trees tags the blocks "1:", "2:", "3:".
 
 Composition of basis elements sums over all three-block trees extending the
 two given amalgamations: each such tree contributes the measure of the
@@ -28,16 +29,17 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence
 
 from arboreal.amalgam import (
     Amalgamation,
+    _amalgamation_classes,
     _check_classes,
     _leaf_classes,
+    _restriction_tallies,
     _site_signatures,
-    amalgamation_trees,
     amalgamations,
 )
 from arboreal.measure import (
     SYMBOLIC,
     ParamSpec,
-    _embedding_sum,
+    _embedding_sum_key,
     _measure_sum,
     _mu_symbolic_key,
     _product,
@@ -217,30 +219,28 @@ def _composition_table(
     the inclusions y3 -> z over the three-block extensions z restricting to
     y3.
 
-    The three blocks carry the tags "1:", "2:", "3:" while the extensions
-    are enumerated, as the amalgamations of the two wholes over block 2.
-    Each y3 is built once in its stored "s:"/"t:" tags, on the label
-    strings of ``gu.left`` and ``fv.right``, and keyed once; each row keeps
-    only the signatures of its extensions, tallied, and no extension gets a
-    key of its own or is held.  The rows are stored in key order.
+    The extensions are the amalgamations of the two wholes over block 2,
+    which carries the tag "2:" while they are enumerated; the outer blocks
+    keep their stored "s:"/"t:" tags.  No extension is built: each row y3
+    and the signatures of its extensions are read from the search's last
+    level, one restriction per penultimate tree and one graft per distinct
+    place of its sites (:func:`amalgam._restriction_tallies`).  Each y3 is
+    keyed once per place, and each row's value is read by the signature of
+    y3 and the sorted tally of its extensions' signatures.  The rows are
+    stored in key order.
     """
     key = (gu.key, fv.key, max_level)
     hit = _TRIPLE_CACHE.pop(key, None)
     if hit is not None:
         _TRIPLE_CACHE[key] = hit  # now the most recently used
         return hit
-    u = retag(gu.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"})
-    v = retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: "3:"})
-    # "1:" -> "s:" and "3:" -> "t:" keep the order of every leaf's labels
-    stored = {"1:" + l[2:]: l for l in gu.left}
-    stored.update(("3:" + l[2:], l) for l in fv.right)
+    u = retag(gu.whole, {SOURCE_TAG: SOURCE_TAG, TARGET_TAG: "2:"})
+    v = retag(fv.whole, {SOURCE_TAG: "2:", TARGET_TAG: TARGET_TAG})
     rows: Dict[str, Tuple[Tree, Counter]] = {}
-    for z in amalgamation_trees(u, v, max_level):
-        y = z.restrict(stored)
-        y3 = Tree(y.adj, tuple(tuple(map(stored.__getitem__, ls)) for ls in y.labels))
-        rows.setdefault(y3.canonical_key(), (y3, Counter()))[1][_signature(z)] += 1
+    for y3, tally in _restriction_tallies(gu.left | fv.right, *_amalgamation_classes(u, v, max_level)):
+        rows.setdefault(y3.canonical_key(), (y3, Counter()))[1].update(tally)
     table = tuple(
-        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum(y3, tally))
+        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum_key(_signature(y3), tuple(sorted(tally.items()))))
         for _, (y3, tally) in sorted(rows.items())
     )
     if len(_TRIPLE_CACHE) >= TRIPLE_CACHE_CAP:

@@ -86,9 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rational(name: str, text: str) -> Fraction:
+    """A rational argument, refused with arboreal's own message."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s is not a rational number: %r" % (name, text)) from None
+
+
 def _param_from_args(args) -> ParamSpec:
     if args.t is not None:
-        return ParamSpec.numeric(Fraction(args.t))
+        return ParamSpec.numeric(_rational("--t", args.t))
     if args.level is not None:
         return ParamSpec.finite_level(args.level)
     if args.infinity:
@@ -191,7 +199,7 @@ def _cmd_algebra(args) -> Tuple[int, Dict]:
         payload["det"] = str(det)
         payload["det_factored"] = det.factored()
         if args.at is not None:
-            ok, witness, factor = alg.is_semisimple_at(Fraction(args.at))
+            ok, witness, factor = alg.is_semisimple_at(_rational("--at", args.at))
             payload["semisimple_at"] = {
                 "t": args.at,
                 "nondegenerate": ok,
@@ -308,11 +316,7 @@ def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
         return (int(e.code) if e.code else 0), ""
     try:
         if scale:
-            try:
-                per_leaf = Fraction(scale)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("ARBOREAL_MUTATE_MU is not a rational number: %r" % scale) from None
-            set_mu_perturbation(per_leaf)
+            set_mu_perturbation(_rational("ARBOREAL_MUTATE_MU", scale))
         if any(isinstance(a, str) and len(a) > TREE_TEXT_CAP for a in vars(args).values()):
             raise TreeError("an argument exceeds the cap of %d characters" % TREE_TEXT_CAP)
         if args.command == "enumerate":

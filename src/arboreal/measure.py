@@ -14,8 +14,11 @@ signature's cached value at t = n to its multiplicity instead.  A sum of
 values (``mu_sum``, the embedding sums of the composition table, the
 product equation's residual, the trace over three-block trees) hands one
 term per signature to ``RatFun.sum``, which normalizes it once with no gcd:
-the denominators are all c*(t-1)^leaves.  The residual and the trace count
-their trees at the enumerator's last-level sites and build none of them.
+the denominators are all c*(t-1)^leaves.  The residual, the trace and the
+composition tables count their trees at the enumerator's last-level sites
+and build none of them; a table's row value depends only on the signature
+of the row tree and the tally of its extensions' signatures, and is
+memoized on them.
 Every other evaluation specializes the symbolic value.
 
 Parameter modes:
@@ -267,13 +270,23 @@ def mu_embedding(sub: Tree, super_tree: Tree, p: ParamSpec = SYMBOLIC) -> Value:
     return _specialize(_product(((_signature(super_tree), 1), (_signature(sub), -1))), p)
 
 
+@lru_cache(maxsize=4096)
+def _embedding_sum_key(small: Signature, tally: Tuple[Tuple[Signature, int], ...]) -> RatFun:
+    """The summed symbolic measure of the embeddings sub -> z, from the
+    signature of sub and the tally items of the signatures of the z: one
+    quotient of closed forms per signature, normalized once.  A composition
+    table reads each row's value here, keyed by the sorted tally items."""
+    return RatFun.sum(_signature_terms(dict(tally), lambda *sig: _product(((sig, 1), (small, -1)))))
+
+
+register_measure_cache(_embedding_sum_key.cache_clear)
+
+
 def _embedding_sum(sub: Tree, tally: Counter) -> RatFun:
     """The summed symbolic measure of the embeddings sub -> z over the trees
     z, each of which restricts to sub (not checked), given as the tally of
-    their signatures: one quotient of closed forms per signature, normalized
-    once."""
-    small = _signature(sub)
-    return RatFun.sum(_signature_terms(tally, lambda *sig: _product(((sig, 1), (small, -1)))))
+    their signatures; not memoized."""
+    return _embedding_sum_key.__wrapped__(_signature(sub), tally.items())
 
 
 def marked_type_code(tree: Tree, mark: str) -> str:

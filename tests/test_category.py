@@ -16,6 +16,8 @@ Core claims:
       with one label there, and its traces via trees are those of products
     - numeric composition equals symbolic composition then substitution,
       and infinity composition takes each coefficient's limit
+    - a cold composition table, read from the search's last level, has the
+      rows of the oracle that builds, restricts and keys every extension
     - the composition tables evict the least recently used; a composition
       does not depend on which tables the cache holds, a repeated dense
       product builds none, and the cap holds the measured working sets
@@ -42,7 +44,10 @@ from itertools import product
 
 import pytest
 
-from arboreal import category
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arboreal import amalgam, category
 from arboreal.amalgam import Amalgamation, _site_signatures, amalgamation_trees, trees_with_restrictions
 from arboreal.cli import run
 from arboreal.category import (
@@ -62,9 +67,9 @@ from arboreal.category import (
     truncate_level,
 )
 from arboreal.edge_algebra import EdgeAlgebra, edge_algebra
-from arboreal.measure import ParamSpec, mu_sum, mu_symbolic, set_mu_perturbation
+from arboreal.measure import ParamSpec, _embedding_sum, mu_sum, mu_symbolic, set_mu_perturbation
 from arboreal.ratfun import ONE, ZERO, Poly, RatFun, parse_ratfun
-from arboreal.trees import EMPTY_TREE, TreeError, parse_tree
+from arboreal.trees import EMPTY_TREE, Tree, TreeError, _signature, parse_tree
 
 T = RatFun.t()
 EDGE = parse_tree("(1,2)")
@@ -475,11 +480,21 @@ def test_composition_tables_evict_the_least_recently_used(monkeypatch):
     assert set(category._TRIPLE_CACHE) == {(x.key, y.key, None) for x, y, _ in (a, c)}
 
 
+def table_builds(monkeypatch):
+    """The arguments of every search a composition table reads, one per
+    table built, recorded from now on."""
+    builds = []
+    tallies = category._restriction_tallies
+    monkeypatch.setattr(category, "_restriction_tallies", lambda *args: builds.append(args) or tallies(*args))
+    return builds
+
+
 def test_compositions_do_not_depend_on_the_cache_history(monkeypatch):
     """Every chain compose allows among p, (p,q) and (p,q,r), with at most
     four outer leaves, composes the same under a cap of one table, where
     every table is rebuilt, as under the default cap, cold and then warm
-    with every table read from the cache."""
+    with every table read from the cache.  The build counter sees every
+    cold table before it is trusted to see none."""
     objects = [parse_tree(text) for text in ("p", "(p,q)", "(p,q,r)")]
 
     def sparse(source, target):
@@ -500,27 +515,96 @@ def test_compositions_do_not_depend_on_the_cache_history(monkeypatch):
     rebuilt = composed()
     monkeypatch.setattr(category, "TRIPLE_CACHE_CAP", cap)
     monkeypatch.setattr(category, "_TRIPLE_CACHE", {})
+    builds = table_builds(monkeypatch)
     assert composed() == rebuilt
-    builds = []
-    trees = category.amalgamation_trees
-    monkeypatch.setattr(category, "amalgamation_trees", lambda *args: builds.append(args) or trees(*args))
+    assert len(builds) == len(category._TRIPLE_CACHE) > 0  # the hook sees every cold table
+    builds.clear()
     assert composed() == rebuilt
     assert builds == []
 
 
 def test_repeated_dense_products_build_no_table(edge, monkeypatch):
-    """A work guard: a second dense product in the edge algebra reads all
-    of its 100 tables from the cache, and the cap holds the 1,644 tables of
-    a dense element times a three-term element of End((1,2,3))."""
+    """A work guard: a dense product in the edge algebra builds its 100
+    tables once, cold, and a second one reads them all from the cache; the
+    cap holds the 1,644 tables of a dense element times a three-term
+    element of End((1,2,3))."""
     alg = edge.algebra
     dense = alg.element({i: i + 1 for i in range(alg.dim)})
+    monkeypatch.setattr(category, "_TRIPLE_CACHE", {})
+    builds = table_builds(monkeypatch)
     alg.multiply(dense, dense)
-    builds = []
-    trees = category.amalgamation_trees
-    monkeypatch.setattr(category, "amalgamation_trees", lambda *args: builds.append(args) or trees(*args))
+    assert len(builds) == alg.dim ** 2 == 100  # the hook sees every cold table
+    builds.clear()
     alg.multiply(dense, dense)
     assert builds == []
     assert category.TRIPLE_CACHE_CAP >= 3 * algebra_for(parse_tree("(1,2,3)")).dim
+
+
+def composition_table_oracle(gu, fv, max_level):
+    """The oracle: every three-block extension built by
+    ``amalgamation_trees`` with the blocks tagged "1:", "2:", "3:", then
+    restricted to the outer blocks, keyed and signed one at a time, and each
+    row's value from the unmemoized ``_embedding_sum``."""
+    u = category.retag(gu.whole, {"s:": "1:", "t:": "2:"})
+    v = category.retag(fv.whole, {"s:": "2:", "t:": "3:"})
+    stored = {"1:" + l[2:]: l for l in gu.left}
+    stored.update(("3:" + l[2:], l) for l in fv.right)
+    rows = {}
+    for z in amalgamation_trees(u, v, max_level):
+        y = z.restrict(stored)
+        y3 = Tree(y.adj, tuple(tuple(map(stored.__getitem__, ls)) for ls in y.labels))
+        rows.setdefault(y3.canonical_key(), (y3, Counter()))[1][_signature(z)] += 1
+    return tuple(
+        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum(y3, tally))
+        for _, (y3, tally) in sorted(rows.items())
+    )
+
+
+TABLE_OBJECTS = [parse_tree(text) for text in ("()", "p", "p/y", "(p,q)", "(p/x,q)", "(p,q,r)", "((p,q),(r,s))")]
+_BASES = {}
+
+
+def cold_table_matches_the_oracle(a, b, c, i, j, max_level):
+    """Whether a cold table of basis i of Hom(a, b) and basis j of Hom(b, c)
+    has the oracle's rows: the same keys in the same order, ``==`` values."""
+    for x, y in ((a, b), (b, c)):
+        if (x, y) not in _BASES:
+            _BASES[x, y] = hom_basis(x, y)
+    gu = _BASES[a, b][i % len(_BASES[a, b])]
+    fv = _BASES[b, c][j % len(_BASES[b, c])]
+    category._TRIPLE_CACHE.pop((gu.key, fv.key, max_level), None)
+    table = category._composition_table(gu, fv, max_level)
+    want = composition_table_oracle(gu, fv, max_level)
+    return [(am.key, w) for am, w in table] == [(am.key, w) for am, w in want]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(TABLE_OBJECTS), st.sampled_from(TABLE_OBJECTS), st.sampled_from(TABLE_OBJECTS),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.sampled_from([None, 3, 4]),
+)
+def test_composition_tables_match_the_oracle(a, b, c, i, j, max_level):
+    assert cold_table_matches_the_oracle(a, b, c, i, j, max_level)
+
+
+def test_composition_tables_match_the_oracle_on_joins_and_one_leaf_restrictions(monkeypatch):
+    """Every table among p, p/y and (p,q) at each level bound has the
+    oracle's rows, and these tables place join sites and penultimate trees
+    whose outer labels restrict to one vertex, or two or more."""
+    seen = set()
+    places = amalgam._places
+
+    def recording(t, r, held, sites):
+        seen.update((min(len(r.adj), 2), u == v >= 0) for u, v in sites)
+        return places(t, r, held, sites)
+
+    monkeypatch.setattr(amalgam, "_places", recording)
+    objects = [parse_tree(text) for text in ("p", "p/y", "(p,q)")]
+    for a, b, c in product(objects, repeat=3):
+        for max_level in (None, 3, 4):
+            for i, j in product(range(len(hom_basis(a, b))), range(len(hom_basis(b, c)))):
+                assert cold_table_matches_the_oracle(a, b, c, i, j, max_level), (a, b, c, i, j, max_level)
+    assert seen == set(product((1, 2), (False, True)))
 
 
 def test_triple_trace_matches_composition(edge):

@@ -7,7 +7,8 @@ Core claims:
     - output bytes are identical across repeated runs
     - the measure-perturbation hook makes the product-equation check fail,
       which is how the harness proves the reference suite can fail; a
-      malformed scale exits 2, and no run leaves the perturbation set
+      malformed scale exits 2, and no run leaves the perturbation set; a
+      malformed --t or --at exits 2 with the same kind of message
     - large inputs finish: 2,000-leaf trees and embeddings, and the Gram
       determinant of the 548-dimensional algebra of (1,2,3)
     - ten labels meet the listing cap: exit 2 within bounded memory, never
@@ -234,6 +235,16 @@ def test_a_malformed_mutation_scale_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("ARBOREAL_MUTATE_MU", "2")
     assert run(["enumerate", "--no-such-option"])[0] == 2
     assert measure._PERTURB_PER_LEAF is None
+
+
+def test_a_malformed_rational_argument_exits_2(capsys):
+    """--t and --at that are not rational numbers are refused with exit 2,
+    no stdout and arboreal's own message, as a malformed mutation scale is."""
+    for flag, argv in (("--t", ["measure", "--tree", "(a,b,c)", "--t"]),
+                       ("--at", ["algebra", "gram", "--tree", "(1,2)", "--at"])):
+        for text in ("1/0", "abc"):
+            assert run(argv + [text]) == (2, "")
+            assert capsys.readouterr().err == "error: %s is not a rational number: %r\n" % (flag, text)
 
 
 def caterpillar(leaves: int) -> str:

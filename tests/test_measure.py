@@ -17,7 +17,8 @@ Core claims:
       and fails under the testing perturbation hook; its signature-grouped
       sum equals the plain sum over the listed amalgamations in every mode,
       also where the base's measure vanishes; it restricts t1 once; the
-      sweep over all diagrams pairs only trees over the same base
+      sweep over all diagrams pairs only trees over the same base, and at
+      seven labels checks its 30,526 diagrams with one comparison each
     - the embedding of a restriction keys no tree
     - finite-level mode enforces the level bound instead of dividing by zero
     - the parsed stars are the stars given as graph data
@@ -438,6 +439,17 @@ def test_equation_sweep_pairs_only_matching_bases(monkeypatch):
     monkeypatch.setattr(Tree, "__eq__", lambda self, other: compared.append(1) or eq(self, other))
     assert equation_sweep(6) == (2254, 0)
     assert len(compared) == 2254
+
+
+def test_equation_sweep_at_seven_labels(monkeypatch):
+    """The 7-label sweep checks its 30,526 diagrams with no nonzero
+    residual, and compares trees once per diagram: 8.48 M comparisons while
+    every left base was compared with every right base."""
+    compared = []
+    eq = Tree.__eq__
+    monkeypatch.setattr(Tree, "__eq__", lambda self, other: compared.append(1) or eq(self, other))
+    assert equation_sweep(7) == (30526, 0)
+    assert len(compared) == 30526
 
 
 @pytest.mark.parametrize("scale", [None, Fraction(2), Fraction(-2, 3)])
