@@ -4,7 +4,9 @@ An amalgamation of trees T1 and T2 is a tree on the union of their label
 sets whose restrictions to each side reproduce T1 and T2; a leaf may carry
 the labels of one leaf from each side, meaning the two copies overlap
 there.  Shared labels act as a base: both restrictions to the shared set
-must agree, and those leaves are identified throughout.
+must agree, and those leaves are identified throughout.  The check builds
+neither restriction; it compares the clusters of the shared labels, which
+determine a leaf-labeled tree (:func:`_base_clusters`).
 
 Labels sharing a leaf of either side are quotiented into leaf classes, and
 one search per pair lists every amalgamation.  It starts from a seed: the
@@ -396,6 +398,28 @@ def _frontier_sites(
             stack.extend((t._graft(s, order[depth]), depth + 1) for s in reversed(admissible(t, depth)))
 
 
+def _clade_masks(
+    tree: Tree, bit: Dict[str, int], root: int
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """``tree`` rooted at the leaf ``root``: per vertex its parent, the
+    vertices in breadth-first order, and per vertex its clade (the bits of
+    the labels below it, ``root``'s own excluded) and its number of children
+    with a non-empty clade."""
+    labels, n = tree.labels, len(tree.adj)
+    parent, order = _breadth_first(tree.adj, root)
+    mask = [0] * n
+    kids = [0] * n
+    for v in reversed(order[1:]):
+        m = mask[v]
+        for l in labels[v]:
+            m |= bit.get(l, 0)
+        if m:
+            mask[v] = m
+            mask[parent[v]] |= m
+            kids[parent[v]] += 1
+    return parent, order, mask, kids
+
+
 def _clades(
     tree: Tree, bit: Dict[str, int], root: int
 ) -> Tuple[List[int], List[int], List[int]]:
@@ -410,18 +434,8 @@ def _clades(
     new leaf on the edge above it).  A site below which no ``V_old`` label
     sits maps through its nearest ancestor with a non-empty clade.
     """
-    labels, n = tree.labels, len(tree.adj)
-    parent, order = _breadth_first(tree.adj, root)
-    mask = [0] * n
-    kids = [0] * n  # children with a non-empty clade
-    for v in reversed(order[1:]):
-        m = mask[v]
-        for l in labels[v]:
-            m |= bit.get(l, 0)
-        if m:
-            mask[v] = m
-            mask[parent[v]] |= m
-            kids[parent[v]] += 1
+    parent, order, mask, kids = _clade_masks(tree, bit, root)
+    n = len(order)
     up = [0] * n
     above = [0] * n
     for v in order[1:]:
@@ -531,7 +545,8 @@ def _amalgamation_classes(
     """The arguments of the search for the amalgamations of t1 and t2: the
     classes to insert, the constraints, the level bound and the seed, after
     checking the base (t1 restricted to the shared labels, or ``base`` if
-    given, not checked) against t2, and the classes and the level bound once.
+    given, not checked) against t2 by :func:`_base_clusters`, and the classes
+    and the level bound once.
 
     The seed is the side with more free classes (t1 on a tie), each leaf
     carrying its class.  The base check keeps shared labels of different
@@ -543,8 +558,11 @@ def _amalgamation_classes(
     """
     i1, i2 = t1.label_set, t2.label_set
     shared = i1 & i2
-    if (t1.restrict(shared) if base is None else base) != t2.restrict(shared):
-        raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
+    if shared:
+        bit = {l: 1 << i for i, l in enumerate(shared)}
+        least = min(shared)
+        if _base_clusters(t1 if base is None else base, bit, least) != _base_clusters(t2, bit, least):
+            raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
     _check_classes(classes, max_level)
@@ -555,6 +573,24 @@ def _amalgamation_classes(
     class_of = {l: c for c in classes for l in c}
     seed = Tree(t1.adj, tuple(class_of[ls[0]] if ls else () for ls in t1.labels))
     return free2, constraints, max_level, seed
+
+
+def _base_clusters(tree: Tree, bit: Dict[str, int], least: str) -> FrozenSet[int]:
+    """The restriction of ``tree`` to the labels of ``bit`` up to
+    isomorphism, none of it built: the set of nonempty clades of its
+    vertices (see :func:`_clade_masks`), rooted at the leaf of ``least``.
+
+    In the restriction, rooted at that leaf, every other vertex has its own
+    nonempty clade, since each internal one has two children or more, and a
+    leaf's labels are its clade.  A vertex of ``tree`` that the restriction
+    suppresses repeats one of these clades, one it deletes has an empty
+    clade, and the root's clade is its neighbor's.  The root leaf carries
+    the labels in no clade.  So the clades determine the restriction, as
+    the clusters of a leaf-labeled tree do (Semple and Steel,
+    *Phylogenetics*, 2003, ch. 3).
+    """
+    root = next(v for v, ls in enumerate(tree.labels) if least in ls)  # no leaf_of dict kept on the tree
+    return frozenset(m for m in _clade_masks(tree, bit, root)[2] if m)
 
 
 def amalgamations(

@@ -47,7 +47,7 @@ from arboreal.measure import (
     mu_symbolic,
     register_measure_cache,
 )
-from arboreal.ratfun import ZERO, Poly, RatFun, _common_denominator
+from arboreal.ratfun import ZERO, Poly, RatFun, _common_denominator, _factor, _over
 from arboreal.trees import Tree, TreeError, _signature
 
 Coeff = Union[RatFun, Fraction, int]
@@ -259,8 +259,11 @@ def _bilinear(
 
     The left coefficients, the right coefficients and the structure
     constants w read are each brought over one denominator, three calls of
-    ``_common_denominator`` whatever the number of slots, and each slot's
-    numerator is normalized once over the product of the three denominators.
+    ``_common_denominator`` whatever the number of slots.  Every slot shares
+    the product D of the three denominators, so D is split once into its
+    content and its quotients by powers of t-1 (``ratfun._factor``), and
+    each slot's numerator is normalized once against that split
+    (``ratfun._over``, which ``RatFun(num, den)`` runs for one numerator).
 
     The numerators are summed as integers, by Kronecker substitution: each
     left and right numerator l, r and each distinct constant numerator w'
@@ -293,8 +296,8 @@ def _bilinear(
     for xy, r in zip(pairs, rows):
         for k, w in r:
             acc[k] = acc.get(k, 0) + xy * packed[w.num.coeffs, w.den.coeffs]
-    den = wden * lden * rden
-    return {k: RatFun(Poly._unpack(n, b), den) if n else ZERO for k, n in acc.items()}
+    den = _factor(wden * lden * rden)
+    return {k: RatFun._normal(*_over(Poly._unpack(n, b), den)) if n else ZERO for k, n in acc.items()}
 
 
 def compose(f: HomElement, g: HomElement, p: ParamSpec = SYMBOLIC) -> HomElement:
@@ -446,15 +449,15 @@ class ArborealAlgebra:
 
         The row is sparse: a ``(k, value)`` pair for each nonzero
         coefficient of basis[k], in increasing k.  It is read off the
-        composition table on every call and holds no zero value.
+        composition table on every call and holds no zero value; the
+        table's rows and the basis are both in key order, so the indices
+        come in increasing order as the rows are read.
         """
-        row = []
-        for out, w in _composition_table(self.basis[j], self.basis[i], self.max_level):
-            w = self._at_level(w)
-            if not w.is_zero():
-                row.append((self.index[out.key], w))
-        row.sort()
-        return tuple(row)
+        table = _composition_table(self.basis[j], self.basis[i], self.max_level)
+        if self.max_level is not None:
+            table = [(out, self._at_level(w)) for out, w in table]
+        index = self.index
+        return tuple([(index[out.key], w) for out, w in table if w.num.coeffs])
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         out = [ZERO] * self.dim

@@ -7,29 +7,38 @@ build theirs through the trusted ``Poly._of``, which only strips trailing
 zeros.  A rational function normalizes to a coprime numerator/denominator
 pair of integer polynomials with overall content 1 and a positive leading
 denominator coefficient, so equal values always serialize to identical
-strings.  Normalization stays in the integers: each side splits into its
-integer content and primitive part.  While both parts vanish at t = 1 (their
-coefficients sum to zero), t-1 is divided out of both by synthetic division.
-If what is left of the denominator is a power of t-1, or the numerator is
-constant, the parts are coprime; otherwise they are divided by their gcd,
-taken by a primitive remainder sequence over Z.  By Gauss's lemma (Knuth,
+strings.  Normalization stays in the integers, and one routine does it:
+the denominator is split once (``_factor``) into its integer content, its
+primitive part divided by each power of t-1 it holds, and whether the
+cofactor left is constant; each numerator is then normalized against that
+split (``_over``).  The numerator splits into its content and primitive
+part.  While both primitive parts vanish at t = 1 (their coefficients sum to
+zero), t-1 leaves the numerator by synthetic division and the denominator by
+its next quotient.  If the denominator's cofactor is constant, or the
+numerator is, the parts are coprime; otherwise they are divided by their
+gcd, taken by a primitive remainder sequence over Z.  ``RatFun(num, den)``
+is the case of one numerator; the slots of an algebra product share one
+denominator and so one split, reducing each to lowest terms from factors
+already known (Knuth, TAOCP vol. 2, 4.5.1).  By Gauss's lemma (Knuth,
 TAOCP vol. 2, 4.6.1) products and exact quotients of primitive polynomials
-stay primitive, so no rational coefficient is ever needed; the parser clears
-the denominators of the ones it reads.
+stay primitive, so no rational coefficient is ever needed; the parser reads
+each coefficient as an integer numerator and denominator and clears the
+denominators.
 
 Sums normalize once.  ``RatFun.sum`` takes unnormalized num/den pairs,
 adds the numerators of equal denominators as it reads them, brings the
-distinct denominators over one with ``_common_denominator`` (by an exact
-quotient where one divides another, else by cross-multiplying) and
-normalizes once at the end; ``+`` is its two-term case.  Algebra products
-and compositions bring their left coefficients, their right coefficients
-and their structure constants over one denominator each with the same
-helper.  Every tree measure has a denominator c*(t-1)^leaves, and so has
-every embedding quotient and every structure constant, a sum of such
-quotients, so these sums and products take no gcd unless a coefficient
-brings another denominator.  Negation, the inverse, scaling by a rational
-number and division by one only move the sign, the sides and the integer
-content of a normal form and run no gcd either.
+distinct denominators over one with ``_common_denominator`` (integer ones
+by their lcm, others by an exact quotient where one divides another, else
+by cross-multiplying) and normalizes once at the end; ``+`` is its two-term
+case.  Algebra products and compositions bring their left coefficients,
+their right coefficients and their structure constants over one
+denominator each with the same helper.  Every tree measure has a
+denominator c*(t-1)^leaves, and so has every embedding quotient and every
+structure constant, a sum of such quotients, so these sums and products
+take no gcd unless a coefficient brings another denominator.  Negation,
+the inverse, scaling by a rational number and division by one only move
+the sign, the sides and the integer content of a normal form and run no
+gcd either.
 
 Algebra products sum their slots by Kronecker substitution (Kronecker
 1882; D. Harvey, J. Symb. Comput. 44(10), 2009).  ``Poly._pack(b)`` is the
@@ -350,6 +359,48 @@ def _div_one(cs: Sequence[int]) -> List[int]:
     return list(accumulate(reversed(cs)))[-2::-1]
 
 
+def _factor(den: Poly) -> Tuple[int, List[Sequence[int]], bool]:
+    """A nonzero denominator split once, for :func:`_over`: its integer
+    content, its primitive part p divided by (t-1)^j for each j up to the
+    multiplicity e of t-1 in p (p(1) is the coefficient sum, so t-1 divides
+    what is left while that sum is zero), and whether the cofactor
+    p/(t-1)^e is nonconstant."""
+    gd, pd = _split(den.coeffs)
+    quotients = [pd]
+    while len(pd) > 1 and not sum(pd):
+        pd = _div_one(pd)
+        quotients.append(pd)
+    return gd, quotients, len(pd) > 1
+
+
+def _over(num: Poly, split: Tuple[int, List[Sequence[int]], bool]) -> Tuple[Poly, Poly]:
+    """The normal form of num/den, for a nonzero num and the ``split`` of
+    den by :func:`_factor`.
+
+    While the primitive parts of both sides vanish at t = 1, t-1 leaves
+    both: num by synthetic division, den by taking its next quotient.  Then
+    num shares no t-1 with den, so a gcd runs only for a nonconstant num
+    over a nonconstant cofactor.  The primitive parts are multiplied by the
+    reduced content ratio, giving integer parts with joint content 1.
+    """
+    gd, quotients, cofactor = split
+    gn, pn = _split(num.coeffs)
+    j, e = 0, len(quotients) - 1
+    while j < e and not sum(pn):
+        pn, j = _div_one(pn), j + 1
+    pd = quotients[j]
+    if cofactor and len(pn) > 1:
+        num, den = Poly._of(pn), Poly._of(pd)
+        g = num.gcd(den)
+        if g.degree > 0:
+            pn, pd = num.divmod(g)[0].coeffs, den.divmod(g)[0].coeffs
+    h = gcd(gn, gd)
+    a, b = gn // h, gd // h
+    if pd[-1] < 0:
+        a, b = -a, -b
+    return Poly._of(pn if a == 1 else [x * a for x in pn]), Poly._of(pd if b == 1 else [x * b for x in pd])
+
+
 def poly_to_str(p: Poly, var: str = "t") -> str:
     if p.is_zero():
         return "0"
@@ -384,13 +435,12 @@ def _parse_terms(text: str, var: str = "t") -> Tuple[Poly, int]:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    coeffs: dict = {}
+    coeffs: Dict[int, Tuple[int, int]] = {}  # degree -> (numerator, denominator)
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if m is None or m.end() == pos:
             raise ValueError("malformed polynomial %r at %d" % (text, pos))
-        sign = -1 if m.group("sign") == "-" else 1
         coeff, v, exp = m.group("coeff", "var", "exp")
         if v is None:
             if coeff is None:
@@ -400,13 +450,18 @@ def _parse_terms(text: str, var: str = "t") -> Tuple[Poly, int]:
             if v != var:
                 raise ValueError("unknown variable %r in %r" % (v, text))
             d = int(exp) if exp is not None else 1
-        coeffs[d] = coeffs.get(d, 0) + sign * Fraction(coeff or 1)
+        a, _, b = (coeff or "1").partition("/")
+        a, b = int(a), int(b or 1)
+        if m.group("sign") == "-":
+            a = -a
+        prev = coeffs.get(d)
+        coeffs[d] = (a, b) if prev is None else (prev[0] * b + a * prev[1], prev[1] * b)
         pos = m.end()
-    den = lcm(*[c.denominator for c in coeffs.values()])
+    den = lcm(*[b // gcd(a, b) for a, b in coeffs.values()])  # the reduced denominators' lcm
     out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c.numerator * (den // c.denominator)
-    return Poly(out), den
+    for d, (a, b) in coeffs.items():
+        out[d] = a * den // b
+    return Poly._of(out), den
 
 
 def parse_poly(text: str, var: str = "t") -> Poly:
@@ -434,34 +489,7 @@ class RatFun:
         if num.is_zero():
             num, den = Poly(), Poly((1,))
         else:
-            gn, pn = _split(num.coeffs)
-            gd, pd = _split(den.coeffs)
-            # p(1) is the coefficient sum: while both sides vanish at t = 1,
-            # divide (t-1) out of both
-            while not sum(pn) and not sum(pd):
-                pn, pd = _div_one(pn), _div_one(pd)
-            num, den = Poly._of(pn), Poly._of(pd)
-            if len(pn) > 1:  # a constant num is coprime with den
-                rest = pd
-                while len(rest) > 1 and not sum(rest):
-                    rest = _div_one(rest)
-                # rest is den without the factors t-1, which num no longer
-                # shares: only a nonconstant rest can share a factor with num
-                if len(rest) > 1:
-                    g = num.gcd(den)
-                    if g.degree > 0:
-                        num = num.divmod(g)[0]
-                        den = den.divmod(g)[0]
-            # primitive parts times the reduced content ratio gn/gd: both
-            # parts integer with joint content 1
-            h = gcd(gn, gd)
-            a, b = gn // h, gd // h
-            if den.coeffs[-1] < 0:
-                a, b = -a, -b
-            if a != 1:
-                num = num.scale(a)
-            if b != 1:
-                den = den.scale(b)
+            num, den = _over(num, _factor(den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -659,23 +687,27 @@ def _common_denominator(dens: Sequence[Poly]) -> Tuple[List[Poly], Poly]:
     times a product of their primitive parts.  Taken highest degree first, a
     primitive part that divides the product adds nothing (by Gauss's lemma
     the exact quotient lies in Z[t]), any other is multiplied in; so powers
-    of t-1 meet at the highest one.
+    of t-1 meet at the highest one.  Integer denominators meet at their lcm.
     """
     if len(dens) == 1:
         return [Poly._of((1,))], dens[0]
+    if all(len(d.coeffs) == 1 for d in dens):
+        den = lcm(*[d.coeffs[0] for d in dens])
+        return [Poly._of((den // d.coeffs[0],)) for d in dens], Poly._of((den,))
     parts = []
     for d in dens:
         c, p = _split(d.coeffs)
         if p[-1] < 0:
             c, p = -c, [-x for x in p]
-        parts.append((c, Poly._of(p)))
+        parts.append((c, tuple(p)))
     prim, quotient = Poly._of((1,)), {}
-    for p in sorted(dict.fromkeys(p for _, p in parts), key=lambda p: -p.degree):
-        q = _exact_quotient(prim, p)
+    for p in sorted(dict.fromkeys(p for _, p in parts), key=len, reverse=True):
+        p = Poly._of(p)
+        q = prim if len(p.coeffs) == 1 else _exact_quotient(prim, p)  # a constant part is 1
         if q is None:
             quotient = {r: s * p for r, s in quotient.items()}
             q, prim = prim, prim * p
-        quotient[p] = q
+        quotient[p.coeffs] = q
     content = lcm(*[c for c, _ in parts])
     muls = [quotient[p] if content == c else quotient[p].scale(content // c) for c, p in parts]
     return muls, prim.scale(content)

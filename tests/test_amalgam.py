@@ -194,6 +194,49 @@ def test_base_mismatch_raises():
         amalgamations(t1, t2)
 
 
+def grown_tree(rng, labels, multi=0.25):
+    """A tree grown by grafting the labels in turn at random sites; each
+    label after the first joins the leaf of an earlier one instead with
+    probability ``multi``."""
+    tree = EMPTY_TREE
+    for l in labels:
+        if tree.label_set and rng.random() < multi:
+            tree = tree.merge_labels({rng.choice(sorted(tree.label_set)): [l]})
+        else:
+            tree = tree._graft(rng.choice(tree.sites()), (l,))
+    return tree
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["none", "one", "all", "some"]),
+       st.integers(2, 6), st.booleans())
+def test_base_check_agrees_with_restriction_equality(rng, sharing, n, common):
+    """The base check compares clusters, never restrictions: it refuses a
+    pair exactly when the two restrictions to the shared labels differ,
+    with or without a given base.  The sides restrict one common tree
+    (their bases agree) or are grown apart (they mostly differ when three
+    or more labels are shared); leaves carry several labels, shared and
+    private, about a quarter of the time."""
+    labels = ["l%d" % i for i in range(n)]
+    k = {"none": 0, "one": 1, "all": n, "some": rng.randint(2, n)}[sharing]
+    shared = labels[:k]
+    left = shared + ["a%d" % i for i in range(n - k)]
+    right = shared + ["b%d" % i for i in range(rng.randint(0 if k else 1, 3))]
+    if common:
+        whole = grown_tree(rng, rng.sample(left + right[k:], len(left) + len(right) - k))
+        t1, t2 = whole.restrict(left), whole.restrict(right)
+    else:
+        t1, t2 = grown_tree(rng, rng.sample(left, len(left))), grown_tree(rng, rng.sample(right, len(right)))
+    agree = t1.restrict(shared) == t2.restrict(shared)
+    for base in (None, t1.restrict(shared)):
+        try:
+            amalgam._amalgamation_classes(t1, t2, None, base)
+        except AmalgamError as exc:
+            assert not agree and "base restrictions disagree" in str(exc)
+        else:
+            assert agree
+
+
 def test_outputs_satisfy_restrictions():
     for am in amalgamations(EDGE, STAR):
         assert am.left_tree() == EDGE

@@ -540,6 +540,32 @@ def test_repeated_dense_products_build_no_table(edge, monkeypatch):
     assert category.TRIPLE_CACHE_CAP >= 3 * algebra_for(parse_tree("(1,2,3)")).dim
 
 
+def test_a_cold_table_checks_its_base_without_a_restriction(edge, monkeypatch):
+    """A work guard: the base check of a cold composition table compares
+    clusters, so no ``Tree.restrict`` call runs inside
+    ``_amalgamation_classes`` (two per table while it compared
+    restrictions).  The hook first sees each of the 100 cold tables of a
+    dense edge product."""
+    entered, inside, restricted = [], [], []
+    classes, restrict = category._amalgamation_classes, Tree.restrict
+
+    def counted_classes(*args):
+        entered.append(1)
+        inside.append(1)
+        try:
+            return classes(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(category, "_amalgamation_classes", counted_classes)
+    monkeypatch.setattr(Tree, "restrict", lambda self, keep: (inside and restricted.append(1)) or restrict(self, keep))
+    monkeypatch.setattr(category, "_TRIPLE_CACHE", {})
+    alg = edge.algebra
+    dense = alg.element({i: i + 1 for i in range(alg.dim)})
+    alg.multiply(dense, dense)
+    assert len(entered) == 100 and restricted == []
+
+
 def composition_table_oracle(gu, fv, max_level):
     """The oracle: every three-block extension built by
     ``amalgamation_trees`` with the blocks tagged "1:", "2:", "3:", then

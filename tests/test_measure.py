@@ -34,6 +34,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from arboreal import amalgam
 from arboreal.amalgam import amalgamations, enumerate_trees
 from arboreal.checks import equation_sweep
 from arboreal.measure import (
@@ -429,27 +430,36 @@ def test_equation_sweep_small():
                         assert verify_amalgamation_equation(t1, t2).is_zero()
 
 
+def _count_comparisons(monkeypatch):
+    """Two lists, growing by one per ``Tree.__eq__`` call and per cluster
+    pass of a base check."""
+    compared, passes = [], []
+    eq, base_clusters = Tree.__eq__, amalgam._base_clusters
+    monkeypatch.setattr(Tree, "__eq__", lambda self, other: compared.append(1) or eq(self, other))
+    monkeypatch.setattr(amalgam, "_base_clusters", lambda *args: passes.append(1) or base_clusters(*args))
+    return compared, passes
+
+
 def test_equation_sweep_pairs_only_matching_bases(monkeypatch):
     """A work guard: the sweep groups the right trees by the key of their
-    base, so the only tree comparisons left are the base checks of
-    ``verify_amalgamation_equation``, one per diagram (67,820 while every
-    left base was compared with every right base)."""
-    compared = []
-    eq = Tree.__eq__
-    monkeypatch.setattr(Tree, "__eq__", lambda self, other: compared.append(1) or eq(self, other))
+    base, and the base check of ``verify_amalgamation_equation`` compares
+    clusters, so no tree is compared (67,820 comparisons while every left
+    base was compared with every right base, 2,254 while the base check
+    compared restrictions).  The base check runs two cluster passes for each
+    of the 1,944 diagrams whose sides share a label."""
+    compared, passes = _count_comparisons(monkeypatch)
     assert equation_sweep(6) == (2254, 0)
-    assert len(compared) == 2254
+    assert (len(compared), len(passes)) == (0, 2 * 1944)
 
 
 def test_equation_sweep_at_seven_labels(monkeypatch):
     """The 7-label sweep checks its 30,526 diagrams with no nonzero
-    residual, and compares trees once per diagram: 8.48 M comparisons while
-    every left base was compared with every right base."""
-    compared = []
-    eq = Tree.__eq__
-    monkeypatch.setattr(Tree, "__eq__", lambda self, other: compared.append(1) or eq(self, other))
+    residual and compares no trees: 8.48 M comparisons while every left
+    base was compared with every right base, 30,526 while the base check
+    compared restrictions.  27,198 diagrams share a label."""
+    compared, passes = _count_comparisons(monkeypatch)
     assert equation_sweep(7) == (30526, 0)
-    assert len(compared) == 30526
+    assert (len(compared), len(passes)) == (0, 2 * 27198)
 
 
 @pytest.mark.parametrize("scale", [None, Fraction(2), Fraction(-2, 3)])
@@ -467,7 +477,8 @@ def test_embedding_sum_is_the_sum_of_embeddings(scale):
 def test_equation_restricts_once(monkeypatch):
     """The base is t1's restriction by construction: one diagram makes one
     Tree.restrict call in verify_amalgamation_equation, none to check the
-    embedding, and the enumerator's base check restricts only t2."""
+    embedding, and the enumerator's base check, which compares clusters,
+    none at all."""
     calls = []
     restrict = Tree.restrict
 
@@ -480,7 +491,7 @@ def test_equation_restricts_once(monkeypatch):
     for p in (SYMBOLIC, ParamSpec.numeric(Fraction(7, 2)), ParamSpec.finite_level(4), ParamSpec.infinity()):
         calls.clear()
         assert verify_amalgamation_equation(t1, t2, p) == 0
-        assert calls == ["verify_amalgamation_equation", "_amalgamation_classes"], p
+        assert calls == ["verify_amalgamation_equation"], p
 
 
 def test_perturbation_breaks_the_equation():

@@ -37,7 +37,11 @@ from arboreal.ratfun import (
     PoleError,
     Poly,
     RatFun,
+    _div_one,
+    _factor,
     _factored_poly_str,
+    _over,
+    _split,
     parse_poly,
     parse_ratfun,
     poly_to_str,
@@ -500,6 +504,74 @@ def test_powers_of_t_minus_one_need_no_gcd(monkeypatch):
     assert (g.num, g.den) == (Poly((0, 1)), one**3 * Poly((3,))) and not calls
     h = RatFun(one * Poly((-2, 1)), one**2 * Poly((-2, 1)))
     assert (h.num, h.den) == (Poly((1,)), one) and len(calls) == 1
+
+
+def normalized_pair(num, den):
+    """The oracle: the normalization ``RatFun(num, den)`` ran on its own
+    before the denominator was split once per product, kept verbatim; the
+    normal form as (num.coeffs, den.coeffs)."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        num, den = Poly(), Poly((1,))
+    else:
+        gn, pn = _split(num.coeffs)
+        gd, pd = _split(den.coeffs)
+        # p(1) is the coefficient sum: while both sides vanish at t = 1,
+        # divide (t-1) out of both
+        while not sum(pn) and not sum(pd):
+            pn, pd = _div_one(pn), _div_one(pd)
+        num, den = Poly._of(pn), Poly._of(pd)
+        if len(pn) > 1:  # a constant num is coprime with den
+            rest = pd
+            while len(rest) > 1 and not sum(rest):
+                rest = _div_one(rest)
+            # rest is den without the factors t-1, which num no longer
+            # shares: only a nonconstant rest can share a factor with num
+            if len(rest) > 1:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.divmod(g)[0]
+                    den = den.divmod(g)[0]
+        # primitive parts times the reduced content ratio gn/gd: both
+        # parts integer with joint content 1
+        h = gcd(gn, gd)
+        a, b = gn // h, gd // h
+        if den.coeffs[-1] < 0:
+            a, b = -a, -b
+        if a != 1:
+            num = num.scale(a)
+        if b != 1:
+            den = den.scale(b)
+    return num.coeffs, den.coeffs
+
+
+_int_poly = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any)
+_content = st.integers(-36, 36).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_int_poly, _content, _ones), min_size=1, max_size=4),
+       _int_poly, _content, _ones, _int_poly, st.booleans())
+@example([([1], 6, 3)], [1], -4, 2, [1], False)  # den c*(t-1)^2, no gcd
+@example([([5, 0, 1], 1, 0), ([-2, 1], 12, 1)], [1, 1], 18, 3, [-2, 1], True)  # a shared t-2: the gcd path
+@example([([0, 1], -3, 3), ([7], 2, 0)], [-3, 2], -10, 1, [1, 0, 1], True)  # num vanishing at 1 beyond den
+def test_normalization_against_one_split_matches_the_former_constructor(nums, d, dc, j, common, shared):
+    """Numerators c*(t-1)^i*n*m over the denominator c'*(t-1)^j*d*m, where
+    the cofactor m shared by both sides, when present, makes a gcd run:
+    ``RatFun(num, den)`` and the slots of a product, normalized against one
+    split of their shared denominator, both give the oracle's normal form."""
+    one = Poly((-1, 1))
+    m = Poly(common) if shared else Poly((1,))
+    den = (one**j * Poly(d) * m).scale(dc)
+    split = _factor(den)
+    for n, c, i in nums:
+        num = (one**i * Poly(n) * m).scale(c)
+        want = normalized_pair(num, den)
+        f = RatFun(num, den)
+        assert (f.num.coeffs, f.den.coeffs) == want
+        slot = _over(num, split)
+        assert (slot[0].coeffs, slot[1].coeffs) == want
 
 
 def sequential_sum(pairs):
