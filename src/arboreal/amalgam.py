@@ -21,12 +21,15 @@ sites where every partial tree still restricts to the other side: its
 labels must land at the same place of the tree on the side's labels
 inserted so far (a node or an edge, named by the clade below it) as they
 hold in that side's tree.  One clade-labeling pass per tree finds those
-sites, so only kept trees are built; this is the supertree problem of
-BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J. Comput. 10(3), 1981) and
-of Ng and Wormald (Discrete Appl. Math. 69, 1996), listing every tree that
-displays the given subtrees.  Pruning partial trees is sound because
-restriction commutes with taking sub-label-sets, so a mismatch can never be
-repaired by later insertions.
+sites, so only kept trees are built; each pass roots the tree at the leaf
+of a label, found by :meth:`Tree.leaf_of`, which keeps nothing on the tree.
+A class that does not sit alone on one leaf of each constraint it meets
+fits no site, and ends the search before any graft.  This is the supertree
+problem of BUILD (Aho, Sagiv, Szymanski and Ullman, SIAM J. Comput. 10(3),
+1981) and of Ng and Wormald (Discrete Appl. Math. 69, 1996), listing every
+tree that displays the given subtrees.  Pruning partial trees is sound
+because restriction commutes with taking sub-label-sets, so a mismatch can
+never be repaired by later insertions.
 
 The search walks its levels depth first, holding only the pending siblings
 along one path, and hands each penultimate tree with its admissible sites
@@ -289,8 +292,8 @@ def _places(
             groups.setdefault((0, 0) if u == v >= 0 else (-1, -1), []).append((u, v))
         return groups
     bit = {l: 1 << i for i, l in enumerate(held)}
-    parent, up, above = _clades(t, bit, t.leaf_of(held[0]))
-    rparent, rup, rabove = _clades(r, bit, r.leaf_of(held[0]))
+    parent, up, above = _clades(t, bit, held[0])
+    rparent, rup, rabove = _clades(r, bit, held[0])
     at = {}
     for w, p in enumerate(rparent):
         if p >= 0:
@@ -360,10 +363,10 @@ def _frontier_sites(
             leaf = expected.leaf_of(min(seen))
             if {l for l in expected.labels[leaf] if l in old or l in seen} != seen:
                 return
-            if len({expected.leaf_of(l) for l in old}) >= 2:
+            if sum(1 for ls in expected.labels if not old.isdisjoint(ls)) >= 2:
                 # only a t|V_old with two leaves or more constrains the site
                 bit = {l: 1 << i for i, l in enumerate(sorted(old))}
-                _, _, above = _clades(expected, bit, expected.leaf_of(min(old)))
+                _, _, above = _clades(expected, bit, min(old))
                 checks.append((bit, min(old), above[leaf]))
         inserted |= new
         steps.append((cls, checks, met))
@@ -373,7 +376,7 @@ def _frontier_sites(
         labels = t.labels
         sites = t.sites() + [(v, v) for v in seed_leaves if all(s.isdisjoint(labels[v]) for s in met)]
         for bit, root, want in checks:
-            parent, up, above = _clades(t, bit, t.leaf_of(root))
+            parent, up, above = _clades(t, bit, root)
             sites = [
                 (u, v) for (u, v) in sites
                 if (up[u] if v < 0 else above[v if parent[v] == u else u]) == want
@@ -399,14 +402,15 @@ def _frontier_sites(
 
 
 def _clade_masks(
-    tree: Tree, bit: Dict[str, int], root: int
+    tree: Tree, bit: Dict[str, int], root: str
 ) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """``tree`` rooted at the leaf ``root``: per vertex its parent, the
-    vertices in breadth-first order, and per vertex its clade (the bits of
-    the labels below it, ``root``'s own excluded) and its number of children
-    with a non-empty clade."""
+    """``tree`` rooted at the leaf of the label ``root``, found by
+    :meth:`Tree.leaf_of` as every clade pass finds its root: per vertex its
+    parent, the vertices in breadth-first order, and per vertex its clade
+    (the bits of the labels below it, the root leaf's own excluded) and its
+    number of children with a non-empty clade."""
     labels, n = tree.labels, len(tree.adj)
-    parent, order = _breadth_first(tree.adj, root)
+    parent, order = _breadth_first(tree.adj, tree.leaf_of(root))
     mask = [0] * n
     kids = [0] * n
     for v in reversed(order[1:]):
@@ -421,10 +425,10 @@ def _clade_masks(
 
 
 def _clades(
-    tree: Tree, bit: Dict[str, int], root: int
+    tree: Tree, bit: Dict[str, int], root: str
 ) -> Tuple[List[int], List[int], List[int]]:
-    """One pass over ``tree`` rooted at the leaf ``root``, placing its sites
-    in ``tree|V_old``.
+    """One pass over ``tree`` rooted at the leaf of the label ``root`` (see
+    :func:`_clade_masks`), placing its sites in ``tree|V_old``.
 
     ``bit`` gives each label of ``V_old`` its own bit; other labels are
     ignored.  A place is encoded ``2*C + 1`` for "the node with clade C" and
@@ -540,13 +544,12 @@ def _amalgamation_count(t1: Tree, t2: Tree, max_level: Optional[int] = None) -> 
 
 
 def _amalgamation_classes(
-    t1: Tree, t2: Tree, max_level: Optional[int], base: Optional[Tree] = None
+    t1: Tree, t2: Tree, max_level: Optional[int]
 ) -> Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...], Optional[int], Tree]:
     """The arguments of the search for the amalgamations of t1 and t2: the
     classes to insert, the constraints, the level bound and the seed, after
-    checking the base (t1 restricted to the shared labels, or ``base`` if
-    given, not checked) against t2 by :func:`_base_clusters`, and the classes
-    and the level bound once.
+    checking the base (the restrictions of t1 and t2 to the shared labels)
+    by :func:`_base_clusters`, and the classes and the level bound once.
 
     The seed is the side with more free classes (t1 on a tie), each leaf
     carrying its class.  The base check keeps shared labels of different
@@ -561,7 +564,7 @@ def _amalgamation_classes(
     if shared:
         bit = {l: 1 << i for i, l in enumerate(shared)}
         least = min(shared)
-        if _base_clusters(t1 if base is None else base, bit, least) != _base_clusters(t2, bit, least):
+        if _base_clusters(t1, bit, least) != _base_clusters(t2, bit, least):
             raise AmalgamError("base restrictions disagree on shared labels %s" % sorted(shared))
     classes = _leaf_classes(i1 | i2, (t1, t2))
     constraints = ((i1, t1), (i2, t2))
@@ -578,7 +581,8 @@ def _amalgamation_classes(
 def _base_clusters(tree: Tree, bit: Dict[str, int], least: str) -> FrozenSet[int]:
     """The restriction of ``tree`` to the labels of ``bit`` up to
     isomorphism, none of it built: the set of nonempty clades of its
-    vertices (see :func:`_clade_masks`), rooted at the leaf of ``least``.
+    vertices (see :func:`_clade_masks`), rooted, as every clade pass is, at
+    the leaf of the label ``least``.
 
     In the restriction, rooted at that leaf, every other vertex has its own
     nonempty clade, since each internal one has two children or more, and a
@@ -589,8 +593,7 @@ def _base_clusters(tree: Tree, bit: Dict[str, int], least: str) -> FrozenSet[int
     the clusters of a leaf-labeled tree do (Semple and Steel,
     *Phylogenetics*, 2003, ch. 3).
     """
-    root = next(v for v, ls in enumerate(tree.labels) if least in ls)  # no leaf_of dict kept on the tree
-    return frozenset(m for m in _clade_masks(tree, bit, root)[2] if m)
+    return frozenset(m for m in _clade_masks(tree, bit, least)[2] if m)
 
 
 def amalgamations(

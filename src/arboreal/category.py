@@ -349,10 +349,9 @@ def evaluate_coefficients(f: HomElement, t) -> HomElement:
 
 def _trace_search(
     u: Amalgamation, v: Amalgamation, w: Amalgamation
-) -> Optional[Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...]]]:
+) -> Tuple[List[Tuple[str, ...]], Tuple[Tuple[FrozenSet[str], Tree], ...]]:
     """The leaf classes and constraints of the three-block trees computing
-    the trace of the product u * v * w, or None when a class holds labels
-    of two leaves of one pattern (no tree then).
+    the trace of the product u * v * w.
 
     The whole tree restricts to u on blocks (1,2), to the transpose of v on
     blocks (1,3), and to w on blocks (2,3); the transpose in the middle slot
@@ -360,7 +359,10 @@ def _trace_search(
     pattern, not only the transpose-symmetric ones.  Identifications across
     blocks are forced by the three patterns, so no free matchings arise.
     The labels of one multi-label leaf of the object share a leaf of every
-    pattern, so they share a class.
+    pattern, so they share a class.  A class that holds labels of two leaves
+    of one pattern has no tree; nothing here looks for one, as the search's
+    fit check ends such a search before any graft (see
+    :func:`amalgam._frontier_sites`).
     """
     wholes = (
         retag(u.whole, {SOURCE_TAG: "1:", TARGET_TAG: "2:"}),
@@ -369,10 +371,6 @@ def _trace_search(
     )
     label_sets = tuple(t.label_set for t in wholes)
     classes = _leaf_classes(frozenset().union(*label_sets), wholes)
-    for cls in classes:
-        for t, labels in zip(wholes, label_sets):
-            if len({t.leaf_of(l) for l in cls if l in labels}) > 1:
-                return None
     return classes, tuple(zip(label_sets, wholes))
 
 
@@ -381,8 +379,6 @@ def _trace_and_count(u: Amalgamation, v: Amalgamation, w: Amalgamation) -> Tuple
     trees, both from one tally of their signatures, read from the
     enumerator's last-level sites without building the trees."""
     search = _trace_search(u, v, w)
-    if not search:
-        return ZERO, 0
     _check_classes(search[0], None)
     tally = _site_signatures(*search, None)
     return _measure_sum(tally), sum(tally.values())

@@ -282,13 +282,6 @@ def _embedding_sum_key(small: Signature, tally: Tuple[Tuple[Signature, int], ...
 register_measure_cache(_embedding_sum_key.cache_clear)
 
 
-def _embedding_sum(sub: Tree, tally: Counter) -> RatFun:
-    """The summed symbolic measure of the embeddings sub -> z over the trees
-    z, each of which restricts to sub (not checked), given as the tally of
-    their signatures; not memoized."""
-    return _embedding_sum_key.__wrapped__(_signature(sub), tally.items())
-
-
 def marked_type_code(tree: Tree, mark: str) -> str:
     """Classify a marked tree: I1/I2/I3, Im (marked-node valence m >= 4),
     II, or III.
@@ -361,7 +354,7 @@ def verify_amalgamation_equation(t1: Tree, t2: Tree, p: ParamSpec = SYMBOLIC) ->
     """
     base = t1.restrict(t1.label_set & t2.label_set)
     max_level = p.n if p.mode == "level" else None
-    tally = _site_signatures(*_amalgamation_classes(t1, t2, max_level, base))
+    tally = _site_signatures(*_amalgamation_classes(t1, t2, max_level))
     lhs = _product(((_signature(t1), 1), (_signature(t2), 1), (_signature(base), -1)))
     # the negated residual: the amalgamations minus the left side
     residual = -RatFun.sum(chain(((-lhs.num, lhs.den),), _signature_terms(tally, _mu_symbolic_key)))

@@ -487,6 +487,8 @@ def ss2_witness(y: Tree, x: Tree, h: int) -> Tuple[Tree, int]:
         for v in y.leaves()
         if not any(l in x_labels for l in y.labels_of(v))
     )
+    if not spare:
+        raise ValueError("every leaf of y carries a label of x")
     a = spare[0]
     fresh = ["%s.w%d" % (a, i) for i in range(1, h + 1)]
     av = y.leaf_of(a)

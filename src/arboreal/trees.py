@@ -36,20 +36,21 @@ class Tree:
     """An immutable reduced leaf-labeled tree.
 
     Vertices are 0..n-1; ``adj[v]`` lists neighbors, ``labels[v]`` the sorted
-    label tuple of v (empty for internal vertices).  Two trees compare equal
-    exactly when they are isomorphic by a label-preserving isomorphism:
-    equality reads identical graph data (a restriction made twice, say) as
-    the identity, and compares canonical keys otherwise; hashing uses keys.
+    label tuple of v (empty for internal vertices).  A tree holds these two
+    and its canonical key once asked for, which equality and hashing reuse;
+    everything else, the leaf of a label and the shape key included, is
+    computed on each call.  Two trees compare equal exactly when they are
+    isomorphic by a label-preserving isomorphism: equality reads identical
+    graph data (a restriction made twice, say) as the identity, and compares
+    canonical keys otherwise; hashing uses keys.
     """
 
-    __slots__ = ("adj", "labels", "_key", "_shape", "_leaf_of")
+    __slots__ = ("adj", "labels", "_key")
 
     def __init__(self, adj: Tuple[Tuple[int, ...], ...], labels: Tuple[Tuple[str, ...], ...]):
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_shape", None)
-        object.__setattr__(self, "_leaf_of", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -86,17 +87,10 @@ class Tree:
         return frozenset(l for ls in self.labels for l in ls)
 
     def leaf_of(self, label: str) -> int:
-        cache = self._leaf_of
-        if cache is None:
-            cache = {}
-            for v, ls in enumerate(self.labels):
-                for l in ls:
-                    cache[l] = v
-            object.__setattr__(self, "_leaf_of", cache)
-        try:
-            return cache[label]
-        except KeyError:
-            raise TreeError("unknown label %r" % (label,)) from None
+        for v, ls in enumerate(self.labels):
+            if label in ls:
+                return v
+        raise TreeError("unknown label %r" % (label,))
 
     def labels_of(self, v: int) -> Tuple[str, ...]:
         return self.labels[v]
@@ -111,10 +105,8 @@ class Tree:
         return self._key
 
     def shape_key(self) -> str:
-        if self._shape is None:
-            # "*" sorts below ",", so shape serials are compared as strings
-            object.__setattr__(self, "_shape", self._min_serial(lambda ls: "*" * len(ls), _serial))
-        return self._shape
+        # "*" sorts below ",", so shape serials are compared as strings
+        return self._min_serial(lambda ls: "*" * len(ls), _serial)
 
     def _min_serial(self, leaf: Callable[[Sequence[str]], str], key: Optional[Callable]) -> str:
         """The serialization of the tree rooted at an internal vertex whose

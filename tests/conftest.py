@@ -2,7 +2,16 @@ import pytest
 
 from arboreal.amalgam import enumerate_trees
 from arboreal.edge_algebra import edge_algebra
-from arboreal.trees import Tree
+from arboreal.measure import _embedding_sum_key
+from arboreal.trees import Tree, _signature
+
+
+def embedding_sum(sub, tally):
+    """The oracle of ``measure._embedding_sum_key``: the summed symbolic
+    measure of the embeddings sub -> z over the trees z, each of which
+    restricts to sub (not checked), given as the Counter of their
+    signatures; not memoized."""
+    return _embedding_sum_key.__wrapped__(_signature(sub), tally.items())
 
 
 @pytest.fixture(scope="session")

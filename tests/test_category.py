@@ -14,6 +14,9 @@ Core claims:
     - an object with a multi-label leaf has the diagonal, transposes,
       embeddings, compositions, Gram determinant and traces of the object
       with one label there, and its traces via trees are those of products
+    - the trace via trees tallies the trees it does not build, and a triple
+      with a class across two leaves of one pattern, left to the search's
+      fit check, has none
     - numeric composition equals symbolic composition then substitution,
       and infinity composition takes each coefficient's limit
     - a cold composition table, read from the search's last level, has the
@@ -67,9 +70,11 @@ from arboreal.category import (
     truncate_level,
 )
 from arboreal.edge_algebra import EdgeAlgebra, edge_algebra
-from arboreal.measure import ParamSpec, _embedding_sum, mu_sum, mu_symbolic, set_mu_perturbation
+from arboreal.measure import ParamSpec, mu_sum, mu_symbolic, set_mu_perturbation
 from arboreal.ratfun import ONE, ZERO, Poly, RatFun, parse_ratfun
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _signature, parse_tree
+
+from conftest import embedding_sum
 
 T = RatFun.t()
 EDGE = parse_tree("(1,2)")
@@ -570,7 +575,7 @@ def composition_table_oracle(gu, fv, max_level):
     """The oracle: every three-block extension built by
     ``amalgamation_trees`` with the blocks tagged "1:", "2:", "3:", then
     restricted to the outer blocks, keyed and signed one at a time, and each
-    row's value from the unmemoized ``_embedding_sum``."""
+    row's value from the unmemoized ``embedding_sum``."""
     u = category.retag(gu.whole, {"s:": "1:", "t:": "2:"})
     v = category.retag(fv.whole, {"s:": "2:", "t:": "3:"})
     stored = {"1:" + l[2:]: l for l in gu.left}
@@ -581,7 +586,7 @@ def composition_table_oracle(gu, fv, max_level):
         y3 = Tree(y.adj, tuple(tuple(map(stored.__getitem__, ls)) for ls in y.labels))
         rows.setdefault(y3.canonical_key(), (y3, Counter()))[1][_signature(z)] += 1
     return tuple(
-        (Amalgamation._of(y3, gu.left, fv.right), _embedding_sum(y3, tally))
+        (Amalgamation._of(y3, gu.left, fv.right), embedding_sum(y3, tally))
         for _, (y3, tally) in sorted(rows.items())
     )
 
@@ -648,23 +653,44 @@ def test_triple_trace_matches_composition(edge):
 def triple_trace_trees(u, v, w):
     """The oracle: the three-block trees of the trace of u * v * w, built
     one by one from the same search the trace tallies."""
-    search = category._trace_search(u, v, w)
-    return trees_with_restrictions(*search) if search else []
+    return trees_with_restrictions(*category._trace_search(u, v, w))
+
+
+def spans_two_leaves_of_a_pattern(u, v, w):
+    """The oracle of a degenerate triple: the check the trace search made
+    before it left such triples to the search's fit check, its loop kept
+    verbatim.  A class holding labels of two leaves of one pattern has no
+    three-block tree."""
+    classes, constraints = category._trace_search(u, v, w)
+    label_sets, wholes = zip(*constraints)
+    for cls in classes:
+        for t, labels in zip(wholes, label_sets):
+            if len({t.leaf_of(l) for l in cls if l in labels}) > 1:
+                return True
+    return False
 
 
 def test_triple_trace_counts_the_trees_it_does_not_build():
-    """On every basis triple of the edge algebra and of the point's, the
-    site signatures equal those of the built trace trees, and the trace and
-    the tree count read from them are the trees' summed measure and their
-    number."""
-    for alg in (algebra_for(EDGE), algebra_for(POINT)):
+    """On every basis triple of the edge algebra, of the point's and of
+    End((1/2,3)), whose object has a two-label leaf, the site signatures
+    equal those of the built trace trees, and the trace and the tree count
+    read from them are the trees' summed measure and their number.  Every
+    triple with a class across two leaves of one pattern, which the trace
+    leaves to the search's fit check, has no tree: it gives (ZERO, 0)."""
+    degenerate = Counter()
+    for text in ("(1,2)", "x0", "(1/2,3)"):
+        alg = algebra_for(parse_tree(text))
         for u, v, w in product(alg.basis, repeat=3):
             trees = triple_trace_trees(u, v, w)
-            search = category._trace_search(u, v, w)
-            sites = _site_signatures(*search, None) if search else Counter()
+            sites = _site_signatures(*category._trace_search(u, v, w), None)
             assert sites == Counter((s.leaf_count, s.valences) for s in (z.stats() for z in trees))
-            assert category._trace_and_count(u, v, w) == (mu_sum(trees), len(trees))
+            got = category._trace_and_count(u, v, w)
+            assert got == (mu_sum(trees), len(trees))
             assert triple_trace(u, v, w) == mu_sum(trees)
+            if spans_two_leaves_of_a_pattern(u, v, w):
+                degenerate[text, alg.dim] += 1
+                assert got == (ZERO, 0)
+    assert degenerate == {("(1,2)", 10): 508, ("x0", 2): 3, ("(1/2,3)", 10): 508}
 
 
 def test_hom_element_arithmetic(edge):

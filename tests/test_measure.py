@@ -40,7 +40,6 @@ from arboreal.checks import equation_sweep
 from arboreal.measure import (
     SYMBOLIC,
     LevelError,
-    _embedding_sum,
     MarkedTree,
     ParamSpec,
     marked_type_code,
@@ -57,6 +56,8 @@ from arboreal.measure import (
 )
 from arboreal.ratfun import ONE, Poly, RatFun
 from arboreal.trees import EMPTY_TREE, Tree, TreeError, _signature, build_tree, parse_tree, shape_key
+
+from conftest import embedding_sum
 
 T = RatFun.t()
 
@@ -469,7 +470,7 @@ def test_embedding_sum_is_the_sum_of_embeddings(scale):
     set_mu_perturbation(scale)
     try:
         total = sum((mu_embedding(t1, z) for z in wholes), RatFun.zero())
-        assert _embedding_sum(t1, Counter(map(_signature, wholes))) == total
+        assert embedding_sum(t1, Counter(map(_signature, wholes))) == total
     finally:
         set_mu_perturbation(None)
 

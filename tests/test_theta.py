@@ -12,7 +12,8 @@ Core claims:
       relations with zero residuals on both sides
     - the many-extensions witness produces enough embeddings without raising
       the level, and its trees, built by graft, are those of the edge-list
-      construction through build_tree
+      construction through build_tree; a y whose every leaf meets x is
+      refused with a ValueError
 """
 
 import random
@@ -372,3 +373,13 @@ def test_ss2_witness_on_one_leaf_and_colliding_labels():
     # the leaf of a gives its own labels up
     y = parse_tree("(a/a.w1,b,c)")
     assert ss2_witness(y, parse_tree("b"), 2)[0] == witness_by_edges(y, parse_tree("b"), 2)
+
+
+def test_ss2_witness_refuses_a_y_with_no_leaf_outside_x():
+    """When every leaf of y outside x also carries a label of x, no leaf
+    can make room for the cherries: the witness is refused with a
+    ValueError, not an IndexError from the empty list of spare leaves."""
+    y = parse_tree("(a/b,c/d)")
+    for x in (y.restrict("ac"), y.restrict("ad"), y.restrict("bd")):
+        with pytest.raises(ValueError, match="every leaf of y carries a label of x"):
+            ss2_witness(y, x, 2)

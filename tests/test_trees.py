@@ -10,6 +10,8 @@ Core claims:
       former reduction (kept here as an oracle) packed, on random, grafted,
       caterpillar and multi-label trees of up to about 100 leaves
     - equality is key equality, decided without keys on identical graph data
+    - the leaf of a label is a lookup that keeps nothing: a tree holds its
+      graph data and its canonical key, and no other memo
     - the quaternary relation matches an independent path computation and
       determines the tree among all trees on its labels
     - enumeration counts match an independent recursion, and insertion
@@ -743,6 +745,30 @@ def test_equality_is_key_equality(data, rng):
             assert (x == y) == (x.canonical_key() == y.canonical_key())
             if x == y:
                 assert hash(x) == hash(y)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 40), st.sampled_from([0.0, 0.3, 1.0]))
+def test_leaf_of_is_a_lookup_that_keeps_nothing(rng, vertices, multi):
+    """On random trees whose leaves carry one label or two, ``leaf_of``
+    gives the vertex of a label -> vertex dict and refuses a label the tree
+    lacks; after it, the shape key and the canonical key, the tree holds
+    exactly its graph data and its key, so no lookup or shape is memoized
+    on a tree."""
+    t = random_graph_tree(rng, vertices, multi)
+    adj, labels = t.adj, t.labels
+    where = {l: v for v, ls in enumerate(labels) for l in ls}
+    for l, v in where.items():
+        assert t.leaf_of(l) == v
+    names = {"%s%d" % (c, v) for c in "xy" for v in range(vertices)}
+    for absent in sorted(names - set(where)) + ["z"]:
+        with pytest.raises(TreeError, match="unknown label %r" % absent):
+            t.leaf_of(absent)
+    t.shape_key()
+    key = t.canonical_key()
+    held = {name: getattr(t, name) for c in type(t).__mro__ for name in c.__dict__.get("__slots__", ())}
+    assert held == {"adj": adj, "labels": labels, "_key": key}
+    assert not hasattr(t, "__dict__")
 
 
 def test_insertion_validates_new_labels():
